@@ -3,7 +3,9 @@
 Every falsified answer is re-checked against the network before it is
 recorded; a witness that fails its own check is downgraded to an error
 row and counted as a penalty, so the harness can never claim "sat"
-without a valid counterexample in hand.
+without a valid counterexample in hand.  An engine that raises its own
+internal-error ``RuntimeError`` gets the same penalty row, and the run
+goes on with the next instance.
 """
 
 import csv
@@ -34,7 +36,7 @@ class VerdictRecord:
     verdict: str  # unsat | sat | unknown | timeout | error
     seconds: float
     witness_path: str = ""
-    penalty: bool = False  # sat claim whose witness failed re-checking
+    penalty: bool = False  # witness failed re-checking, or engine self-check
     detail: str = ""
 
     def __post_init__(self):
@@ -78,6 +80,12 @@ def run_one(inst, engine, seed=0, attack=None) -> VerdictRecord:
     except (OSError, BnnVerifyError, ValueError) as exc:
         return VerdictRecord(name, "error", time.monotonic() - start,
                              detail=str(exc))
+    except RuntimeError as exc:
+        # an engine's self-check failed (e.g. a witness it built did not
+        # re-check): the engine is at fault, so the row carries a penalty
+        log.error("internal error on %s: %s", name, exc)
+        return VerdictRecord(name, "error", time.monotonic() - start,
+                             penalty=True, detail=str(exc))
     elapsed = time.monotonic() - start
     if elapsed > inst.timeout_seconds:
         # budget discipline: a late answer scores as a timeout even when

@@ -30,6 +30,7 @@ __all__ = [
     "Layer",
     "DEFAULT_BN_EPS",
     "sign_quantize",
+    "contract",
     "qconv_forward",
     "maxpool_forward",
     "batchnorm_forward",
@@ -206,6 +207,15 @@ def sign_quantize(t):
     return np.where(t >= 0, 1.0, -1.0)
 
 
+def contract(t, layer):
+    """Apply the +-1 weights of a QConv or QDense to ``t``, unquantized."""
+    if isinstance(layer, QConv):
+        # windows: (..., H', W', C, kh, kw); contract (kh, kw, C) against kernels
+        windows = sliding_window_view(t, (layer.kernel_h, layer.kernel_w), axis=(-3, -2))
+        return np.einsum("...cij,ijco->...o", windows, layer.weights, optimize=True)
+    return t @ layer.weights
+
+
 def qconv_forward(t, layer, layer_index=None):
     """Valid-padding stride-1 cross-correlation with +-1 kernels.
 
@@ -232,9 +242,7 @@ def qconv_forward(t, layer, layer_index=None):
         )
     if layer.quantize_input:
         t = sign_quantize(t)
-    # windows: (..., H', W', C, kh, kw); contract (kh, kw, C) against kernels
-    windows = sliding_window_view(t, (layer.kernel_h, layer.kernel_w), axis=(-3, -2))
-    return np.einsum("...cij,ijco->...o", windows, layer.weights, optimize=True)
+    return contract(t, layer)
 
 
 def maxpool_forward(t, layer=None, layer_index=None):
@@ -246,11 +254,10 @@ def maxpool_forward(t, layer=None, layer_index=None):
             layer_index=layer_index, expected="(H>=2, W>=2, C)",
             actual=t.shape[-3:] if t.ndim >= 3 else t.shape,
         )
-    h, w, c = t.shape[-3:]
-    ho, wo = h // 2, w // 2
-    t = t[..., : 2 * ho, : 2 * wo, :]
-    t = t.reshape(t.shape[:-3] + (ho, 2, wo, 2, c))
-    return t.max(axis=(-2, -4))
+    h, w = t.shape[-3:-1]
+    t = t[..., : h - h % 2, : w - w % 2, :]
+    top = np.maximum(t[..., 0::2, 0::2, :], t[..., 0::2, 1::2, :])
+    return np.maximum(top, np.maximum(t[..., 1::2, 0::2, :], t[..., 1::2, 1::2, :]))
 
 
 def batchnorm_forward(t, layer, layer_index=None):
@@ -287,7 +294,7 @@ def qdense_forward(t, layer, layer_index=None):
         )
     if layer.quantize_input:
         t = sign_quantize(t)
-    return t @ layer.weights
+    return contract(t, layer)
 
 
 def layer_forward(t, layer, layer_index=None):

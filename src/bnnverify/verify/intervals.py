@@ -1,8 +1,19 @@
 """Interval bound propagation and BN+sign threshold folding.
 
-Bounds are computed with the same float64 primitives as exact inference, so
-a zero-width box propagates to exactly the ``network_forward`` logits on
-integer-valued inputs.
+A ``QConv`` or ``QDense`` layer is bounded in centre/radius form: with
+``mid = (lo + hi) / 2`` and ``rad = (hi - lo) / 2`` the output lies in
+``mid @ W -+ rad @ |W|``.  The centre goes through the same contraction as
+exact inference, and since every weight is +-1, ``rad @ |W|`` is a plain
+window or vector sum of ``rad`` shared by all output channels.
+
+Soundness contract: on integer boxes (more generally, on any box whose
+bounds lie on a binary grid coarse enough that every partial sum is exact)
+the bounds are the exact extremes, equal to the textbook
+``lo @ W+ + hi @ W-``, and a zero-width box propagates to exactly the
+``network_forward`` logits.  Off that grid the radius is widened by a
+forward-error bound, so the bounds still contain the float64 forward of
+every point in the box.  Max-pool, batch-norm, sign and flatten are
+monotone in float64, so they need no widening.
 """
 
 import time
@@ -19,6 +30,7 @@ from ..layers import (
     QConv,
     QDense,
     batchnorm_forward,
+    contract,
     flatten_forward,
     maxpool_forward,
     sign_quantize,
@@ -36,6 +48,9 @@ __all__ = [
     "verify_ibp",
     "fold_bn_sign",
 ]
+
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 @dataclass(frozen=True)
@@ -81,39 +96,62 @@ class IntervalTensor:
         )
 
 
-def _conv_raw(t, layer, weights):
-    # same contraction as the exact forward, arbitrary-sign weights
-    windows = sliding_window_view(t, (layer.kernel_h, layer.kernel_w), axis=(-3, -2))
-    return np.einsum("...cij,ijco->...o", windows, weights, optimize=True)
+def _fan_in_sum(t, layer):
+    """``t @ |W|``, the sum of ``t`` over each output's receptive field."""
+    if isinstance(layer, QConv):
+        kernel = (layer.kernel_h, layer.kernel_w)
+        windows = sliding_window_view(t.sum(axis=-1), kernel, axis=(-2, -1))
+        return windows.sum(axis=(-2, -1))[..., None]
+    return t.sum(axis=-1, keepdims=True)
 
 
-def _linear_bounds(box, layer, layer_index):
+def _on_grid(lo, hi, fan_in):
+    """True when every bound is a multiple of a power of two ``step`` with
+    fan_in * max|bound| <= 2**51 * step; integer boxes of pixel size always
+    are.  Every partial sum over a fan-in is then exact in float64, so the
+    centre/radius bounds are the exact extremes; rounding is monotone, so
+    they also hold the float forward of every real point in the box,
+    whatever the summation order."""
+    top = max(np.max(np.abs(lo)), np.max(np.abs(hi)))
+    step = np.ldexp(1.0, int(np.frexp(top * fan_in)[1]) - 51)
+    return all(np.array_equal(b / step, np.rint(b / step)) for b in (lo, hi))
+
+
+def _rounding_margin(mid, rad, layer, fan_in):
+    """Slack that keeps off-grid bounds sound under float64 rounding.
+
+    A sum of n terms in any order is off by at most gamma_n * sum|term|
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
+    That bounds the error of the centre, of the radius sum and of the
+    forward of any point p in the box, where sum|p| <= sum(|mid| + rad).
+    Together with the roundings of mid, rad and the endpoints this stays
+    below 4 * gamma_(n+2) * sum(|mid| + rad).
+    """
+    n = fan_in + 2
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return 4.0 * gamma * _fan_in_sum(np.abs(mid) + rad, layer)
+
+
+def _linear_bounds(box, layer):
     lo, hi = box.lo, box.hi
     if layer.quantize_input:
         # sign is monotone, so quantizing both corners is exact
         lo = sign_quantize(lo)
         hi = sign_quantize(hi)
-    wpos = np.maximum(layer.weights, 0.0)
-    wneg = np.minimum(layer.weights, 0.0)
-    if isinstance(layer, QConv):
-        if lo.ndim != 3 or lo.shape[-1] != layer.in_channels:
-            raise ShapeMismatchError(
-                "QConv interval input mismatch",
-                layer_index=layer_index,
-                expected=layer.in_channels,
-                actual=lo.shape,
-            )
-        out_lo = _conv_raw(lo, layer, wpos) + _conv_raw(hi, layer, wneg)
-        out_hi = _conv_raw(hi, layer, wpos) + _conv_raw(lo, layer, wneg)
-    else:
-        out_lo = lo @ wpos + hi @ wneg
-        out_hi = hi @ wpos + lo @ wneg
-    return IntervalTensor(out_lo, out_hi)
+    mid = (lo + hi) * 0.5
+    rad = (hi - lo) * 0.5
+    centre = contract(mid, layer)
+    spread = _fan_in_sum(rad, layer)
+    fan_in = layer.weights.size // layer.weights.shape[-1]
+    # after sign quantization the box is +-1, so always on the grid
+    if not (layer.quantize_input or _on_grid(lo, hi, fan_in)):
+        spread = spread + _rounding_margin(mid, rad, layer, fan_in)
+    return IntervalTensor(centre - spread, centre + spread)
 
 
 def _layer_bounds(box, layer, layer_index):
     if isinstance(layer, (QConv, QDense)):
-        return _linear_bounds(box, layer, layer_index)
+        return _linear_bounds(box, layer)
     if isinstance(layer, MaxPool):
         return IntervalTensor(
             maxpool_forward(box.lo, layer, layer_index),

@@ -319,6 +319,31 @@ class TestRunner:
         assert counts["penalty"] == len(downgraded)
         assert counts["falsified"] == 0
 
+    def test_engine_internal_error_is_penalty_row_and_run_continues(
+            self, tmp_path, monkeypatch):
+        csv_path = tiny_suite(tmp_path)
+        real = runner_mod.bab_verify
+        calls = []
+
+        def failing_second_call(net, prop, timeout=None):
+            calls.append(prop)
+            if len(calls) == 2:
+                raise RuntimeError(
+                    "internal error: probe witness failed its own check")
+            return real(net, prop, timeout=timeout)
+
+        monkeypatch.setattr(runner_mod, "bab_verify", failing_second_call)
+        records = run_instances(csv_path, engine="bab")
+        brute = run_instances(csv_path, engine="brute")
+        assert len(records) == len(brute)
+        assert records[1].verdict == "error"
+        assert records[1].penalty
+        assert "internal error" in records[1].detail
+        rest = [i for i in range(len(records)) if i != 1]
+        assert [records[i].verdict for i in rest] == \
+            [brute[i].verdict for i in rest]
+        assert summarize_records(records)["penalty"] == 1
+
     def test_ibp_and_falsify_stay_in_their_lanes(self, tmp_path):
         csv_path = tiny_suite(tmp_path)
         ibp = run_instances(csv_path, engine="ibp")

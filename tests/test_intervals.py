@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bnnverify.arch import random_tiny_network
+from bnnverify.arch import build_arch_b, random_tiny_network, with_random_weights
 from bnnverify.errors import ShapeMismatchError
 from bnnverify.layers import (
     BatchNorm,
@@ -12,6 +14,7 @@ from bnnverify.layers import (
     QConv,
     QDense,
     batchnorm_forward,
+    layer_forward,
     sign_quantize,
 )
 from bnnverify.network import Network, network_forward, network_forward_batch
@@ -184,6 +187,64 @@ class TestIbpPropagate:
         hi = np.array([[[5.0], [2.5]], [[1.5], [0.0]]])
         out = ibp_propagate(net, IntervalTensor(lo, hi))
         assert (out.lo[0], out.hi[0]) == (2.0, 5.0)
+
+
+def off_grid_box(rng, shape, kind, pixel_max):
+    """Box around a random non-integer image: zero-width, one ulp wide, or
+    up to two units wide."""
+    lo = rng.uniform(0.0, pixel_max, size=shape)
+    if kind == "point":
+        hi = lo.copy()
+    elif kind == "ulp":
+        hi = np.nextafter(lo, np.inf)
+    else:
+        hi = lo + rng.uniform(0.0, 2.0, size=shape)
+    return IntervalTensor(lo, hi)
+
+
+def points_in(rng, box, n):
+    """Both corners plus uniform points of the box, stacked on axis 0."""
+    inner = rng.uniform(box.lo, box.hi, size=(n,) + box.shape)
+    inner = np.clip(inner, box.lo, box.hi)
+    return np.concatenate([box.lo[None], box.hi[None], inner])
+
+
+def assert_trace_contains(net, trace, points):
+    acts = points
+    for i, layer in enumerate(net.layers):
+        acts = layer_forward(acts, layer, i)
+        box = trace[i + 1]
+        outside = np.count_nonzero((acts < box.lo) | (acts > box.hi))
+        assert outside == 0, f"layer {i}: {outside} of {acts.size} outside"
+
+
+BOX_KINDS = st.sampled_from(["point", "ulp", "wide"])
+
+
+@pytest.fixture(scope="module")
+def arch_b():
+    return with_random_weights(build_arch_b(48, 48), np.random.default_rng(11))
+
+
+class TestFloatSoundness:
+    """Bounds must contain the float64 forward of every point in the box,
+    also when the box has non-integer bounds; rounding must not leak."""
+
+    @settings(max_examples=60)
+    @given(net_seed=st.integers(0, 2**32 - 1), box_seed=st.integers(0, 2**32 - 1),
+           kind=BOX_KINDS)
+    def test_tiny_networks(self, net_seed, box_seed, kind):
+        net = random_tiny_network(np.random.default_rng(net_seed), channels=3)
+        rng = np.random.default_rng(box_seed)
+        box = off_grid_box(rng, net.input_shape, kind, 8.0)
+        assert_trace_contains(net, ibp_trace(net, box), points_in(rng, box, 64))
+
+    @settings(max_examples=8)
+    @given(box_seed=st.integers(0, 2**32 - 1), kind=BOX_KINDS)
+    def test_arch_b(self, arch_b, box_seed, kind):
+        rng = np.random.default_rng(box_seed)
+        box = off_grid_box(rng, arch_b.input_shape, kind, 255.0)
+        assert_trace_contains(arch_b, ibp_trace(arch_b, box), points_in(rng, box, 6))
 
 
 class TestVerifyIbp:
