@@ -4,8 +4,9 @@ Every falsified answer is re-checked against the network before it is
 recorded; a witness that fails its own check is downgraded to an error
 row and counted as a penalty, so the harness can never claim "sat"
 without a valid counterexample in hand.  An engine that raises its own
-internal-error ``RuntimeError`` gets the same penalty row, and the run
-goes on with the next instance.
+internal-error ``RuntimeError`` gets the same penalty row; any other
+exception becomes a plain error row.  Either way the run goes on with the
+next instance.
 """
 
 import csv
@@ -17,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..errors import BnnVerifyError, EnumerationBudgetError
+from ..errors import EnumerationBudgetError
 from ..falsify import AttackConfig, falsify
 from ..onnx_io import parse_model
 from ..vnnlib import check_witness, format_witness, parse_property
@@ -26,7 +27,17 @@ from .generate import read_instances
 
 log = logging.getLogger("bnnverify.bench")
 
-ENGINES = ("ibp", "bab", "falsify", "brute")
+# The engine registry: name -> run(net, prop, timeout, attack) -> Verdict.
+# Each entry names its engine function at call time, so replacing that
+# function in this module's namespace reaches every caller.
+ENGINES = {
+    "ibp": lambda net, prop, timeout, attack: verify_ibp(net, prop),
+    "bab": lambda net, prop, timeout, attack: bab_verify(net, prop,
+                                                         timeout=timeout),
+    "falsify": lambda net, prop, timeout, attack: falsify(net, prop, attack,
+                                                          timeout=timeout),
+    "brute": lambda net, prop, timeout, attack: brute_force_verify(net, prop),
+}
 RESULT_VOCAB = ("unsat", "sat", "unknown", "timeout", "error")
 
 
@@ -44,41 +55,26 @@ class VerdictRecord:
             raise ValueError(f"verdict {self.verdict!r} not in {RESULT_VOCAB}")
 
 
-def _run_engine(net, prop, engine, timeout, seed, attack=None):
-    if engine == "ibp":
-        return verify_ibp(net, prop)
-    if engine == "bab":
-        return bab_verify(net, prop, timeout=timeout)
-    if engine == "falsify":
-        cfg = attack if attack is not None else AttackConfig(seed=seed)
-        return falsify(net, prop, cfg, timeout=timeout)
-    if engine == "brute":
-        return brute_force_verify(net, prop)
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-
-
 def run_one(inst, engine, seed=0, attack=None) -> VerdictRecord:
-    """Run a single instance; never raises on bad inputs, records instead.
+    """Run a single instance; never raises, records a failure instead.
 
     `attack` overrides the falsify engine's sample/pass budget, for runs
     where the default desk-scale budget is wrong for the model size.
     """
     name = inst.property_path
+    if attack is None:
+        attack = AttackConfig(seed=seed)
     start = time.monotonic()
     try:
         with open(inst.model_path, "rb") as fh:
             net = parse_model(fh.read())
         with open(inst.property_path) as fh:
             prop = parse_property(fh.read())
-        verdict = _run_engine(net, prop, engine, inst.timeout_seconds, seed,
-                              attack)
+        verdict = ENGINES[engine](net, prop, inst.timeout_seconds, attack)
     except EnumerationBudgetError as exc:
         # the exhaustive engine refuses oversized grids; that is a
         # declined answer, not a crash
         return VerdictRecord(name, "unknown", time.monotonic() - start,
-                             detail=str(exc))
-    except (OSError, BnnVerifyError, ValueError) as exc:
-        return VerdictRecord(name, "error", time.monotonic() - start,
                              detail=str(exc))
     except RuntimeError as exc:
         # an engine's self-check failed (e.g. a witness it built did not
@@ -86,6 +82,12 @@ def run_one(inst, engine, seed=0, attack=None) -> VerdictRecord:
         log.error("internal error on %s: %s", name, exc)
         return VerdictRecord(name, "error", time.monotonic() - start,
                              penalty=True, detail=str(exc))
+    except Exception as exc:
+        # bad input, or a failure such as MemoryError that claims nothing
+        # wrong: no answer and no penalty, and the run goes on
+        log.warning("error on %s: %r", name, exc, exc_info=True)
+        return VerdictRecord(name, "error", time.monotonic() - start,
+                             detail=str(exc))
     elapsed = time.monotonic() - start
     if elapsed > inst.timeout_seconds:
         # budget discipline: a late answer scores as a timeout even when
@@ -109,7 +111,8 @@ def run_instances(csv_path, engine="falsify", parallelism=1, seed=0,
     <instance-stem>.witness.txt and referenced from its record.
     """
     if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {tuple(ENGINES)}")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     instances = read_instances(csv_path)

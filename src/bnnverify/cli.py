@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .bench import (
+    ENGINES,
     format_score_table,
     generate_benchmark,
     load_ppm,
@@ -24,8 +25,8 @@ from .bench import (
     summarize_records,
     synthetic_benchmark,
 )
-from .errors import BnnVerifyError
-from .falsify import AttackConfig, falsify
+from .errors import BnnVerifyError, EnumerationBudgetError
+from .falsify import AttackConfig
 from .layers import BatchNorm, Flatten, MaxPool, QConv, QDense
 from .network import count_params, predict
 from .onnx_io import parse_model
@@ -37,7 +38,7 @@ from .vnnlib import (
     parse_witness,
     property_filename,
 )
-from .verify import bab_verify, brute_force_verify, verify_ibp
+from .verify import UNKNOWN, Verdict
 
 log = logging.getLogger("bnnverify.cli")
 
@@ -186,23 +187,18 @@ def _report_verdict(verdict, prop_path, out_dir):
 def cmd_verify(args):
     net = _read_model(args.model)
     prop = _read_property(args.property)
-    if args.engine == "ibp":
-        verdict = verify_ibp(net, prop)
-    elif args.engine == "bab":
-        verdict = bab_verify(net, prop, timeout=args.timeout)
-    elif args.engine == "brute":
-        verdict = brute_force_verify(net, prop)
-    else:
-        verdict = falsify(net, prop, AttackConfig(seed=args.seed),
-                          timeout=args.timeout)
-    return _report_verdict(verdict, args.property, args.out)
-
-
-def cmd_falsify(args):
-    net = _read_model(args.model)
-    prop = _read_property(args.property)
-    verdict = falsify(net, prop, AttackConfig(seed=args.seed),
-                      timeout=args.timeout)
+    try:
+        verdict = ENGINES[args.engine](net, prop, args.timeout,
+                                       AttackConfig(seed=args.seed))
+    except EnumerationBudgetError as exc:
+        # the exhaustive engine declined an oversized grid: no answer
+        sys.stderr.write(f"bnnverify: {exc}\n")
+        verdict = Verdict(UNKNOWN)
+    except RuntimeError as exc:
+        # an engine's self-check failed: no answer, and not "falsified"
+        reason = str(exc).removeprefix("internal error: ")
+        sys.stderr.write(f"bnnverify: internal error: {reason}\n")
+        verdict = Verdict(UNKNOWN)
     return _report_verdict(verdict, args.property, args.out)
 
 
@@ -291,8 +287,7 @@ def build_parser():
     p = sub.add_parser("verify", help="decide one instance")
     p.add_argument("model")
     p.add_argument("property")
-    p.add_argument("--engine", choices=("ibp", "bab", "falsify", "brute"),
-                   default="bab")
+    p.add_argument("--engine", choices=tuple(ENGINES), default="bab")
     p.add_argument("--timeout", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".",
@@ -305,7 +300,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=None)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_falsify)
+    p.set_defaults(func=cmd_verify, engine="falsify")
 
     p = sub.add_parser("check", help="validate a witness against an instance")
     p.add_argument("model")
@@ -315,8 +310,7 @@ def build_parser():
 
     p = sub.add_parser("run", help="run an engine over an instance CSV")
     p.add_argument("csv")
-    p.add_argument("--engine", choices=("ibp", "bab", "falsify", "brute"),
-                   default="falsify")
+    p.add_argument("--engine", choices=tuple(ENGINES), default="falsify")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="results")

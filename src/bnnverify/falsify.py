@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import network_forward, network_forward_batch
+from .network import margin, network_forward, network_forward_batch
 from .vnnlib import RobustnessProperty, Witness, check_witness, witness_from_flat
 from .verify.brute import integer_grid_bounds
 from .verify.intervals import check_property_shapes
@@ -36,12 +36,6 @@ class AttackConfig:
             raise ValueError(f"seed must be unsigned, got {self.seed}")
         if self.greedy_passes < 0:
             raise ValueError(f"greedy_passes must be >= 0, got {self.greedy_passes}")
-
-
-def _margin(logits, target):
-    """max over rivals of Y_j - Y_t; >= 0 exactly when the label is beaten."""
-    rivals = np.delete(logits, target, axis=-1)
-    return np.max(rivals, axis=-1) - logits[..., target]
 
 
 def _checked(net, prop, flat, logits) -> Witness:
@@ -79,7 +73,7 @@ def random_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
         else:
             points = rng.uniform(lo, hi, size=(batch, lo.size))
         logits = network_forward_batch(net, points.reshape((-1,) + net.input_shape))
-        bad = _margin(logits, t) >= 0.0
+        bad = margin(logits, logits, t) >= 0.0
         if np.any(bad):
             first = int(np.argmax(bad))
             return _checked(net, prop, points[first], logits[first])
@@ -111,8 +105,8 @@ def greedy_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
         x = np.clip(np.floor(x + 0.5), g_lo, g_hi)  # snap centre to the grid
 
     logits = network_forward(net, x.reshape(net.input_shape))
-    margin = float(_margin(logits, t))
-    if margin >= 0.0:
+    current = float(margin(logits, logits, t))
+    if current >= 0.0:
         return _checked(net, prop, x, logits)
 
     n = x.size
@@ -127,13 +121,13 @@ def greedy_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
             trial = np.repeat(x[None, :], len(cands), axis=0)
             trial[:, d] = cands
             out = network_forward_batch(net, trial.reshape((-1,) + net.input_shape))
-            margins = _margin(out, t)
+            margins = margin(out, out, t)
             best = int(np.argmax(margins))
-            if margins[best] > margin:
+            if margins[best] > current:
                 x[d] = cands[best]
-                margin = float(margins[best])
+                current = float(margins[best])
                 improved = True
-                if margin >= 0.0:
+                if current >= 0.0:
                     return _checked(net, prop, x, out[best])
         if not improved:
             break

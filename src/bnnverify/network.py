@@ -22,6 +22,7 @@ __all__ = [
     "network_forward",
     "network_forward_batch",
     "predict",
+    "margin",
     "count_params",
     "flatten_image",
     "image_from_flat",
@@ -99,6 +100,18 @@ def network_forward_batch(net, images):
 def predict(net, image):
     """Predicted label: argmax of the logits, ties broken by lowest index."""
     return int(np.argmax(network_forward(net, image)))
+
+
+def margin(upper, lower, target):
+    """Worst rival minus the target: max_{j != t} upper[..., j] - lower[..., t].
+
+    The one definition of "the label is beaten".  For a point, pass the
+    logits as both bounds: ``>= 0`` means beaten, ties included, as in the
+    property's >= disjunction.  For interval bounds, ``< 0`` proves the
+    box.  A network without rivals is never beaten (the margin is -inf).
+    """
+    rivals = np.delete(upper, target, axis=-1)
+    return np.max(rivals, axis=-1, initial=-np.inf) - lower[..., target]
 
 
 @dataclass(frozen=True)

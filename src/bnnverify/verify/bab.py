@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from ..network import image_from_flat, network_forward
+from ..network import image_from_flat, margin, network_forward
 from ..vnnlib import check_witness, witness_from_flat
 from .brute import integer_grid_bounds
 from .intervals import IntervalTensor, check_property_shapes, ibp_propagate
@@ -50,20 +50,20 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
     shape = net.input_shape
     nodes = 0
 
-    def margin(lo, hi):
-        # worst rival upper bound minus target lower bound; < 0 proves the box
+    def bound(lo, hi):
+        # IBP margin of one box, counted as a node; < 0 proves the box
         nonlocal nodes
         nodes += 1
         box = IntervalTensor(image_from_flat(lo, shape), image_from_flat(hi, shape))
         out = ibp_propagate(net, box)
-        return float(np.max(np.delete(out.hi, target) - out.lo[target]))
+        return float(margin(out.hi, out.lo, target))
 
     def done(status, witness=None):
         return Verdict(
             status, witness=witness, nodes=nodes, seconds=time.perf_counter() - start
         )
 
-    root_margin = margin(root_lo, root_hi)
+    root_margin = bound(root_lo, root_hi)
     if root_margin < 0:
         return done(VERIFIED)
 
@@ -84,8 +84,7 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
         else:
             centre = (lo + hi) * 0.5
         logits = network_forward(net, image_from_flat(centre, shape))
-        rivals = np.delete(logits, target)
-        if np.any(rivals >= logits[target]):
+        if margin(logits, logits, target) >= 0:
             w = witness_from_flat(centre, logits=logits)
             if not check_witness(net, prop, w):
                 raise RuntimeError("internal error: probe witness failed its own check")
@@ -108,7 +107,7 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
             child_hi = hi.copy()
             child_lo[d] = child_lo_d
             child_hi[d] = child_hi_d
-            m = margin(child_lo, child_hi)
+            m = bound(child_lo, child_hi)
             if m >= 0:
                 heapq.heappush(heap, (-m, next(tiebreak), child_lo, child_hi))
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from ..errors import EnumerationBudgetError
-from ..network import network_forward_batch
+from ..network import margin, network_forward_batch
 from ..vnnlib import check_witness, witness_from_flat
 from .intervals import check_property_shapes
 from .verdict import FALSIFIED, VERIFIED, Verdict
@@ -35,15 +35,6 @@ def integer_grid_bounds(prop):
         i = int(np.argmax(bad))
         raise ValueError(f"input box contains no integer point in dimension {i}")
     return g_lo, g_hi
-
-
-def grid_point_count(prop):
-    """Number of integer points in the box, as a python int (no overflow)."""
-    g_lo, g_hi = integer_grid_bounds(prop)
-    total = 1
-    for n in (g_hi - g_lo + 1.0).astype(np.int64):
-        total *= int(n)
-    return total
 
 
 def brute_force_verify(
@@ -79,8 +70,7 @@ def brute_force_verify(
         points = g_lo[None, :] + digits.astype(np.float64)
         images = points.reshape((-1,) + net.input_shape)
         logits = network_forward_batch(net, images)
-        rivals = np.delete(logits, t, axis=1)
-        bad = np.any(rivals >= logits[:, t : t + 1], axis=1)
+        bad = margin(logits, logits, t) >= 0
         if np.any(bad):
             first = int(np.argmax(bad))
             w = witness_from_flat(points[first], logits=logits[first])

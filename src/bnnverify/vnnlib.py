@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PropertyFormatError, ShapeMismatchError, WitnessFormatError
-from .network import Network, flatten_image, image_from_flat, network_forward
+from .network import Network, flatten_image, image_from_flat, margin, network_forward
 
 PIXEL_MIN = 0.0
 PIXEL_MAX = 255.0
@@ -337,9 +337,7 @@ def check_witness(net: Network, prop: RobustnessProperty, w: Witness) -> bool:
     if np.any(values < lo) or np.any(values > hi):
         return False
     logits = network_forward(net, image_from_flat(values, net.input_shape))
-    t = prop.target_label
-    others = np.delete(logits, t)
-    return bool(np.any(others >= logits[t]))
+    return bool(margin(logits, logits, prop.target_label) >= 0)
 
 
 def format_witness(w: Witness) -> str:
