@@ -10,6 +10,7 @@ A satisfying assignment is therefore a counterexample to robustness.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,15 +29,31 @@ def _fmt(value: float) -> str:
     return "0.00000000" if s == "-0.00000000" else s
 
 
+def _check_bounds(lo, hi, error_cls):
+    """Raise ``error_cls`` naming the first X_i whose bounds are NaN or crossed."""
+    bad = ~(lo <= hi)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if np.isnan(lo[i]) or np.isnan(hi[i]):
+            raise error_cls(f"NaN bound for X_{i}: [{lo[i]}, {hi[i]}]")
+        raise error_cls(f"crossed bounds for X_{i}: [{lo[i]}, {hi[i]}]")
+
+
 @dataclass(frozen=True)
 class RobustnessProperty:
-    """One untargeted local-robustness query around a single image."""
+    """One untargeted local-robustness query around a single image.
+
+    ``lo`` and ``hi`` are read-only float64 copies of ``input_bounds``,
+    built once here.
+    """
 
     num_inputs: int
     num_outputs: int
     input_bounds: tuple  # ((lo, hi), ...) of length num_inputs
     target_label: int
     source: Optional[tuple] = None  # (image_index, epsilon) when known
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.input_bounds) != self.num_inputs:
@@ -47,14 +64,17 @@ class RobustnessProperty:
             raise ValueError(
                 f"target label {self.target_label} outside [0, {self.num_outputs})"
             )
-        for i, (lo, hi) in enumerate(self.input_bounds):
-            if not lo <= hi:
-                raise ValueError(f"crossed bounds for X_{i}: [{lo}, {hi}]")
+        pairs = np.array(self.input_bounds, dtype=np.float64).reshape(
+            self.num_inputs, 2)
+        lo, hi = pairs[:, 0].copy(), pairs[:, 1].copy()
+        _check_bounds(lo, hi, ValueError)
+        lo.flags.writeable = hi.flags.writeable = False
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def bounds_arrays(self) -> tuple:
-        """Lower and upper bound vectors as float64 arrays."""
-        arr = np.asarray(self.input_bounds, dtype=np.float64)
-        return arr[:, 0].copy(), arr[:, 1].copy()
+        """Lower and upper bound vectors as writable float64 arrays."""
+        return self.lo.copy(), self.hi.copy()
 
 
 @dataclass(frozen=True)
@@ -92,6 +112,13 @@ def make_property(image, epsilon, label, num_outputs=43, clip=False,
 
 def render_property(prop: RobustnessProperty) -> str:
     """Serialize a query in the SMT-LIB subset used by the benchmark files."""
+    others = [j for j in range(prop.num_outputs) if j != prop.target_label]
+    if not others:
+        raise ValueError(
+            "a property with one output class has no rival label, and the "
+            "file format cannot state it: an empty disjunction loses the "
+            "target label"
+        )
     lines = [
         f"; robustness query: {prop.num_inputs} inputs, "
         f"{prop.num_outputs} outputs, target label {prop.target_label}"
@@ -110,7 +137,6 @@ def render_property(prop: RobustnessProperty) -> str:
         lines.append(f"(assert (>= X_{i} {_fmt(lo)}))")
     lines.append("")
     t = prop.target_label
-    others = [j for j in range(prop.num_outputs) if j != t]
     head = "(assert (or "
     parts = [f"(>= Y_{j} Y_{t})" for j in others]
     block = [head + parts[0]]
@@ -137,26 +163,21 @@ def property_filename(size: int, image_index: int, epsilon: float) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+_COMMENT = re.compile(r";[^\n]*")
+_TOKEN = re.compile(r"[()]|[^\s();]+")
+# A property file is almost entirely declarations and pixel bounds, so
+# those two forms are matched whole; every other token comes one at a time
+# (last group) and is nested by ``_read_forms``.
+_FORM = re.compile(r"""
+    \(\s*declare-const\s+([XY])_([0-9]+)\s+Real\s*\)
+  | \(\s*assert\s*\(\s*([<>])=\s+X_([0-9]+)\s+([^\s();]+)\s*\)\s*\)
+  | ([()]|[^\s();]+)
+""", re.VERBOSE)
+
+
+def _tokenize(text):
+    """Parens and atoms of ``text``, with ``;`` comments dropped."""
+    return _TOKEN.findall(_COMMENT.sub("", text))
 
 
 def _read_forms(tokens, error_cls):
@@ -187,7 +208,7 @@ def _var_index(token, prefix, error_cls):
     if not isinstance(token, str) or not token.startswith(prefix + "_"):
         raise error_cls(f"expected {prefix} variable, got {token!r}")
     tail = token[len(prefix) + 1:]
-    if not tail.isdigit():
+    if not (tail.isascii() and tail.isdigit()):
         raise error_cls(f"malformed variable name {token!r}")
     return int(tail)
 
@@ -199,73 +220,71 @@ def _number(token, error_cls):
         raise error_cls(f"expected a numeric constant, got {token!r}") from None
 
 
-def parse_property(text: str) -> RobustnessProperty:
-    """Parse the generated subset back into a structured query.
+def _indices(digits, prefix):
+    try:
+        return np.array(list(map(int, digits)), dtype=np.int64)
+    except OverflowError:
+        raise PropertyFormatError(
+            f"{prefix} variable index does not fit in 64 bits") from None
 
-    Accepts arbitrary whitespace and ';' comments.  Rejects anything
-    outside the subset: unknown declarations or operators, X variables
-    missing a bound, and output disjunctions that mix target labels.
+
+def _declared(digits, prefix):
+    """Number of declared ``prefix`` variables, which must be ``prefix_0``
+    upwards with no gap and no repeat."""
+    idx = np.sort(_indices(digits, prefix))
+    repeated = idx[1:][idx[1:] == idx[:-1]]
+    if repeated.size:
+        raise PropertyFormatError(
+            f"duplicate declaration of {prefix}_{repeated[0]}")
+    if not np.array_equal(idx, np.arange(idx.size)):
+        raise PropertyFormatError(
+            f"{prefix} variable indices are not contiguous from 0")
+    return idx.size
+
+
+def _bound_vector(idx, values, n, side):
+    """The ``side`` bound of X_0 .. X_{n-1}.  A bound on an undeclared
+    index is ignored, as long as it is not a repeat."""
+    ranked = np.sort(idx)
+    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+    if repeated.size:
+        raise PropertyFormatError(f"duplicate bound for X_{repeated[0]}")
+    inside = idx < n
+    seen = np.zeros(n, dtype=bool)
+    seen[idx[inside]] = True
+    if not seen.all():
+        raise PropertyFormatError(
+            f"missing {side} bound for X_{np.argmin(seen)}")
+    vec = np.empty(n)
+    vec[idx[inside]] = values[inside]
+    return vec
+
+
+def _output_disjuncts(forms):
+    """The disjuncts of the one output constraint among ``forms``.
+
+    Every well-formed declaration and pixel bound is matched by ``_FORM``,
+    so any other top-level form must be the output constraint.
     """
-    forms = _read_forms(_tokenize(text), PropertyFormatError)
-    declared_x = set()
-    declared_y = set()
-    lower = {}
-    upper = {}
     disjunction = None
     for form in forms:
-        if not form:
-            raise PropertyFormatError("empty expression")
-        head = form[0]
-        if head == "declare-const":
-            if len(form) != 3 or form[2] != "Real":
-                raise PropertyFormatError(f"unsupported declaration {form!r}")
-            name = form[1]
-            if isinstance(name, str) and name.startswith("X_"):
-                idx = _var_index(name, "X", PropertyFormatError)
-                if idx in declared_x:
-                    raise PropertyFormatError(f"duplicate declaration of {name}")
-                declared_x.add(idx)
-            elif isinstance(name, str) and name.startswith("Y_"):
-                idx = _var_index(name, "Y", PropertyFormatError)
-                if idx in declared_y:
-                    raise PropertyFormatError(f"duplicate declaration of {name}")
-                declared_y.add(idx)
-            else:
-                raise PropertyFormatError(f"unknown variable {name!r}")
-        elif head == "assert":
-            if len(form) != 2 or not isinstance(form[1], list):
-                raise PropertyFormatError(f"malformed assert {form!r}")
-            expr = form[1]
-            op = expr[0] if expr else None
-            if op in ("<=", ">=") and len(expr) == 3 and isinstance(expr[1], str) \
-                    and expr[1].startswith("X_"):
-                idx = _var_index(expr[1], "X", PropertyFormatError)
-                value = _number(expr[2], PropertyFormatError)
-                table = upper if op == "<=" else lower
-                if idx in table:
-                    raise PropertyFormatError(f"duplicate bound for X_{idx}")
-                table[idx] = value
-            elif op == "or" or (op == ">=" and len(expr) == 3
-                                and isinstance(expr[1], str)
-                                and expr[1].startswith("Y_")):
-                if disjunction is not None:
-                    raise PropertyFormatError("more than one output constraint")
-                disjuncts = expr[1:] if op == "or" else [expr]
-                disjunction = disjuncts
-            else:
-                raise PropertyFormatError(f"unknown construct {expr!r}")
-        else:
-            raise PropertyFormatError(f"unknown construct {form!r}")
-
-    num_inputs = len(declared_x)
-    num_outputs = len(declared_y)
-    if declared_x != set(range(num_inputs)):
-        raise PropertyFormatError("X variable indices are not contiguous from 0")
-    if declared_y != set(range(num_outputs)):
-        raise PropertyFormatError("Y variable indices are not contiguous from 0")
+        expr = form[1] if len(form) == 2 and form[0] == "assert" else None
+        if not (isinstance(expr, list) and expr and (
+                expr[0] == "or" or (expr[0] == ">=" and len(expr) == 3
+                                    and isinstance(expr[1], str)
+                                    and expr[1].startswith("Y_")))):
+            raise PropertyFormatError(f"unsupported form {form!r}")
+        if disjunction is not None:
+            raise PropertyFormatError("more than one output constraint")
+        disjunction = expr[1:] if expr[0] == "or" else [expr]
     if disjunction is None:
         raise PropertyFormatError("no output constraint found")
+    if not disjunction:
+        raise PropertyFormatError("empty output disjunction")
+    return disjunction
 
+
+def _target_label(disjunction, num_outputs):
     target = None
     seen_left = set()
     for d in disjunction:
@@ -286,22 +305,56 @@ def parse_property(text: str) -> RobustnessProperty:
         if j >= num_outputs or t >= num_outputs:
             raise PropertyFormatError("disjunct references an undeclared Y variable")
         seen_left.add(j)
+    return target
 
-    bounds = []
-    for i in range(num_inputs):
-        if i not in upper:
-            raise PropertyFormatError(f"missing upper bound for X_{i}")
-        if i not in lower:
-            raise PropertyFormatError(f"missing lower bound for X_{i}")
-        lo, hi = lower[i], upper[i]
-        if lo > hi:
-            raise PropertyFormatError(f"crossed bounds for X_{i}: [{lo}, {hi}]")
-        bounds.append((lo, hi))
 
+def parse_property(text: str) -> RobustnessProperty:
+    """Parse the generated subset back into a structured query.
+
+    Accepts arbitrary whitespace and ';' comments.  Rejects anything
+    outside the subset: unknown declarations or operators, X variables
+    missing a bound, NaN or crossed bounds, and output disjunctions that
+    are empty or mix target labels.
+    """
+    x_decl, y_decl, sides, bound_idx, bound_val, rest = [], [], [], [], [], []
+    depth = 0
+    for var, decl, side, idx, value, tok in _FORM.findall(_COMMENT.sub("", text)):
+        if tok:
+            rest.append(tok)
+            depth += (tok == "(") - (tok == ")")
+        elif depth:
+            # a whole form inside another one: give its tokens back, so the
+            # enclosing form is read (and rejected) as written
+            rest += (["(", "declare-const", f"{var}_{decl}", "Real", ")"] if var
+                     else ["(", "assert", "(", side + "=", f"X_{idx}", value, ")", ")"])
+        elif var == "X":
+            x_decl.append(decl)
+        elif var:
+            y_decl.append(decl)
+        else:
+            sides.append(side)
+            bound_idx.append(idx)
+            bound_val.append(value)
+    disjunction = _output_disjuncts(_read_forms(rest, PropertyFormatError))
+    num_inputs = _declared(x_decl, "X")
+    num_outputs = _declared(y_decl, "Y")
+    target = _target_label(disjunction, num_outputs)
+
+    idx = _indices(bound_idx, "X")
+    try:
+        values = np.array(list(map(float, bound_val)))
+    except ValueError:
+        for v in bound_val:
+            _number(v, PropertyFormatError)
+        raise
+    upper = np.frombuffer("".join(sides).encode(), dtype=np.uint8) == ord("<")
+    lo = _bound_vector(idx[~upper], values[~upper], num_inputs, "lower")
+    hi = _bound_vector(idx[upper], values[upper], num_inputs, "upper")
+    _check_bounds(lo, hi, PropertyFormatError)
     return RobustnessProperty(
         num_inputs=num_inputs,
         num_outputs=num_outputs,
-        input_bounds=tuple(bounds),
+        input_bounds=tuple(zip(lo.tolist(), hi.tolist())),
         target_label=target,
     )
 
@@ -333,8 +386,7 @@ def check_witness(net: Network, prop: RobustnessProperty, w: Witness) -> bool:
             f"property declares {prop.num_outputs}"
         )
     values = np.asarray(w.input_values, dtype=np.float64)
-    lo, hi = prop.bounds_arrays()
-    if np.any(values < lo) or np.any(values > hi):
+    if np.any(values < prop.lo) or np.any(values > prop.hi):
         return False
     logits = network_forward(net, image_from_flat(values, net.input_shape))
     return bool(margin(logits, logits, prop.target_label) >= 0)

@@ -109,6 +109,17 @@ class TestVerifyCommand:
         assert out.splitlines()[0] == "timeout"
         assert code == 2
 
+    def test_empty_disjunction_exits_65_without_a_verdict(self, tmp_path, capsys):
+        model, prop = write_toy(tmp_path, epsilon=1)
+        text = open(prop).read()
+        start = text.index("(assert (or ")
+        with open(prop, "w") as fh:
+            fh.write(text[:start] + "(assert (or))\n")
+        code, out = run_cli("verify", model, prop, "--engine", "falsify")
+        assert code == 65
+        assert out == ""
+        assert "empty output disjunction" in capsys.readouterr().err
+
     def test_usage_error_is_64(self):
         code, _ = run_cli("verify")
         assert code == 64
@@ -185,6 +196,19 @@ class TestGenerateCommand:
         lo, hi = prop.bounds_arrays()
         assert np.all(lo == 0.0)  # clipped at the pixel floor
         assert np.all(hi == 5.0)
+
+    def test_one_class_model_exits_65(self, tmp_path, capsys):
+        net = Network((1, 2, 3), (Flatten(), QDense(1, np.ones((6, 1)))), 1)
+        model = tmp_path / "one.onnx"
+        model.write_bytes(serialize_model(net))
+        ppm = tmp_path / "img.ppm"
+        ppm.write_bytes(save_ppm(np.zeros((1, 2, 3))))
+        code, out = run_cli("generate", str(model), str(ppm), "--epsilon", "1",
+                            "--out", str(tmp_path))
+        assert code == 65
+        assert out == ""
+        assert "one output class" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.vnnlib"))
 
 
 def rgb_benchmark_dirs(tmp_path):

@@ -102,6 +102,13 @@ class TestGenerate:
         with pytest.raises(ValueError):
             make_property(np.zeros((2, 2, 1)), -1, 0, num_outputs=2)
 
+    def test_one_class_property_cannot_be_rendered(self):
+        # with no rival label the disjunction would be empty, and an empty
+        # `or` cannot name the target label
+        img = np.zeros((1, 2, 1))
+        with pytest.raises(ValueError, match="one output class"):
+            generate_property(img, 1, 0, num_outputs=1)
+
     def test_filename_convention(self):
         assert property_filename(30, 1678, 1) == "model_30_idx_1678_eps_1.00000.vnnlib"
         assert property_filename(48, 7, 15) == "model_48_idx_7_eps_15.00000.vnnlib"
@@ -200,6 +207,41 @@ class TestParse:
             parse_property(text)
 
 
+    def test_empty_disjunction_rejected(self):
+        text = (
+            "(declare-const X_0 Real)"
+            "(declare-const Y_0 Real)(declare-const Y_1 Real)"
+            "(assert (<= X_0 1.0))(assert (>= X_0 0.0))"
+            "(assert (or))"
+        )
+        with pytest.raises(PropertyFormatError, match="empty output disjunction"):
+            parse_property(text)
+
+    @pytest.mark.parametrize("bound", ["(>= X_0 nan)", "(<= X_0 nan)",
+                                       "(>= X_0 -nan)", "(<= X_0 NaN)"])
+    def test_nan_bound_rejected(self, bound):
+        text = generate_property(np.zeros((1, 2, 1)), 1, 0, num_outputs=2)
+        written = {"<=": "(<= X_0 1.00000000)", ">=": "(>= X_0 -1.00000000)"}
+        old = written[bound[1:3]]
+        assert old in text
+        with pytest.raises(PropertyFormatError, match="NaN bound for X_0"):
+            parse_property(text.replace(old, bound))
+
+    def test_duplicate_declaration_named(self):
+        img = np.zeros((1, 2, 1))
+        text = generate_property(img, 1, 0, num_outputs=2)
+        doubled = text.replace("(declare-const X_1 Real)",
+                               "(declare-const X_1 Real)(declare-const X_1 Real)")
+        with pytest.raises(PropertyFormatError, match="duplicate declaration of X_1"):
+            parse_property(doubled)
+
+    def test_non_ascii_digit_index_rejected(self):
+        # '\u00b2'.isdigit() holds but int() refuses it
+        text = generate_property(np.zeros((1, 1, 1)), 1, 0, num_outputs=2)
+        with pytest.raises(PropertyFormatError, match="X_\u00b2"):
+            parse_property(text.replace("X_0", "X_\u00b2"))
+
+
 class TestCheckWitness:
     def net_with_strict_winner(self):
         # column 0 all +1, column 1 all -1: positive input sums favor class 0
@@ -276,6 +318,10 @@ class TestWitnessFiles:
     def test_duplicate_entry_rejected(self):
         with pytest.raises(WitnessFormatError):
             parse_witness("(X_0 1.0)\n(X_0 2.0)\n")
+
+    def test_non_ascii_digit_index_rejected(self):
+        with pytest.raises(WitnessFormatError, match="malformed variable"):
+            parse_witness("(X_\u00b2 1.0)\n")
 
     def test_junk_rejected(self):
         with pytest.raises(WitnessFormatError):
