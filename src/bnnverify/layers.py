@@ -3,8 +3,12 @@
 Arrays are float64 throughout.  Image activations are channel-last
 ``(H, W, C)``; flattening therefore enumerates entries in the order
 ``(row * W + col) * C + channel``, which is also the pixel-variable order
-used by the property format.  Every forward function accepts arbitrary
-leading batch dimensions in front of the documented trailing shape.
+used by the property format.  The forward accepts arbitrary leading
+batch dimensions in front of the documented trailing shape.
+
+:func:`layer_forward` is the one forward for every layer type, and
+:func:`output_shape` the one statement of each layer's input contract:
+the forward checks its input only by calling it.
 
 Conventions baked into the semantics:
 
@@ -31,11 +35,6 @@ __all__ = [
     "DEFAULT_BN_EPS",
     "sign_quantize",
     "contract",
-    "qconv_forward",
-    "maxpool_forward",
-    "batchnorm_forward",
-    "flatten_forward",
-    "qdense_forward",
     "layer_forward",
     "output_shape",
 ]
@@ -46,16 +45,20 @@ DEFAULT_BN_EPS = float(np.float32(1e-3))
 
 
 def _frozen_array(values, dtype=np.float64):
-    arr = np.ascontiguousarray(values, dtype=dtype)
+    """A private read-only copy, so no caller's array is frozen or aliased."""
+    arr = np.array(values, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
 
 
 def _check_signed_binary(weights, what):
-    if not np.all(np.abs(weights) == 1.0):
-        bad = weights[np.abs(weights) != 1.0]
+    # boolean masks only: a float |w| temporary would double the bytes a
+    # model load touches, on top of the private copy
+    ok = weights == 1.0
+    ok |= weights == -1.0
+    if not ok.all():
         raise InvalidModelError(
-            f"{what} weights must be +1/-1; found value {bad.flat[0]!r}"
+            f"{what} weights must be +1/-1; found value {weights[~ok].flat[0]!r}"
         )
 
 
@@ -216,105 +219,33 @@ def contract(t, layer):
     return t @ layer.weights
 
 
-def qconv_forward(t, layer, layer_index=None):
-    """Valid-padding stride-1 cross-correlation with +-1 kernels.
-
-    ``t`` has trailing shape (H, W, C); output trailing shape is
-    (H - kh + 1, W - kw + 1, out_channels).
-    """
+def layer_forward(t, layer, layer_index=None):
+    """Exact forward of ``layer`` on ``t``.  :func:`output_shape` checks
+    the trailing dims: (H, W, C), or the last axis for ``BatchNorm`` and
+    ``QDense``."""
     t = np.asarray(t, dtype=np.float64)
-    if t.ndim < 3:
-        raise ShapeMismatchError(
-            "QConv input must have (H, W, C) trailing dims",
-            layer_index=layer_index, expected="(H, W, C)", actual=t.shape,
-        )
-    h, w, c = t.shape[-3:]
-    if c != layer.in_channels:
-        raise ShapeMismatchError(
-            "QConv channel mismatch",
-            layer_index=layer_index, expected=layer.in_channels, actual=c,
-        )
-    if h < layer.kernel_h or w < layer.kernel_w:
-        raise ShapeMismatchError(
-            "QConv input smaller than kernel",
-            layer_index=layer_index,
-            expected=f">= {layer.kernel_h}x{layer.kernel_w}", actual=f"{h}x{w}",
-        )
-    if layer.quantize_input:
-        t = sign_quantize(t)
-    return contract(t, layer)
-
-
-def maxpool_forward(t, layer=None, layer_index=None):
-    """Per-channel 2x2 stride-2 max; odd trailing row/column dropped."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim < 3 or t.shape[-3] < 2 or t.shape[-2] < 2:
-        raise ShapeMismatchError(
-            "MaxPool input needs spatial dims >= 2",
-            layer_index=layer_index, expected="(H>=2, W>=2, C)",
-            actual=t.shape[-3:] if t.ndim >= 3 else t.shape,
-        )
-    h, w = t.shape[-3:-1]
-    t = t[..., : h - h % 2, : w - w % 2, :]
-    top = np.maximum(t[..., 0::2, 0::2, :], t[..., 0::2, 1::2, :])
-    return np.maximum(top, np.maximum(t[..., 1::2, 0::2, :], t[..., 1::2, 1::2, :]))
-
-
-def batchnorm_forward(t, layer, layer_index=None):
-    """gamma * (x - mean) / sqrt(var + eps) + beta, per trailing channel."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape[-1] != layer.channels:
-        raise ShapeMismatchError(
-            "BatchNorm channel mismatch",
-            layer_index=layer_index, expected=layer.channels, actual=t.shape[-1],
-        )
-    if np.any(layer.moving_variance < 0):
-        raise InvalidModelError("BatchNorm moving_variance has negative entries")
-    scale = layer.gamma / np.sqrt(layer.moving_variance + layer.eps)
-    return scale * (t - layer.moving_mean) + layer.beta
-
-
-def flatten_forward(t, layer=None, layer_index=None):
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim < 3:
-        raise ShapeMismatchError(
-            "Flatten input must have (H, W, C) trailing dims",
-            layer_index=layer_index, expected="(H, W, C)", actual=t.shape,
-        )
+    k = 1 if isinstance(layer, (BatchNorm, QDense)) else 3
+    output_shape(layer, t.shape[-k:], layer_index)
+    if isinstance(layer, (QConv, QDense)):
+        return contract(sign_quantize(t) if layer.quantize_input else t, layer)
+    if isinstance(layer, MaxPool):
+        h, w = t.shape[-3:-1]
+        t = t[..., : h - h % 2, : w - w % 2, :]
+        top = np.maximum(t[..., 0::2, 0::2, :], t[..., 0::2, 1::2, :])
+        return np.maximum(top, np.maximum(t[..., 1::2, 0::2, :], t[..., 1::2, 1::2, :]))
+    if isinstance(layer, BatchNorm):
+        # gamma * (x - mean) / sqrt(var + eps) + beta, per trailing channel
+        scale = layer.gamma / np.sqrt(layer.moving_variance + layer.eps)
+        return scale * (t - layer.moving_mean) + layer.beta
+    # Flatten; the explicit size keeps an empty batch reshapable
     h, w, c = t.shape[-3:]
     return t.reshape(t.shape[:-3] + (h * w * c,))
 
 
-def qdense_forward(t, layer, layer_index=None):
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape[-1] != layer.in_features:
-        raise ShapeMismatchError(
-            "QDense input length mismatch",
-            layer_index=layer_index, expected=layer.in_features, actual=t.shape[-1],
-        )
-    if layer.quantize_input:
-        t = sign_quantize(t)
-    return contract(t, layer)
-
-
-def layer_forward(t, layer, layer_index=None):
-    """Dispatch to the forward function for ``layer``."""
-    if isinstance(layer, QConv):
-        return qconv_forward(t, layer, layer_index)
-    if isinstance(layer, MaxPool):
-        return maxpool_forward(t, layer, layer_index)
-    if isinstance(layer, BatchNorm):
-        return batchnorm_forward(t, layer, layer_index)
-    if isinstance(layer, Flatten):
-        return flatten_forward(t, layer, layer_index)
-    if isinstance(layer, QDense):
-        return qdense_forward(t, layer, layer_index)
-    raise TypeError(f"unknown layer type {type(layer).__name__}")
-
-
 def output_shape(layer, in_shape, layer_index=None):
     """Shape produced by ``layer`` on an input of shape ``in_shape``
-    (trailing dims only, no batch)."""
+    (trailing dims only, no batch); raises ShapeMismatchError when the
+    input breaks the layer's contract and TypeError for an unknown layer."""
     if isinstance(layer, QConv):
         if len(in_shape) != 3:
             raise ShapeMismatchError(
@@ -343,10 +274,10 @@ def output_shape(layer, in_shape, layer_index=None):
             )
         return (in_shape[0] // 2, in_shape[1] // 2, in_shape[2])
     if isinstance(layer, BatchNorm):
-        if in_shape[-1] != layer.channels:
+        if tuple(in_shape[-1:]) != (layer.channels,):
             raise ShapeMismatchError(
                 "BatchNorm channel mismatch",
-                layer_index=layer_index, expected=layer.channels, actual=in_shape[-1],
+                layer_index=layer_index, expected=layer.channels, actual=in_shape[-1:],
             )
         return tuple(in_shape)
     if isinstance(layer, Flatten):

@@ -81,20 +81,20 @@ def _check_image(net, image, batched):
     return image
 
 
-def network_forward(net, image):
-    """Run one image through the chain; returns the logits vector."""
-    t = _check_image(net, image, batched=False)
+def _forward(net, t):
     for i, layer in enumerate(net.layers):
         t = layer_forward(t, layer, layer_index=i)
     return t
+
+
+def network_forward(net, image):
+    """Run one image through the chain; returns the logits vector."""
+    return _forward(net, _check_image(net, image, batched=False))
 
 
 def network_forward_batch(net, images):
     """Run a batch shaped (N, H, W, C); returns (N, num_classes) logits."""
-    t = _check_image(net, images, batched=True)
-    for i, layer in enumerate(net.layers):
-        t = layer_forward(t, layer, layer_index=i)
-    return t
+    return _forward(net, _check_image(net, images, batched=True))
 
 
 def predict(net, image):

@@ -490,11 +490,12 @@ def _signed_binary_or_raise(tensor):
         raise InvalidModelError(
             f"weight tensor '{tensor.name}' must be a float tensor"
         )
-    if not np.all(np.abs(tensor.data) == 1.0):
-        bad = tensor.data[np.abs(tensor.data) != 1.0]
+    ok = tensor.data == 1.0
+    ok |= tensor.data == -1.0
+    if not ok.all():
         raise InvalidModelError(
             f"weight tensor '{tensor.name}' has entries outside "
-            f"{{-1, +1}} (first offender {bad.flat[0]!r})"
+            f"{{-1, +1}} (first offender {tensor.data[~ok].flat[0]!r})"
         )
 
 

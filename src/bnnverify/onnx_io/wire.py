@@ -156,9 +156,6 @@ class WireReader:
                 f"unsupported wire type {wire_type}", byte_offset=self._pos
             )
 
-    def sub_window(self) -> tuple:
-        return self.read_len_window()
-
 
 # ---------------------------------------------------------------------------
 # writing helpers

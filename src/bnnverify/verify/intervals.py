@@ -13,7 +13,8 @@ the bounds are the exact extremes, equal to the textbook
 ``network_forward`` logits.  Off that grid the radius is widened by a
 forward-error bound, so the bounds still contain the float64 forward of
 every point in the box.  Max-pool, batch-norm, sign and flatten are
-monotone in float64, so they need no widening.
+monotone in float64, so they need no widening: their bounds are the
+exact forward (``layer_forward``) of the two corners, ordered entrywise.
 """
 
 import time
@@ -23,18 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeMismatchError
-from ..layers import (
-    BatchNorm,
-    Flatten,
-    MaxPool,
-    QConv,
-    QDense,
-    batchnorm_forward,
-    contract,
-    flatten_forward,
-    maxpool_forward,
-    sign_quantize,
-)
+from ..layers import QConv, QDense, contract, layer_forward, sign_quantize
 from ..network import image_from_flat, margin
 from .verdict import UNKNOWN, VERIFIED, Verdict
 
@@ -152,22 +142,11 @@ def _linear_bounds(box, layer):
 def _layer_bounds(box, layer, layer_index):
     if isinstance(layer, (QConv, QDense)):
         return _linear_bounds(box, layer)
-    if isinstance(layer, MaxPool):
-        return IntervalTensor(
-            maxpool_forward(box.lo, layer, layer_index),
-            maxpool_forward(box.hi, layer, layer_index),
-        )
-    if isinstance(layer, BatchNorm):
-        a = batchnorm_forward(box.lo, layer, layer_index)
-        b = batchnorm_forward(box.hi, layer, layer_index)
-        # negative gamma flips the interval; min/max handles both slopes
-        return IntervalTensor(np.minimum(a, b), np.maximum(a, b))
-    if isinstance(layer, Flatten):
-        return IntervalTensor(
-            flatten_forward(box.lo, layer, layer_index),
-            flatten_forward(box.hi, layer, layer_index),
-        )
-    raise TypeError(f"unknown layer type {type(layer).__name__}")
+    # every other layer is monotone in each input; a negative batch-norm
+    # gamma flips its interval, and min/max handles both slopes
+    a = layer_forward(box.lo, layer, layer_index)
+    b = layer_forward(box.hi, layer, layer_index)
+    return IntervalTensor(np.minimum(a, b), np.maximum(a, b))
 
 
 def ibp_trace(net, box):
@@ -326,7 +305,7 @@ def fold_bn_sign(layer):
             v = np.float64(layer.moving_variance[ch])
             e = np.float64(layer.eps)
             root = np.sqrt(v + e)
-            scale = g / root  # same op order as batchnorm_forward
+            scale = g / root  # same op order as layer_forward's batch-norm
 
             def bn(x, _s=scale, _m=m, _b=b):
                 return _s * (x - _m) + _b

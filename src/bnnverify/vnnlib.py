@@ -243,20 +243,21 @@ def _declared(digits, prefix):
 
 
 def _bound_vector(idx, values, n, side):
-    """The ``side`` bound of X_0 .. X_{n-1}.  A bound on an undeclared
-    index is ignored, as long as it is not a repeat."""
+    """The ``side`` bound of X_0 .. X_{n-1}, each bounded exactly once."""
     ranked = np.sort(idx)
     repeated = ranked[1:][ranked[1:] == ranked[:-1]]
     if repeated.size:
         raise PropertyFormatError(f"duplicate bound for X_{repeated[0]}")
-    inside = idx < n
+    if ranked.size and ranked[-1] >= n:
+        raise PropertyFormatError(
+            f"{side} bound on undeclared X_{ranked[ranked >= n][0]}")
     seen = np.zeros(n, dtype=bool)
-    seen[idx[inside]] = True
+    seen[idx] = True
     if not seen.all():
         raise PropertyFormatError(
             f"missing {side} bound for X_{np.argmin(seen)}")
     vec = np.empty(n)
-    vec[idx[inside]] = values[inside]
+    vec[idx] = values
     return vec
 
 
@@ -313,8 +314,8 @@ def parse_property(text: str) -> RobustnessProperty:
 
     Accepts arbitrary whitespace and ';' comments.  Rejects anything
     outside the subset: unknown declarations or operators, X variables
-    missing a bound, NaN or crossed bounds, and output disjunctions that
-    are empty or mix target labels.
+    missing a bound, bounds on undeclared X variables, NaN or crossed
+    bounds, and output disjunctions that are empty or mix target labels.
     """
     x_decl, y_decl, sides, bound_idx, bound_val, rest = [], [], [], [], [], []
     depth = 0

@@ -25,8 +25,7 @@ from bnnverify.layers import (
     MaxPool,
     QConv,
     QDense,
-    batchnorm_forward,
-    maxpool_forward,
+    layer_forward,
     sign_quantize,
 )
 from bnnverify.network import network_forward
@@ -70,7 +69,7 @@ def oracle_trace(net, lo, hi):
         elif isinstance(layer, MaxPool):
             lo, hi = oracle_maxpool(lo), oracle_maxpool(hi)
         elif isinstance(layer, BatchNorm):
-            a, b = batchnorm_forward(lo, layer), batchnorm_forward(hi, layer)
+            a, b = layer_forward(lo, layer), layer_forward(hi, layer)
             lo, hi = np.minimum(a, b), np.maximum(a, b)
         else:
             lo, hi = lo.reshape(-1), hi.reshape(-1)
@@ -144,7 +143,7 @@ def test_maxpool_matches_oracle(lead, h, w, c, seed, ties):
     t = np.random.default_rng(seed).normal(0.0, 3.0, size=tuple(lead) + (h, w, c))
     if ties:
         t = np.round(t)
-    got = maxpool_forward(t)
+    got = layer_forward(t, MaxPool())
     assert got.shape == tuple(lead) + (h // 2, w // 2, c)
     assert np.array_equal(got, oracle_maxpool(t))
 

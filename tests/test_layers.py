@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
 
+from bnnverify.arch import (
+    build_arch_a,
+    build_arch_b,
+    build_arch_xnor,
+    random_tiny_network,
+    with_random_weights,
+)
 from bnnverify.errors import InvalidModelError, ShapeMismatchError
 from bnnverify.layers import (
     BatchNorm,
+    MaxPool,
     QConv,
     QDense,
-    batchnorm_forward,
-    maxpool_forward,
-    qconv_forward,
-    qdense_forward,
+    layer_forward,
+    output_shape,
     sign_quantize,
 )
+
+ARCHS = {"A": (build_arch_a, 64), "B": (build_arch_b, 48), "XNOR": (build_arch_xnor, 30)}
 
 
 def reference_conv(image, weights, quantize_input):
@@ -53,12 +61,12 @@ class TestSignQuantize:
 class TestQConv:
     def test_all_ones_sum(self):
         layer = QConv(1, 2, 2, np.ones((2, 2, 1, 1)), quantize_input=False)
-        out = qconv_forward(np.ones((2, 2, 1)), layer)
+        out = layer_forward(np.ones((2, 2, 1)), layer)
         np.testing.assert_array_equal(out, [[[4.0]]])
 
     def test_sign_flip(self):
         layer = QConv(1, 2, 2, -np.ones((2, 2, 1, 1)), quantize_input=False)
-        out = qconv_forward(np.ones((2, 2, 1)), layer)
+        out = layer_forward(np.ones((2, 2, 1)), layer)
         np.testing.assert_array_equal(out, [[[-4.0]]])
 
     @pytest.mark.parametrize("quantize", [False, True])
@@ -68,7 +76,7 @@ class TestQConv:
         image = rng.normal(size=(5, 5, 2)) * 3
         weights = rng.choice([-1.0, 1.0], size=(3, 2, 2, 4))
         layer = QConv(4, 3, 2, weights, quantize_input=quantize)
-        got = qconv_forward(image, layer)
+        got = layer_forward(image, layer)
         want = reference_conv(image, weights, quantize)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -77,14 +85,14 @@ class TestQConv:
         images = rng.integers(0, 256, size=(6, 4, 4, 3)).astype(float)
         weights = rng.choice([-1.0, 1.0], size=(2, 2, 3, 5))
         layer = QConv(5, 2, 2, weights, quantize_input=False)
-        batched = qconv_forward(images, layer)
+        batched = layer_forward(images, layer)
         for k in range(6):
-            np.testing.assert_array_equal(batched[k], qconv_forward(images[k], layer))
+            np.testing.assert_array_equal(batched[k], layer_forward(images[k], layer))
 
     def test_channel_mismatch_names_layer(self):
         layer = QConv(1, 2, 2, np.ones((2, 2, 3, 1)), quantize_input=False)
         with pytest.raises(ShapeMismatchError, match="layer 4"):
-            qconv_forward(np.ones((4, 4, 2)), layer, layer_index=4)
+            layer_forward(np.ones((4, 4, 2)), layer, layer_index=4)
 
     def test_rejects_non_binary_weights(self):
         with pytest.raises(InvalidModelError, match=r"\+1/-1"):
@@ -94,7 +102,7 @@ class TestQConv:
         rng = np.random.default_rng(11)
         weights = rng.choice([-1.0, 1.0], size=(2, 2, 2, 3))
         layer = QConv(3, 2, 2, weights, quantize_input=True)
-        out = qconv_forward(rng.normal(size=(5, 5, 2)), layer)
+        out = layer_forward(rng.normal(size=(5, 5, 2)), layer)
         fan_in = 2 * 2 * 2
         assert np.all(np.abs(out) <= fan_in)
         np.testing.assert_array_equal(out, np.round(out))
@@ -104,31 +112,31 @@ class TestQConv:
 
 class TestMaxPool:
     def test_window_max(self):
-        out = maxpool_forward(np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 2, 1))
+        out = layer_forward(np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 2, 1), MaxPool())
         np.testing.assert_array_equal(out, [[[4.0]]])
 
     def test_odd_trailing_dims_dropped(self):
-        out = maxpool_forward(np.zeros((11, 11, 64)))
+        out = layer_forward(np.zeros((11, 11, 64)), MaxPool())
         assert out.shape == (5, 5, 64)
 
     def test_constant_stays_constant(self):
-        out = maxpool_forward(np.full((6, 8, 3), 2.5))
+        out = layer_forward(np.full((6, 8, 3), 2.5), MaxPool())
         np.testing.assert_array_equal(out, np.full((3, 4, 3), 2.5))
 
     def test_spatial_dims_too_small(self):
         with pytest.raises(ShapeMismatchError):
-            maxpool_forward(np.zeros((1, 5, 2)))
+            layer_forward(np.zeros((1, 5, 2)), MaxPool())
 
 
 class TestBatchNorm:
     def test_identity_parameters(self):
         layer = BatchNorm(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), eps=0.0)
         t = np.arange(12, dtype=float).reshape(2, 2, 3)
-        np.testing.assert_allclose(batchnorm_forward(t, layer), t)
+        np.testing.assert_allclose(layer_forward(t, layer), t)
 
     def test_affine_arithmetic(self):
         layer = BatchNorm([2.0], [3.0], [1.0], [1.0], eps=0.0)
-        out = batchnorm_forward(np.array([[[5.0]]]), layer)
+        out = layer_forward(np.array([[[5.0]]]), layer)
         np.testing.assert_allclose(out, [[[11.0]]])
 
     def test_positive_gamma_preserves_order(self):
@@ -139,7 +147,19 @@ class TestBatchNorm:
         )
         x1 = rng.normal(size=(3, 3, 4))
         x2 = x1 + rng.uniform(0.1, 1.0, size=(3, 3, 4))
-        assert np.all(batchnorm_forward(x1, layer) < batchnorm_forward(x2, layer))
+        assert np.all(layer_forward(x1, layer) < layer_forward(x2, layer))
+
+    def test_caller_keeps_a_writable_array(self):
+        variance = np.ones(2)
+        BatchNorm(np.ones(2), np.zeros(2), np.zeros(2), variance)
+        variance[0] = 3.0
+        assert variance[0] == 3.0
+
+    def test_writes_to_the_base_of_a_view_do_not_reach_the_layer(self):
+        base = np.ones((2, 3))
+        layer = BatchNorm(np.ones(3), np.zeros(3), np.zeros(3), base[0])
+        base[0, 0] = -5.0
+        np.testing.assert_array_equal(layer.moving_variance, np.ones(3))
 
     def test_negative_variance_rejected(self):
         with pytest.raises(InvalidModelError, match="variance"):
@@ -149,15 +169,71 @@ class TestBatchNorm:
 class TestQDense:
     def test_all_ones_dot(self):
         layer = QDense(4, np.ones((6, 4)), quantize_input=False)
-        out = qdense_forward(np.ones(6), layer)
+        out = layer_forward(np.ones(6), layer)
         np.testing.assert_array_equal(out, np.full(4, 6.0))
 
     def test_quantizes_input_first(self):
         layer = QDense(1, np.ones((3, 1)), quantize_input=True)
-        out = qdense_forward(np.array([-5.0, 0.0, 9.0]), layer)
+        out = layer_forward(np.array([-5.0, 0.0, 9.0]), layer)
         np.testing.assert_array_equal(out, [1.0])  # signs are -1, +1, +1
 
     def test_length_mismatch(self):
         layer = QDense(2, np.ones((3, 2)))
         with pytest.raises(ShapeMismatchError):
-            qdense_forward(np.ones(4), layer)
+            layer_forward(np.ones(4), layer)
+
+
+def contract_net(name):
+    if name in ARCHS:
+        build, side = ARCHS[name]
+        return with_random_weights(build(side, side), np.random.default_rng(0))
+    return random_tiny_network(np.random.default_rng(int(name[4:])), channels=2)
+
+
+def malformed_shapes(layer, shape):
+    """Trailing shapes one rank short, with one channel too many, and with
+    a spatial size one below the kernel (or the 2x2 pool)."""
+    shapes = [shape[1:], shape[:-1] + (shape[-1] + 1,)]
+    if len(shape) == 3:
+        kh, kw = (layer.kernel_h, layer.kernel_w) if isinstance(layer, QConv) else (2, 2)
+        shapes += [(kh - 1,) + shape[1:], (shape[0], kw - 1, shape[2])]
+    return shapes
+
+
+def raises_shape_mismatch(fn):
+    try:
+        fn()
+    except ShapeMismatchError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", [f"tiny{s}" for s in range(8)] + list(ARCHS))
+def test_layer_forward_honours_output_shape(name):
+    net = contract_net(name)
+    rng = np.random.default_rng(1)
+    rejected = 0
+    for layer, shape in zip(net.layers, net.layer_shapes()):
+        for batch in (0, 1, 3):
+            t = rng.integers(-8, 9, size=(batch,) + shape).astype(float)
+            out = layer_forward(t, layer)
+            assert out.shape == (batch,) + output_shape(layer, shape)
+        for bad in malformed_shapes(layer, shape):
+            want = raises_shape_mismatch(lambda: output_shape(layer, bad))
+            # a leading axis in front of a rank-short shape would read as
+            # one of its trailing dims, so that case runs unbatched only
+            leads = [()] if len(bad) < len(shape) else [(), (0,), (3,)]
+            for lead in leads:
+                got = raises_shape_mismatch(
+                    lambda: layer_forward(np.zeros(lead + bad), layer))
+                assert got == want, (type(layer).__name__, lead + bad)
+            rejected += want
+    assert rejected > 0
+
+    class Unknown:
+        pass
+
+    with pytest.raises(TypeError, match="unknown layer type"):
+        output_shape(Unknown(), net.input_shape)
+    with pytest.raises(TypeError, match="unknown layer type"):
+        layer_forward(np.zeros(net.input_shape), Unknown())

@@ -177,6 +177,13 @@ class TestParse:
         with pytest.raises(PropertyFormatError, match="missing lower bound for X_1"):
             parse_property(broken)
 
+    def test_bound_on_undeclared_input_rejected(self):
+        img = np.zeros((3, 1, 1))
+        text = generate_property(img, 1, 0, num_outputs=2)
+        broken = text.replace("(declare-const X_2 Real)\n", "")
+        with pytest.raises(PropertyFormatError, match="undeclared X_2"):
+            parse_property(broken)
+
     def test_unknown_construct_rejected(self):
         img = np.zeros((1, 1, 1))
         text = generate_property(img, 1, 0, num_outputs=2)

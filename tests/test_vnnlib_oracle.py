@@ -232,14 +232,30 @@ def outcome(parse, text, error_cls=PropertyFormatError):
         return error_cls
 
 
+def oracle_bounded_x(text):
+    """Indices of the X variables that ``text`` bounds, per the old reader."""
+    return [
+        oracle_var_index(form[1][1], "X", PropertyFormatError)
+        for form in oracle_read_forms(oracle_tokenize(text), PropertyFormatError)
+        if form[0] == "assert" and form[1][0] in ("<=", ">=")
+        and isinstance(form[1][1], str) and form[1][1].startswith("X_")
+    ]
+
+
 def oracle_outcome(text):
-    """``outcome`` of the old reader, which let a NaN bound through to
-    ``RobustnessProperty`` and so rejected it with ValueError."""
+    """``outcome`` of the old reader, with its two known faults mapped to
+    the rejection the reader gives: it let a NaN bound through to
+    ``RobustnessProperty``, which rejected it with ValueError, and it
+    ignored a bound on an undeclared X variable."""
     try:
-        return outcome(oracle_parse_property, text)
+        got = outcome(oracle_parse_property, text)
     except ValueError as exc:
         assert "nan" in str(exc)
         return PropertyFormatError
+    if got is not PropertyFormatError and any(
+            i >= got.num_inputs for i in oracle_bounded_x(text)):
+        return PropertyFormatError
+    return got
 
 
 # --------------------------------------------------------------------------
