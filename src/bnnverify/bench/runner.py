@@ -10,6 +10,7 @@ next instance.
 """
 
 import csv
+import functools
 import io
 import logging
 import os
@@ -55,19 +56,27 @@ class VerdictRecord:
             raise ValueError(f"verdict {self.verdict!r} not in {RESULT_VOCAB}")
 
 
+def _load_model(path):
+    with open(path, "rb") as fh:
+        return parse_model(fh.read())
+
+
 def run_one(inst, engine, seed=0, attack=None) -> VerdictRecord:
     """Run a single instance; never raises, records a failure instead.
 
     `attack` overrides the falsify engine's sample/pass budget, for runs
     where the default desk-scale budget is wrong for the model size.
     """
+    return _run_one(inst, engine, seed, attack, _load_model)
+
+
+def _run_one(inst, engine, seed, attack, load_model):
     name = inst.property_path
     if attack is None:
         attack = AttackConfig(seed=seed)
     start = time.monotonic()
     try:
-        with open(inst.model_path, "rb") as fh:
-            net = parse_model(fh.read())
+        net = load_model(inst.model_path)
         with open(inst.property_path) as fh:
             prop = parse_property(fh.read())
         verdict = ENGINES[engine](net, prop, inst.timeout_seconds, attack)
@@ -107,8 +116,11 @@ def run_instances(csv_path, engine="falsify", parallelism=1, seed=0,
                   out_dir: Optional[str] = None, attack=None) -> list:
     """Run every instance in the CSV; results ordered by instance index.
 
-    With out_dir set, each valid witness is written there as
-    <instance-stem>.witness.txt and referenced from its record.
+    Each model file is parsed once per call (a ``Network`` is immutable,
+    so its instances share it); a file that fails to load gives an error
+    row for every instance that names it.  With out_dir set, each valid
+    witness is written there as <instance-stem>.witness.txt and
+    referenced from its record.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -116,11 +128,15 @@ def run_instances(csv_path, engine="falsify", parallelism=1, seed=0,
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     instances = read_instances(csv_path)
+    # lru_cache keeps no exception, so a failed load is retried per instance
+    load_model = functools.lru_cache(maxsize=None)(_load_model)
     if parallelism == 1:
-        records = [run_one(inst, engine, seed, attack) for inst in instances]
+        records = [_run_one(inst, engine, seed, attack, load_model)
+                   for inst in instances]
     else:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(run_one, inst, engine, seed, attack)
+            futures = [pool.submit(_run_one, inst, engine, seed, attack,
+                                   load_model)
                        for inst in instances]
             records = [f.result() for f in futures]
     if out_dir is not None:

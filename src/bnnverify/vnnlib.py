@@ -39,38 +39,61 @@ def _check_bounds(lo, hi, error_cls):
         raise error_cls(f"crossed bounds for X_{i}: [{lo[i]}, {hi[i]}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RobustnessProperty:
     """One untargeted local-robustness query around a single image.
 
-    ``lo`` and ``hi`` are read-only float64 copies of ``input_bounds``,
-    built once here.
+    The box is kept only as ``lo`` and ``hi``, read-only float64 vectors
+    of length ``num_inputs``.  The constructor takes it as
+    ``input_bounds``: a tuple of ``(lo, hi)`` pairs or any
+    ``(num_inputs, 2)`` array-like.  The ``input_bounds`` property gives
+    it back as that tuple of float pairs.  Equality is by value.
     """
 
     num_inputs: int
     num_outputs: int
-    input_bounds: tuple  # ((lo, hi), ...) of length num_inputs
     target_label: int
-    source: Optional[tuple] = None  # (image_index, epsilon) when known
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    hi: np.ndarray = field(init=False, repr=False, compare=False)
+    source: Optional[tuple]  # (image_index, epsilon) when known
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if len(self.input_bounds) != self.num_inputs:
+    def __init__(self, num_inputs, num_outputs, input_bounds, target_label,
+                 source=None):
+        pairs = np.array(input_bounds, dtype=np.float64)
+        if len(pairs) != num_inputs:
             raise ValueError(
-                f"expected {self.num_inputs} bound pairs, got {len(self.input_bounds)}"
-            )
-        if not 0 <= self.target_label < self.num_outputs:
+                f"expected {num_inputs} bound pairs, got {len(pairs)}")
+        if not 0 <= target_label < num_outputs:
             raise ValueError(
-                f"target label {self.target_label} outside [0, {self.num_outputs})"
-            )
-        pairs = np.array(self.input_bounds, dtype=np.float64).reshape(
-            self.num_inputs, 2)
+                f"target label {target_label} outside [0, {num_outputs})")
+        pairs = pairs.reshape(num_inputs, 2)
         lo, hi = pairs[:, 0].copy(), pairs[:, 1].copy()
         _check_bounds(lo, hi, ValueError)
         lo.flags.writeable = hi.flags.writeable = False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        for name, value in dict(num_inputs=num_inputs, num_outputs=num_outputs,
+                                target_label=target_label, source=source,
+                                lo=lo, hi=hi).items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def input_bounds(self) -> tuple:
+        """``((lo, hi), ...)`` as Python floats, one pair per input."""
+        return tuple(zip(self.lo.tolist(), self.hi.tolist()))
+
+    def _key(self):
+        # bounds are never NaN, and adding 0.0 turns -0.0 into 0.0, so
+        # equal bytes mean equal values
+        return (self.num_inputs, self.num_outputs, self.target_label,
+                self.source, (self.lo + 0.0).tobytes(),
+                (self.hi + 0.0).tobytes())
+
+    def __eq__(self, other):
+        if not isinstance(other, RobustnessProperty):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def bounds_arrays(self) -> tuple:
         """Lower and upper bound vectors as writable float64 arrays."""
@@ -93,18 +116,13 @@ def make_property(image, epsilon, label, num_outputs=43, clip=False,
     flat = flatten_image(np.asarray(image, dtype=np.float64))
     if not 0 <= label < num_outputs:
         raise ValueError(f"label {label} outside [0, {num_outputs})")
-    bounds = []
-    for v in flat:
-        lo = float(v) - float(epsilon)
-        hi = float(v) + float(epsilon)
-        if clip:
-            lo = max(lo, PIXEL_MIN)
-            hi = min(hi, PIXEL_MAX)
-        bounds.append((lo, hi))
+    lo, hi = flat - float(epsilon), flat + float(epsilon)
+    if clip:
+        lo, hi = np.maximum(lo, PIXEL_MIN), np.minimum(hi, PIXEL_MAX)
     return RobustnessProperty(
-        num_inputs=len(bounds),
+        num_inputs=flat.size,
         num_outputs=int(num_outputs),
-        input_bounds=tuple(bounds),
+        input_bounds=np.column_stack((lo, hi)),
         target_label=int(label),
         source=source,
     )
@@ -132,7 +150,7 @@ def render_property(prop: RobustnessProperty) -> str:
     for j in range(prop.num_outputs):
         lines.append(f"(declare-const Y_{j} Real)")
     lines.append("")
-    for i, (lo, hi) in enumerate(prop.input_bounds):
+    for i, (lo, hi) in enumerate(zip(prop.lo.tolist(), prop.hi.tolist())):
         lines.append(f"(assert (<= X_{i} {_fmt(hi)}))")
         lines.append(f"(assert (>= X_{i} {_fmt(lo)}))")
     lines.append("")
@@ -355,7 +373,7 @@ def parse_property(text: str) -> RobustnessProperty:
     return RobustnessProperty(
         num_inputs=num_inputs,
         num_outputs=num_outputs,
-        input_bounds=tuple(zip(lo.tolist(), hi.tolist())),
+        input_bounds=np.column_stack((lo, hi)),
         target_label=target,
     )
 
@@ -366,10 +384,11 @@ def parse_property(text: str) -> RobustnessProperty:
 def check_witness(net: Network, prop: RobustnessProperty, w: Witness) -> bool:
     """True iff ``w`` is a genuine counterexample for ``prop`` under ``net``.
 
-    Requires every input inside its bounds (inclusive) and some non-target
-    logit at least the target logit.  Ties count as violations, matching
-    the >= comparisons of the property text.  Output values carried by the
-    witness are ignored; the network is always re-evaluated.
+    Requires every input inside its bounds (inclusive; NaN is outside)
+    and some non-target logit at least the target logit.  Ties count as
+    violations, matching the >= comparisons of the property text.  Output
+    values carried by the witness are ignored; the network is always
+    re-evaluated.
     """
     if net.num_inputs != prop.num_inputs or net.num_classes != prop.num_outputs:
         raise ShapeMismatchError(
@@ -387,7 +406,7 @@ def check_witness(net: Network, prop: RobustnessProperty, w: Witness) -> bool:
             f"property declares {prop.num_outputs}"
         )
     values = np.asarray(w.input_values, dtype=np.float64)
-    if np.any(values < prop.lo) or np.any(values > prop.hi):
+    if not np.all((values >= prop.lo) & (values <= prop.hi)):
         return False
     logits = network_forward(net, image_from_flat(values, net.input_shape))
     return bool(margin(logits, logits, prop.target_label) >= 0)

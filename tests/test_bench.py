@@ -2,6 +2,7 @@
 
 import logging
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from bnnverify.bench import (
     save_ppm,
     score_results,
     summarize_records,
+    synthetic_benchmark,
 )
 from bnnverify.bench import runner as runner_mod
 from bnnverify.errors import PpmFormatError, ShapeMismatchError
+from bnnverify.falsify import AttackConfig
 from bnnverify.layers import Flatten, QDense
 from bnnverify.network import Network, predict
 from bnnverify.vnnlib import check_witness, parse_property, parse_witness
@@ -305,6 +308,42 @@ class TestRunner:
         records = run_instances(str(tmp_path / "instances.csv"), engine="brute")
         assert records[0].verdict == "unknown"
         assert "budget" in records[0].detail
+
+    def test_each_model_file_is_parsed_once_per_run(self, tmp_path,
+                                                     monkeypatch):
+        synthetic_benchmark(str(tmp_path), seed=0)
+        csv_path = str(tmp_path / "instances.csv")
+        real = runner_mod.parse_model
+        calls = []
+
+        def counting(data):
+            calls.append(len(data))
+            return real(data)
+
+        monkeypatch.setattr(runner_mod, "parse_model", counting)
+        # one sample per query: a mix of sat and unknown, in about 3 s
+        attack = AttackConfig(max_samples=1, greedy_passes=0)
+        records = run_instances(csv_path, engine="falsify", parallelism=1,
+                                attack=attack)
+        assert len(records) == 45
+        assert len(calls) == 3
+        assert {r.verdict for r in records} == {"sat", "unknown"}
+
+        # rows naming a missing model file get error rows, and only they;
+        # every other row keeps its verdict and witness
+        missing = [i % 4 == 0 for i in range(len(records))]
+        broken = [replace(inst, model_path="missing.onnx") if gone else inst
+                  for inst, gone in zip(read_instances(csv_path), missing)]
+        (tmp_path / "broken.csv").write_text(render_instances_csv(broken))
+        calls.clear()
+        again = run_instances(str(tmp_path / "broken.csv"), engine="falsify",
+                              parallelism=1, attack=attack)
+        assert len(calls) == 3
+        assert [r.verdict == "error" for r in again] == missing
+        for before, after, gone in zip(records, again, missing):
+            if not gone:
+                assert (after.verdict, after.detail) == (before.verdict,
+                                                         before.detail)
 
     def test_failed_witness_check_is_self_policed(self, tmp_path, monkeypatch):
         csv_path = tiny_suite(tmp_path)

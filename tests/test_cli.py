@@ -147,6 +147,28 @@ class TestFalsifyPipeline:
         assert out.splitlines()[0] == "invalid"
         assert code == 1
 
+    def test_check_rejects_nan_witness(self, tmp_path):
+        # the dense layer quantizes, and sign(NaN) = -1 gives logits
+        # (0, 0, -2), which beat label 2: only the box test rejects NaN
+        net = Network(
+            input_shape=(1, 4, 1),
+            layers=(Flatten(), QDense(3, np.array(BRITTLE_W),
+                                      quantize_input=True)),
+            num_classes=3,
+        )
+        model = tmp_path / "quantized.onnx"
+        model.write_bytes(serialize_model(net))
+        prop = tmp_path / "quantized.vnnlib"
+        prop.write_text(generate_property(
+            np.array(BRITTLE_IMG).reshape(1, 4, 1), 1, BRITTLE_LABEL,
+            num_outputs=3,
+        ))
+        bad = tmp_path / "nan.witness.txt"
+        bad.write_text("".join(f"(X_{i} nan)\n" for i in range(4)))
+        code, out = run_cli("check", str(model), str(prop), str(bad))
+        assert out.splitlines()[0] == "invalid"
+        assert code == 1
+
     def test_determinism_under_seed(self, tmp_path):
         model, prop = write_toy(tmp_path, epsilon=1)
         a = run_cli("falsify", model, prop, "--seed", "5",

@@ -1,9 +1,11 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bnnverify.arch import (
+    build_arch_b,
     build_arch_xnor,
     random_tiny_network,
     with_random_weights,
@@ -12,6 +14,7 @@ from bnnverify.errors import (
     BnnVerifyError,
     InvalidModelError,
     ModelFormatError,
+    ShapeMismatchError,
     UnsupportedOpError,
 )
 from bnnverify.layers import BatchNorm, Flatten, MaxPool, QConv, QDense
@@ -154,6 +157,22 @@ class TestRoundTrip:
         assert entry.dims == (1, 2, 7, 7)
         assert rec.graph.outputs[0].dims == (1, 3)
 
+    def test_parse_peak_memory_within_twice_the_weights(self):
+        net = with_random_weights(build_arch_b(48, 48),
+                                  np.random.default_rng(0))
+        weight_bytes = sum(v.nbytes for layer in net.layers
+                           for v in vars(layer).values()
+                           if isinstance(v, np.ndarray))
+        data = serialize_model(net)
+        tracemalloc.start()
+        try:
+            back = parse_model(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == net
+        assert peak <= 2 * weight_bytes
+
     def test_custom_epsilon_preserved(self):
         net = Network(
             input_shape=(2, 2, 1),
@@ -186,7 +205,9 @@ def reference_onnx_forward(model_bytes, image_nchw):
     """
     rec = decode_model(model_bytes)
     graph = rec.graph
-    inits = {name: t.data for name, t in graph.initializers.items()}
+    # the records hold float32; compute in float64, as the library does
+    inits = {name: np.asarray(t.data, dtype=np.float64)
+             for name, t in graph.initializers.items()}
     entry = [vi for vi in graph.inputs if vi.name not in inits][0]
     consumers = {n.inputs[0]: n for n in graph.nodes}
     values = {entry.name: np.asarray(image_nchw, dtype=np.float64)}
@@ -454,8 +475,62 @@ class TestRejections:
         one = struct.pack("<f", 1.0)
         two = struct.pack("<f", 2.0)
         assert one in data
-        with pytest.raises(InvalidModelError, match=r"outside"):
+        with pytest.raises(InvalidModelError, match=r"'dense1_w'.*outside"):
             parse_model(data.replace(one, two, 1))
+
+    @pytest.mark.parametrize("kernel,stride", [([3, 3], [3, 3]),
+                                               ([2, 2], [1, 1]),
+                                               ([1, 1], [1, 1])])
+    def test_maxpool_other_than_2x2_stride_2_rejected(self, kernel, stride):
+        nodes = [
+            codec._node_bytes("MaxPool", "p", ["input"], ["t0"], attrs=[
+                codec._attr_ints_bytes("kernel_shape", kernel),
+                codec._attr_ints_bytes("strides", stride),
+            ]),
+            codec._node_bytes("Flatten", "f", ["t0"], ["t1"],
+                              attrs=[codec._attr_int_bytes("axis", 1)]),
+            codec._node_bytes("MatMul", "m", ["t1", "w"], ["out"]),
+        ]
+        graph = b"".join(wire.field_len(1, n) for n in nodes)
+        graph += wire.field_string(2, "g")
+        graph += wire.field_len(5, codec._float_tensor_bytes("w",
+                                                             np.ones((4, 3))))
+        graph += wire.field_len(11, codec._value_info_bytes("input",
+                                                            (1, 1, 6, 6)))
+        graph += wire.field_len(12, codec._value_info_bytes("out", (1, 3)))
+        with pytest.raises(UnsupportedOpError,
+                           match=rf"MaxPool with kernel \[{kernel[0]}, "):
+            parse_model(build_model_bytes(graph))
+
+    @pytest.mark.parametrize("first,weight,in_dims,match", [
+        ("Conv", (1, 2, 2, 2), (1, 1, 2, 2), "QConv channel mismatch"),
+        ("Conv", (1, 1, 3, 3), (1, 1, 2, 2), "QConv input smaller than kernel"),
+        ("MaxPool", None, (1, 1, 1, 4), "MaxPool input needs spatial dims"),
+    ])
+    def test_layer_shape_fault_named_by_output_shape(self, first, weight,
+                                                     in_dims, match):
+        attrs = []
+        if first == "MaxPool":
+            attrs = [codec._attr_ints_bytes("kernel_shape", [2, 2]),
+                     codec._attr_ints_bytes("strides", [2, 2])]
+        nodes = [
+            codec._node_bytes(first, "l", ["input"] + ["w"] * bool(weight),
+                              ["t0"], attrs=attrs),
+            codec._node_bytes("Flatten", "f", ["t0"], ["t1"],
+                              attrs=[codec._attr_int_bytes("axis", 1)]),
+            codec._node_bytes("MatMul", "m", ["t1", "d"], ["out"]),
+        ]
+        graph = b"".join(wire.field_len(1, n) for n in nodes)
+        graph += wire.field_string(2, "g")
+        if weight:
+            graph += wire.field_len(5, codec._float_tensor_bytes(
+                "w", np.ones(weight)))
+        graph += wire.field_len(5, codec._float_tensor_bytes("d",
+                                                             np.ones((1, 3))))
+        graph += wire.field_len(11, codec._value_info_bytes("input", in_dims))
+        graph += wire.field_len(12, codec._value_info_bytes("out", (1, 3)))
+        with pytest.raises(ShapeMismatchError, match=f"layer 0: {match}"):
+            parse_model(build_model_bytes(graph))
 
     def test_truncated_model(self):
         data = serialize_model(random_tiny_network(np.random.default_rng(0)))

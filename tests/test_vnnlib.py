@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from bnnverify.arch import random_tiny_network
 from bnnverify.errors import (
     PropertyFormatError,
     ShapeMismatchError,
     WitnessFormatError,
 )
 from bnnverify.layers import Flatten, QDense
-from bnnverify.network import Network, image_from_flat
+from bnnverify.network import Network, image_from_flat, margin, network_forward
 from bnnverify.vnnlib import (
     RobustnessProperty,
     Witness,
@@ -90,6 +93,21 @@ class TestGenerate:
         clipped = make_property(img, 10, 0, num_outputs=2, clip=True)
         assert clipped.input_bounds[0] == (240.0, 255.0)
         assert clipped.input_bounds[1] == (0.0, 12.0)
+
+    def test_matches_per_pixel_loop(self):
+        # the vectorised bounds against the per-pixel loop they replaced
+        rng = np.random.default_rng(5)
+        img = rng.integers(0, 256, size=(5, 4, 3)).astype(float)
+        for eps in (0, 1, 2.5, 0.1):
+            for clip in (False, True):
+                want = []
+                for v in img.reshape(-1):
+                    lo, hi = float(v) - eps, float(v) + eps
+                    if clip:
+                        lo, hi = max(lo, 0.0), min(hi, 255.0)
+                    want.append((lo, hi))
+                prop = make_property(img, eps, 0, num_outputs=2, clip=clip)
+                assert prop.input_bounds == tuple(want)
 
     def test_label_out_of_range(self):
         img = np.zeros((2, 2, 1))
@@ -287,6 +305,23 @@ class TestCheckWitness:
         deep = make_property(np.full((2, 2, 1), 1.0), 3, 0, num_outputs=2)
         assert check_witness(net, deep, witness_from_flat([-2.0] * 4)) is True
 
+    def test_nan_inputs_are_outside_the_box(self):
+        # sign(NaN) quantizes to -1, so a NaN input gives finite logits;
+        # the target is their lowest logit, so only the box test can
+        # reject the witness
+        for seed in range(8):
+            net = random_tiny_network(np.random.default_rng(seed))
+            nan = np.full(net.input_shape, np.nan)
+            logits = network_forward(net, nan)
+            target = int(np.argmin(logits))
+            assert margin(logits, logits, target) >= 0
+            prop = make_property(np.full(net.input_shape, 4.0), 255, target,
+                                 num_outputs=net.num_classes)
+            assert check_witness(net, prop, witness_from_flat(nan.ravel())) is False
+            one = np.full(net.num_inputs, 4.0)
+            one[-1] = np.nan
+            assert check_witness(net, prop, witness_from_flat(one)) is False
+
     def test_length_mismatch_raises(self):
         net = self.net_with_strict_winner()
         prop = make_property(np.full((2, 2, 1), 10.0), 5, 0, num_outputs=2)
@@ -344,6 +379,27 @@ class TestPropertyType:
                 num_inputs=1, num_outputs=2,
                 input_bounds=((3.0, 1.0),), target_label=0,
             )
+
+    def test_bounds_kept_as_arrays_only(self):
+        pairs = ((1.0, 2.5), (-3.0, 0.0), (4.0, 4.0))
+        prop = RobustnessProperty(3, 2, pairs, 1)
+        from_array = RobustnessProperty(3, 2, np.array(pairs), 1)
+        assert prop == from_array and hash(prop) == hash(from_array)
+        assert prop.input_bounds == pairs
+        assert prop != RobustnessProperty(3, 2, pairs, 0)
+        assert prop != RobustnessProperty(3, 2, ((1.0, 2.5), (-3.0, 0.5),
+                                                 (4.0, 4.0)), 1)
+        assert hash(RobustnessProperty(1, 2, ((-0.0, 0.0),), 0)) == hash(
+            RobustnessProperty(1, 2, ((0.0, 0.0),), 0))
+        assert "input_bounds" not in vars(prop)
+        with pytest.raises(AttributeError):
+            prop.input_bounds = pairs
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prop.target_label = 0
+        with pytest.raises(ValueError):
+            prop.lo[0] = 0.0
+        with pytest.raises(ValueError, match="expected 3 bound pairs"):
+            RobustnessProperty(3, 2, pairs[:2], 1)
 
     def test_bounds_arrays_round_trip(self):
         prop = make_property(np.full((2, 2, 1), 9.0), 4, 1, num_outputs=2)
