@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import margin, network_forward, network_forward_batch
+from .network import images_per_batch, margin, network_forward, network_forward_batch
 from .vnnlib import RobustnessProperty, Witness, check_witness, witness_from_flat
 from .verify.brute import integer_grid_bounds
 from .verify.intervals import check_property_shapes
 from .verify.verdict import FALSIFIED, TIMEOUT, UNKNOWN, Verdict
-
-_SAMPLE_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,10 @@ def random_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
     """Uniform sampling of the box; first witness by sample index, or None.
 
     Integer-grid mode draws whole-valued pixels only.  Deterministic for a
-    fixed seed; `deadline` (a time.monotonic() instant) stops the search
-    between batches.
+    fixed seed, and batches of `images_per_batch(net)` rows split one
+    stream of draws, so the witness does not depend on the batch size;
+    `deadline` (a time.monotonic() instant) stops the search between
+    batches.
     """
     check_property_shapes(net, prop)
     lo, hi = prop.bounds_arrays()
@@ -59,11 +59,12 @@ def random_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
         g_lo, g_hi = integer_grid_bounds(prop)
     rng = np.random.default_rng(cfg.seed)
     t = prop.target_label
+    cap = images_per_batch(net)
     drawn = 0
     while drawn < cfg.max_samples:
         if deadline is not None and time.monotonic() >= deadline:
             return None
-        batch = min(_SAMPLE_BATCH, cfg.max_samples - drawn)
+        batch = min(cap, cfg.max_samples - drawn)
         if cfg.integer_grid:
             points = rng.integers(
                 g_lo.astype(np.int64),

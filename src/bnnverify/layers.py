@@ -1,10 +1,12 @@
 """Layer types and exact forward semantics for binarized networks.
 
-Arrays are float64 throughout.  Image activations are channel-last
-``(H, W, C)``; flattening therefore enumerates entries in the order
-``(row * W + col) * C + channel``, which is also the pixel-variable order
-used by the property format.  The forward accepts arbitrary leading
-batch dimensions in front of the documented trailing shape.
+Activations are float64; each +-1 weight tensor is stored once, as a
+read-only float32 array, where +-1 is exact.  Image activations are
+channel-last ``(H, W, C)``; flattening therefore enumerates entries in
+the order ``(row * W + col) * C + channel``, which is also the
+pixel-variable order used by the property format.  The forward accepts
+arbitrary leading batch dimensions in front of the documented trailing
+shape.
 
 :func:`layer_forward` is the one forward for every layer type, and
 :func:`output_shape` the one statement of each layer's input contract:
@@ -16,6 +18,13 @@ Conventions baked into the semantics:
 * convolutions use valid padding and stride 1, no bias
 * max pooling is 2x2 with stride 2; an odd trailing row/column is dropped
 * batch normalization runs in inference mode on the stored moving statistics
+
+A layer that sign-quantizes its input multiplies +-1 by +-1, so every
+partial sum is an integer no larger than the fan-in.  float32 holds such
+sums exactly in any summation order up to ``2**24``, the largest fan-in
+such a layer may have; :func:`contract` therefore runs it as one float32
+matrix product, bit-identical to float64.  The unquantized first layer
+multiplies float64 pixels and keeps float64 arithmetic.
 """
 
 from dataclasses import dataclass, field
@@ -43,6 +52,10 @@ __all__ = [
 # that is how the interchange format stores it; model files may override.
 DEFAULT_BN_EPS = float(np.float32(1e-3))
 
+# Integers up to 2**24 are exact in float32, so a sum of at most this many
+# +-1 products is too.
+_MAX_QUANTIZED_FAN_IN = 2**24
+
 
 def _frozen_array(values, dtype=np.float64):
     """A private read-only copy, so no caller's array is frozen or aliased."""
@@ -51,14 +64,31 @@ def _frozen_array(values, dtype=np.float64):
     return arr
 
 
-def _check_signed_binary(weights, what):
-    # boolean masks only: a float |w| temporary would double the bytes a
-    # model load touches, on top of the private copy
-    ok = weights == 1.0
-    ok |= weights == -1.0
+def _binary_weights(w, what, fan_in, quantize_input):
+    """The private float32 copy of checked +-1 weights ``w``.
+
+    Both checks run on the values as given, before the cast: the fan-in
+    from the shape alone, and +-1 on the source values, so that a float64
+    ``1 + 2**-40`` is rejected rather than rounded to 1 by the cast.
+    """
+    if quantize_input and fan_in > _MAX_QUANTIZED_FAN_IN:
+        raise InvalidModelError(
+            f"{what} fan-in {fan_in} exceeds 2**24, beyond which float32 "
+            "sums of +-1 products are not exact"
+        )
+    _check_signed_binary(w, what)
+    return _frozen_array(w, np.float32)
+
+
+def _check_signed_binary(w, what):
+    # boolean masks only, and freed before the copy: a float |w| temporary
+    # would double the bytes a model load touches
+    ok = w == 1.0
+    ok |= w == -1.0
     if not ok.all():
         raise InvalidModelError(
-            f"{what} weights must be +1/-1; found value {weights[~ok].flat[0]!r}"
+            f"{what} weights must be +1/-1; found value {w[~ok].flat[0]!r} "
+            "outside {-1, +1}"
         )
 
 
@@ -67,8 +97,10 @@ class QConv:
     """Binarized convolution.
 
     ``weights`` has shape ``(kh, kw, in_channels, out_channels)`` with
-    entries in {-1, +1}.  When ``quantize_input`` is set the input is
-    sign-quantized before the cross-correlation.
+    entries in {-1, +1}, stored as read-only float32.  When
+    ``quantize_input`` is set the input is sign-quantized before the
+    cross-correlation, and the fan-in ``kh * kw * in_channels`` may not
+    exceed ``2**24``.
     """
 
     out_channels: int
@@ -78,7 +110,7 @@ class QConv:
     quantize_input: bool
 
     def __post_init__(self):
-        w = _frozen_array(self.weights)
+        w = np.asarray(self.weights)
         if w.ndim != 4 or w.shape[:2] != (self.kernel_h, self.kernel_w):
             raise InvalidModelError(
                 f"QConv weights shape {w.shape} does not match kernel "
@@ -89,7 +121,8 @@ class QConv:
                 f"QConv weights have {w.shape[3]} output channels, "
                 f"declared {self.out_channels}"
             )
-        _check_signed_binary(w, "QConv")
+        fan_in = w.shape[0] * w.shape[1] * w.shape[2]
+        w = _binary_weights(w, "QConv", fan_in, self.quantize_input)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -164,20 +197,21 @@ class Flatten:
 @dataclass(frozen=True)
 class QDense:
     """Binarized dense layer.  ``weights`` has shape ``(in, out)``, entries
-    in {-1, +1}; no bias."""
+    in {-1, +1} stored as read-only float32; no bias.  A quantized-input
+    layer may have at most ``2**24`` inputs."""
 
     out_features: int
     weights: np.ndarray
     quantize_input: bool = field(default=True)
 
     def __post_init__(self):
-        w = _frozen_array(self.weights)
+        w = np.asarray(self.weights)
         if w.ndim != 2 or w.shape[1] != self.out_features:
             raise InvalidModelError(
                 f"QDense weights shape {w.shape} does not match "
                 f"out_features={self.out_features}"
             )
-        _check_signed_binary(w, "QDense")
+        w = _binary_weights(w, "QDense", w.shape[0], self.quantize_input)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -198,18 +232,36 @@ Layer = QConv | MaxPool | BatchNorm | Flatten | QDense
 
 
 def sign_quantize(t):
-    """Binarize to {-1, +1}; zero maps to +1."""
-    t = np.asarray(t, dtype=np.float64)
-    return np.where(t >= 0, 1.0, -1.0)
+    """Binarize to float32 {-1, +1}; zero maps to +1."""
+    # 2 * (t >= 0) - 1 in place: np.where with scalar branches is ~9x slower
+    s = (np.asarray(t) >= 0).astype(np.float32)
+    s *= 2.0
+    s -= 1.0
+    return s
 
 
 def contract(t, layer):
-    """Apply the +-1 weights of a QConv or QDense to ``t``, unquantized."""
+    """Apply the +-1 weights of a QConv or QDense to ``t``, unquantized;
+    returns float64.
+
+    A convolution becomes one matrix product over its im2col matrix, whose
+    rows are the ``(kh, kw, C)`` windows in ``weights.reshape(-1, out)``
+    order.  float32 ``t`` (the +-1 output of :func:`sign_quantize`) gives a
+    float32 product, exact up to the ``2**24`` fan-in limit; float64 ``t``
+    promotes the weights and keeps float64 arithmetic.
+    """
+    w = layer.weights
     if isinstance(layer, QConv):
-        # windows: (..., H', W', C, kh, kw); contract (kh, kw, C) against kernels
-        windows = sliding_window_view(t, (layer.kernel_h, layer.kernel_w), axis=(-3, -2))
-        return np.einsum("...cij,ijco->...o", windows, layer.weights, optimize=True)
-    return t @ layer.weights
+        kh, kw, c, out = w.shape
+        # (..., H', W', C, kh, kw) -> (..., H', W', kh, kw, C): views only;
+        # the reshape copies them into the im2col matrix
+        windows = sliding_window_view(t, (kh, kw), axis=(-3, -2))
+        windows = np.moveaxis(windows, -3, -1)
+        t = windows.reshape(windows.shape[:-3] + (kh * kw * c,))
+        w = w.reshape(-1, out)
+    lead = t.shape[:-1]
+    product = t.reshape(-1, t.shape[-1]) @ w
+    return product.reshape(lead + (w.shape[1],)).astype(np.float64, copy=False)
 
 
 def layer_forward(t, layer, layer_index=None):

@@ -19,6 +19,8 @@ from .layers import (
 __all__ = [
     "Network",
     "ParamCount",
+    "BATCH_BYTES",
+    "images_per_batch",
     "network_forward",
     "network_forward_batch",
     "predict",
@@ -70,6 +72,32 @@ class Network:
     def num_inputs(self):
         h, w, c = self.input_shape
         return h * w * c
+
+
+# Working-set budget of one batched forward.  Batches are sized from it
+# rather than counted, so that one batch of a large network stays well
+# inside the memory of a small machine.
+BATCH_BYTES = 64 * 2**20
+
+
+def images_per_batch(net):
+    """Images per batched forward that keep its working set within
+    :data:`BATCH_BYTES`, and at least 1.
+
+    An image's working set is, at the layer where it peaks, the layer's
+    output plus, for a convolution, its im2col matrix (one row of
+    ``kh * kw * C`` window entries per output position), at 8 bytes an
+    entry.
+    """
+    shapes = net.layer_shapes()
+    per_image = 0
+    for layer, out in zip(net.layers, shapes[1:]):
+        entries = int(np.prod(out))
+        if isinstance(layer, QConv):
+            fan_in = layer.kernel_h * layer.kernel_w * layer.in_channels
+            entries += out[0] * out[1] * fan_in
+        per_image = max(per_image, 8 * entries)
+    return max(1, BATCH_BYTES // per_image)
 
 
 def _check_image(net, image, batched):

@@ -8,8 +8,9 @@ convolution weights are transposed and the weight rows of the first
 dense layer after a flatten are permuted at this boundary.
 
 Float tensors stay 32-bit; a ``raw_data`` payload is a read-only ``<f4``
-view of the model bytes.  Each layer constructor takes the one float64
-copy and is the one +-1 check, and ``layers.output_shape`` tracks and
+view of the model bytes.  Each layer constructor is the one +-1 check and
+takes the one private copy (float32 for +-1 weights, float64 for
+batch-norm vectors), and ``layers.output_shape`` tracks and
 checks the activation shape.  The codec checks a shape itself only where
 its own indexing needs it: batch-norm vector lengths, and the dense input
 length before the flatten row permutation.
@@ -506,15 +507,12 @@ def _weight(graph, node, rank):
 
 def _binary_layer(cls, weight, **fields):
     """``cls(**fields)``.  Its shape fields come from the tensor's own
-    dims, so the constructor can only fail its +-1 check; the error is
-    re-raised naming the tensor."""
+    dims, so the constructor can only fail its +-1 check or its fan-in
+    limit; the error is re-raised naming the tensor."""
     try:
         return cls(**fields)
     except InvalidModelError as exc:
-        raise InvalidModelError(
-            f"weight tensor '{weight.name}' has entries outside {{-1, +1}}: "
-            f"{exc}"
-        ) from None
+        raise InvalidModelError(f"weight tensor '{weight.name}': {exc}") from None
 
 
 def _bn_vector(graph, node, tensor_name, channels, role):

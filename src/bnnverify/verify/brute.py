@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from ..errors import EnumerationBudgetError
-from ..network import margin, network_forward_batch
+from ..network import images_per_batch, margin, network_forward_batch
 from ..vnnlib import check_witness, witness_from_flat
 from .intervals import check_property_shapes
 from .verdict import FALSIFIED, VERIFIED, Verdict
@@ -18,7 +18,6 @@ from .verdict import FALSIFIED, VERIFIED, Verdict
 __all__ = ["DEFAULT_ENUMERATION_BUDGET", "integer_grid_bounds", "brute_force_verify"]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
-_BATCH = 4096
 
 
 def integer_grid_bounds(prop):
@@ -38,16 +37,19 @@ def integer_grid_bounds(prop):
 
 
 def brute_force_verify(
-    net, prop, budget=DEFAULT_ENUMERATION_BUDGET, batch_size=_BATCH
+    net, prop, budget=DEFAULT_ENUMERATION_BUDGET, batch_size=None
 ):
     """Enumerate every integer point of the box in lexicographic order.
 
     Falsified with the first counterexample in that order, else Verified.
     Boxes larger than ``budget`` points raise EnumerationBudgetError: a
-    refusal, deliberately distinct from an Unknown verdict.
+    refusal, deliberately distinct from an Unknown verdict.  Points are
+    forwarded ``batch_size`` at a time, by default ``images_per_batch(net)``.
     """
     start = time.perf_counter()
     check_property_shapes(net, prop)
+    if batch_size is None:
+        batch_size = images_per_batch(net)
     g_lo, g_hi = integer_grid_bounds(prop)
     counts = (g_hi - g_lo + 1.0).astype(np.int64)
     total = 1

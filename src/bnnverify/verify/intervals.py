@@ -4,17 +4,22 @@ A ``QConv`` or ``QDense`` layer is bounded in centre/radius form: with
 ``mid = (lo + hi) / 2`` and ``rad = (hi - lo) / 2`` the output lies in
 ``mid @ W -+ rad @ |W|``.  The centre goes through the same contraction as
 exact inference, and since every weight is +-1, ``rad @ |W|`` is a plain
-window or vector sum of ``rad`` shared by all output channels.
+window or vector sum of ``rad`` shared by all output channels.  On a
+layer that sign-quantizes its input, ``mid`` and ``rad`` are float32 with
+values in {-1, 0, 1}, so both terms are integer sums within the fan-in
+and exact in float32 (:mod:`bnnverify.layers` caps such a fan-in at
+``2**24``); the box comes back as float64.
 
 Soundness contract: on integer boxes (more generally, on any box whose
 bounds lie on a binary grid coarse enough that every partial sum is exact)
 the bounds are the exact extremes, equal to the textbook
 ``lo @ W+ + hi @ W-``, and a zero-width box propagates to exactly the
-``network_forward`` logits.  Off that grid the radius is widened by a
-forward-error bound, so the bounds still contain the float64 forward of
-every point in the box.  Max-pool, batch-norm, sign and flatten are
-monotone in float64, so they need no widening: their bounds are the
-exact forward (``layer_forward``) of the two corners, ordered entrywise.
+``network_forward`` logits.  Off that grid the radius of an unquantized
+layer is widened by a float64 forward-error bound, so the bounds still
+contain the float64 forward of every point in the box.  Max-pool,
+batch-norm, sign and flatten are monotone in float64, so they need no
+widening: their bounds are the exact forward (``layer_forward``) of the
+two corners, ordered entrywise.
 """
 
 import time
@@ -63,6 +68,17 @@ class IntervalTensor:
         hi.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def _frozen(cls, lo, hi):
+        """Box over float64 arrays the caller owns, already ordered and of
+        one shape (the layer bounds below); freezes them, no copy or scan."""
+        lo.flags.writeable = False
+        hi.flags.writeable = False
+        box = object.__new__(cls)
+        object.__setattr__(box, "lo", lo)
+        object.__setattr__(box, "hi", hi)
+        return box
 
     @classmethod
     def point(cls, values):
@@ -125,7 +141,8 @@ def _rounding_margin(mid, rad, layer, fan_in):
 def _linear_bounds(box, layer):
     lo, hi = box.lo, box.hi
     if layer.quantize_input:
-        # sign is monotone, so quantizing both corners is exact
+        # sign is monotone, so quantizing both corners is exact; float32
+        # +-1, and mid, rad and both sums below stay exact in float32
         lo = sign_quantize(lo)
         hi = sign_quantize(hi)
     mid = (lo + hi) * 0.5
@@ -136,7 +153,7 @@ def _linear_bounds(box, layer):
     # after sign quantization the box is +-1, so always on the grid
     if not (layer.quantize_input or _on_grid(lo, hi, fan_in)):
         spread = spread + _rounding_margin(mid, rad, layer, fan_in)
-    return IntervalTensor(centre - spread, centre + spread)
+    return IntervalTensor._frozen(centre - spread, centre + spread)
 
 
 def _layer_bounds(box, layer, layer_index):
@@ -146,7 +163,7 @@ def _layer_bounds(box, layer, layer_index):
     # gamma flips its interval, and min/max handles both slopes
     a = layer_forward(box.lo, layer, layer_index)
     b = layer_forward(box.hi, layer, layer_index)
-    return IntervalTensor(np.minimum(a, b), np.maximum(a, b))
+    return IntervalTensor._frozen(np.minimum(a, b), np.maximum(a, b))
 
 
 def ibp_trace(net, box):

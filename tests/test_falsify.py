@@ -5,12 +5,24 @@ import itertools
 import numpy as np
 import pytest
 
-from bnnverify.arch import random_tiny_network
+from bnnverify.arch import (
+    build_arch_a,
+    build_arch_xnor,
+    random_tiny_network,
+    with_random_weights,
+)
 from bnnverify.errors import ShapeMismatchError
 from bnnverify.falsify import AttackConfig, falsify, greedy_attack, random_attack
 from bnnverify.layers import Flatten, QDense
-from bnnverify.network import Network, network_forward, predict
-from bnnverify.vnnlib import check_witness, make_property
+from bnnverify.network import (
+    Network,
+    images_per_batch,
+    margin,
+    network_forward,
+    network_forward_batch,
+    predict,
+)
+from bnnverify.vnnlib import RobustnessProperty, check_witness, make_property
 from bnnverify.verify import brute_force_verify, integer_grid_bounds
 
 
@@ -284,3 +296,101 @@ class TestFalsifyVerdicts:
         b = falsify(net, prop, cfg)
         assert a.status == b.status == "falsified"
         assert a.witness.input_values == b.witness.input_values
+
+
+def reference_first_witness(net, prop, cfg):
+    """Draw all ``max_samples`` rows in one call, as one batch would, and
+    return the first row whose margin is >= 0 (None when there is none)."""
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.integer_grid:
+        g_lo, g_hi = integer_grid_bounds(prop)
+        rows = rng.integers(g_lo.astype(np.int64), g_hi.astype(np.int64) + 1,
+                            size=(cfg.max_samples, g_lo.size)).astype(np.float64)
+    else:
+        lo, hi = prop.bounds_arrays()
+        rows = rng.uniform(lo, hi, size=(cfg.max_samples, lo.size))
+    for start in range(0, len(rows), 64):
+        chunk = rows[start:start + 64]
+        logits = network_forward_batch(net, chunk.reshape((-1,) + net.input_shape))
+        bad = margin(logits, logits, prop.target_label) >= 0
+        if bad.any():
+            return tuple(chunk[int(np.argmax(bad))])
+    return None
+
+
+def forward_recorder(monkeypatch, module, cap):
+    """Wrap ``module.network_forward_batch``; a call of more than ``cap``
+    images fails before it allocates anything."""
+    sizes = []
+
+    def recording(net, images):
+        sizes.append(len(images))
+        assert len(images) <= cap, f"one forward of {len(images)} images, cap {cap}"
+        return network_forward_batch(net, images)
+
+    monkeypatch.setattr(f"{module}.network_forward_batch", recording)
+    return sizes
+
+
+class TestBatchBudget:
+    @pytest.fixture(scope="class")
+    def arch_a(self):
+        net = with_random_weights(build_arch_a(64, 64), np.random.default_rng(11))
+        img = np.random.default_rng(100).integers(0, 256, size=net.input_shape)
+        return net, img.astype(np.float64)
+
+    def test_random_attack_batches_stay_within_the_byte_budget(self, arch_a, monkeypatch):
+        net, img = arch_a
+        cap = images_per_batch(net)
+        assert 1 <= cap < 1024
+        sizes = forward_recorder(monkeypatch, "bnnverify.falsify", cap)
+        prop = make_property(img, epsilon=3, label=predict(net, img))
+        random_attack(net, prop, AttackConfig(max_samples=1024, seed=0))
+        assert sizes and max(sizes) <= cap
+
+    def test_brute_default_batch_stays_within_the_byte_budget(self, arch_a, monkeypatch):
+        net, img = arch_a
+        cap = images_per_batch(net)
+        sizes = forward_recorder(monkeypatch, "bnnverify.verify.brute", cap)
+        lo = img.reshape(-1).copy()
+        hi = lo.copy()
+        lo[:3] -= 1.0
+        hi[:3] += 1.0  # 27 grid points, more than one batch
+        prop = RobustnessProperty(lo.size, net.num_classes, np.column_stack((lo, hi)),
+                                  predict(net, img))
+        brute_force_verify(net, prop)
+        assert sizes and max(sizes) <= cap
+
+    @pytest.mark.parametrize("cap", [1, 7, 64, 1024])
+    @pytest.mark.parametrize("integer_grid", [True, False])
+    def test_tiny_witness_does_not_depend_on_the_batch(self, cap, integer_grid, monkeypatch):
+        monkeypatch.setattr("bnnverify.falsify.images_per_batch", lambda net: cap)
+        found = 0
+        for seed in range(20):
+            rng = np.random.default_rng(900 + seed)
+            net = random_tiny_network(rng, max_side=3)
+            img = rng.integers(0, 9, size=net.input_shape).astype(float)
+            prop = make_property(img, epsilon=2, label=predict(net, img),
+                                 num_outputs=net.num_classes)
+            cfg = AttackConfig(max_samples=300, seed=seed, integer_grid=integer_grid)
+            w = random_attack(net, prop, cfg)
+            want = reference_first_witness(net, prop, cfg)
+            assert (None if w is None else w.input_values) == want
+            found += want is not None
+        assert found >= 5
+
+    @pytest.mark.parametrize("cap", [None, 14, 29])
+    def test_xnor_witness_does_not_depend_on_the_batch(self, cap, monkeypatch):
+        net = with_random_weights(build_arch_xnor(30, 30), np.random.default_rng(11))
+        if cap is None:
+            cap = images_per_batch(net)  # the default budget's batch
+        else:
+            monkeypatch.setattr("bnnverify.falsify.images_per_batch", lambda net: cap)
+        img = np.random.default_rng(101).integers(0, 256, size=net.input_shape)
+        prop = make_property(img.astype(np.float64), epsilon=3,
+                             label=predict(net, img.astype(np.float64)))
+        cfg = AttackConfig(max_samples=1024, seed=0)
+        want = reference_first_witness(net, prop, cfg)
+        assert want is not None
+        w = random_attack(net, prop, cfg)
+        assert w is not None and w.input_values == want

@@ -1,10 +1,12 @@
-"""Centre/radius interval bounds and the strided max-pool against the
-kernels they replaced.
+"""The float32 im2col contraction, centre/radius interval bounds and the
+strided max-pool against the kernels they replaced.
 
-The oracles below are the four-contraction bounds (lo @ W+ + hi @ W-,
-hi @ W+ + lo @ W-) and the reshape-max pool; they live only here.  On
-integer boxes every partial sum is exact in float64, so the package must
-agree with them value for value, not within a tolerance.
+The oracles below are the float64 einsum/matmul forward of a ±1 layer,
+the four-contraction bounds (lo @ W+ + hi @ W-, hi @ W+ + lo @ W-) and
+the reshape-max pool; they live only here.  On integer inputs and boxes
+every partial sum is exact in float64, and after a sign every partial sum
+is an integer within the fan-in, exact in float32 too, so the package
+must agree with them value for value, not within a tolerance.
 """
 
 import numpy as np
@@ -26,7 +28,6 @@ from bnnverify.layers import (
     QConv,
     QDense,
     layer_forward,
-    sign_quantize,
 )
 from bnnverify.network import network_forward
 from bnnverify.verify import IntervalTensor, ibp_trace
@@ -47,11 +48,26 @@ def oracle_conv(t, layer, weights):
     return np.einsum("...cij,ijco->...o", windows, weights, optimize=True)
 
 
+def oracle_sign(t):
+    return np.where(t >= 0, 1.0, -1.0)
+
+
+def oracle_linear(t, layer):
+    """float64 forward of a QConv or QDense."""
+    w = layer.weights.astype(np.float64)
+    if layer.quantize_input:
+        t = oracle_sign(t)
+    if isinstance(layer, QConv):
+        return oracle_conv(t, layer, w)
+    return t @ w
+
+
 def oracle_linear_bounds(lo, hi, layer):
     if layer.quantize_input:
-        lo, hi = sign_quantize(lo), sign_quantize(hi)
-    wpos = np.maximum(layer.weights, 0.0)
-    wneg = np.minimum(layer.weights, 0.0)
+        lo, hi = oracle_sign(lo), oracle_sign(hi)
+    w = layer.weights.astype(np.float64)
+    wpos = np.maximum(w, 0.0)
+    wneg = np.minimum(w, 0.0)
     if isinstance(layer, QConv):
         return (
             oracle_conv(lo, layer, wpos) + oracle_conv(hi, layer, wneg),
@@ -170,3 +186,43 @@ def test_arch_point_box_is_forward(arch_nets, arch, img_seed):
     net = arch_nets[arch]
     img = np.random.default_rng(img_seed).integers(0, 256, size=net.input_shape)
     assert_point_box_is_forward(net, img.astype(float))
+
+
+def arbitrary_floats(rng, shape):
+    """Finite float64 of every magnitude, subnormals and signed zeros
+    included."""
+    t = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+    zero = rng.random(shape) < 0.1
+    t[zero] = np.copysign(0.0, t[zero])
+    return t
+
+
+def assert_linear_layers_match_oracle(net, rng, batch):
+    """Every QConv/QDense equals the float64 oracle bit for bit: on integer
+    inputs for every layer, and on arbitrary finite floats for layers that
+    quantize their input."""
+    for layer, shape in zip(net.layers, net.layer_shapes()):
+        if not isinstance(layer, (QConv, QDense)):
+            continue
+        size = (batch,) + shape
+        inputs = [rng.integers(-300, 301, size=size).astype(np.float64)]
+        if layer.quantize_input:
+            inputs.append(arbitrary_floats(rng, size))
+        for t in inputs:
+            got = layer_forward(t, layer)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, oracle_linear(t, layer))
+
+
+@settings(max_examples=60)
+@given(net_seed=SEEDS, channels=st.integers(1, 3), seed=SEEDS, batch=st.integers(0, 3))
+def test_tiny_linear_layers_match_float64_oracle(net_seed, channels, seed, batch):
+    net = random_tiny_network(np.random.default_rng(net_seed), channels=channels)
+    assert_linear_layers_match_oracle(net, np.random.default_rng(seed), batch)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@settings(max_examples=3)
+@given(seed=SEEDS)
+def test_arch_linear_layers_match_float64_oracle(arch_nets, arch, seed):
+    assert_linear_layers_match_oracle(arch_nets[arch], np.random.default_rng(seed), 2)

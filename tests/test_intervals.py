@@ -63,6 +63,15 @@ class TestIntervalTensor:
             box.lo[0] = 5.0
 
 
+    def test_trace_boxes_are_read_only_float64(self):
+        net = random_tiny_network(np.random.default_rng(5), channels=2)
+        lo = np.random.default_rng(6).integers(0, 9, size=net.input_shape) - 1.0
+        for box in ibp_trace(net, IntervalTensor(lo, lo + 2.0)):
+            for bound in (box.lo, box.hi):
+                assert bound.dtype == np.float64
+                assert not bound.flags.writeable
+
+
 class TestIbpPropagate:
     def test_point_box_equals_forward(self):
         # zero-width boxes must propagate to the exact logits, bit for bit

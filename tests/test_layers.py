@@ -48,6 +48,11 @@ class TestSignQuantize:
             sign_quantize([-2.5, 0.0, 7.1]), [-1.0, 1.0, 1.0]
         )
 
+    def test_float32_signs_and_negative_zero(self):
+        got = sign_quantize(np.array([-0.0, -1e-300, 1e-300, np.inf, -np.inf]))
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, [1.0, -1.0, 1.0, 1.0, -1.0])
+
     def test_all_zero_maps_to_plus_one(self):
         np.testing.assert_array_equal(sign_quantize(np.zeros((3, 2))), np.ones((3, 2)))
 
@@ -108,6 +113,37 @@ class TestQConv:
         np.testing.assert_array_equal(out, np.round(out))
         # parity of the sum equals parity of the fan-in
         assert np.all((out - fan_in) % 2 == 0)
+
+
+class TestBinaryWeights:
+    # rounds to exactly 1.0 in float32, so it must be caught before the cast
+    NEAR_ONE = 1.0 + 2.0**-40
+
+    def test_near_one_rejected_before_the_float32_cast(self):
+        assert np.float32(self.NEAR_ONE) == 1.0
+        w = np.full((2, 2, 1, 1), self.NEAR_ONE)
+        with pytest.raises(InvalidModelError, match=r"\+1/-1"):
+            QConv(1, 2, 2, w, quantize_input=False)
+        with pytest.raises(InvalidModelError, match=r"\+1/-1"):
+            QDense(1, w.reshape(4, 1))
+
+    def test_quantized_fan_in_beyond_exact_float32_sums_rejected(self):
+        # broadcast views: the shape check must reject them before any copy
+        with pytest.raises(InvalidModelError, match="fan-in"):
+            QDense(1, np.broadcast_to(1.0, (2**24 + 1, 1)), quantize_input=True)
+        with pytest.raises(InvalidModelError, match="fan-in"):
+            QConv(1, 1, 1, np.broadcast_to(1.0, (1, 1, 2**24 + 1, 1)),
+                  quantize_input=True)
+
+    def test_stored_once_as_private_read_only_float32(self):
+        src = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+        layer = QDense(2, src)
+        w = layer.weights
+        assert w.dtype == np.float32 and w.flags.c_contiguous
+        assert not w.flags.writeable and src.flags.writeable
+        assert not np.shares_memory(w, src)
+        assert [k for k, v in vars(layer).items() if isinstance(v, np.ndarray)] == ["weights"]
+        np.testing.assert_array_equal(w, src)
 
 
 class TestMaxPool:
