@@ -37,7 +37,8 @@ ENGINES = {
                                                          timeout=timeout),
     "falsify": lambda net, prop, timeout, attack: falsify(net, prop, attack,
                                                           timeout=timeout),
-    "brute": lambda net, prop, timeout, attack: brute_force_verify(net, prop),
+    "brute": lambda net, prop, timeout, attack: brute_force_verify(net, prop,
+                                                                   timeout=timeout),
 }
 RESULT_VOCAB = ("unsat", "sat", "unknown", "timeout", "error")
 

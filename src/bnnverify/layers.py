@@ -30,7 +30,7 @@ multiplies float64 pixels and keeps float64 arithmetic.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidModelError, ShapeMismatchError
 
@@ -43,6 +43,7 @@ __all__ = [
     "Layer",
     "DEFAULT_BN_EPS",
     "sign_quantize",
+    "conv_windows",
     "contract",
     "layer_forward",
     "output_shape",
@@ -240,23 +241,46 @@ def sign_quantize(t):
     return s
 
 
+def conv_windows(t, kh, kw):
+    """Read-only view ``(..., H-kh+1, W-kw+1, kh, kw, C)`` of every
+    ``kh x kw`` window of the ``(..., H, W, C)`` array ``t``, in the
+    ``(kh, kw, C)`` order of ``weights.reshape(-1, out)``.
+
+    The same windows as ``sliding_window_view`` followed by a
+    ``moveaxis``, built as one strided view without their per-call
+    argument handling, which dominates small convolutions.  The shape
+    check guards the strides, which could otherwise reach past ``t``'s
+    memory.
+    """
+    *lead, h, w, c = t.shape
+    if h < kh or w < kw:
+        raise ShapeMismatchError(
+            "input smaller than window", expected=f">= {kh}x{kw}", actual=f"{h}x{w}"
+        )
+    *s_lead, s_h, s_w, s_c = t.strides
+    return as_strided(
+        t,
+        shape=(*lead, h - kh + 1, w - kw + 1, kh, kw, c),
+        strides=(*s_lead, s_h, s_w, s_h, s_w, s_c),
+        writeable=False,
+    )
+
+
 def contract(t, layer):
     """Apply the +-1 weights of a QConv or QDense to ``t``, unquantized;
     returns float64.
 
     A convolution becomes one matrix product over its im2col matrix, whose
-    rows are the ``(kh, kw, C)`` windows in ``weights.reshape(-1, out)``
-    order.  float32 ``t`` (the +-1 output of :func:`sign_quantize`) gives a
-    float32 product, exact up to the ``2**24`` fan-in limit; float64 ``t``
-    promotes the weights and keeps float64 arithmetic.
+    rows are the :func:`conv_windows` of ``t``.  float32 ``t`` (the +-1
+    output of :func:`sign_quantize`) gives a float32 product, exact up to
+    the ``2**24`` fan-in limit; float64 ``t`` promotes the weights and
+    keeps float64 arithmetic.
     """
     w = layer.weights
     if isinstance(layer, QConv):
         kh, kw, c, out = w.shape
-        # (..., H', W', C, kh, kw) -> (..., H', W', kh, kw, C): views only;
-        # the reshape copies them into the im2col matrix
-        windows = sliding_window_view(t, (kh, kw), axis=(-3, -2))
-        windows = np.moveaxis(windows, -3, -1)
+        # the reshape copies the windows into the im2col matrix
+        windows = conv_windows(t, kh, kw)
         t = windows.reshape(windows.shape[:-3] + (kh * kw * c,))
         w = w.reshape(-1, out)
     lead = t.shape[:-1]

@@ -7,6 +7,11 @@ widest input dimension.  In integer-grid mode (the benchmark default)
 every box eventually shrinks to single grid points, so the search is
 complete; verdicts then coincide with brute-force enumeration.
 
+The root is bounded with a full interval trace, kept for the whole call;
+every later node is bounded relative to it (``ibp_propagate`` with
+``base``), so a node pays only for the layer regions its split pixels
+reach.  On integer boxes those bounds are bit-identical to a full trace.
+
 Nodes are expanded one at a time in a deterministic priority order
 (largest IBP violation margin first, FIFO among ties), which makes the
 verdict and any witness independent of timing.
@@ -21,7 +26,7 @@ import numpy as np
 from ..network import image_from_flat, margin, network_forward
 from ..vnnlib import check_witness, witness_from_flat
 from .brute import integer_grid_bounds
-from .intervals import IntervalTensor, check_property_shapes, ibp_propagate
+from .intervals import IntervalTensor, check_property_shapes, ibp_propagate, ibp_trace
 from .verdict import FALSIFIED, TIMEOUT, UNKNOWN, VERIFIED, Verdict
 
 __all__ = ["bab_verify"]
@@ -50,12 +55,13 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
     shape = net.input_shape
     nodes = 0
 
-    def bound(lo, hi):
-        # IBP margin of one box, counted as a node; < 0 proves the box
+    def box(lo, hi):
+        return IntervalTensor(image_from_flat(lo, shape), image_from_flat(hi, shape))
+
+    def node_margin(out):
+        # IBP margin of one bounded box, counted as a node; < 0 proves it
         nonlocal nodes
         nodes += 1
-        box = IntervalTensor(image_from_flat(lo, shape), image_from_flat(hi, shape))
-        out = ibp_propagate(net, box)
         return float(margin(out.hi, out.lo, target))
 
     def done(status, witness=None):
@@ -63,7 +69,8 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
             status, witness=witness, nodes=nodes, seconds=time.perf_counter() - start
         )
 
-    root_margin = bound(root_lo, root_hi)
+    root_trace = ibp_trace(net, box(root_lo, root_hi))
+    root_margin = node_margin(root_trace[-1])
     if root_margin < 0:
         return done(VERIFIED)
 
@@ -107,7 +114,9 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
             child_hi = hi.copy()
             child_lo[d] = child_lo_d
             child_hi[d] = child_hi_d
-            m = bound(child_lo, child_hi)
+            m = node_margin(
+                ibp_propagate(net, box(child_lo, child_hi), base=root_trace)
+            )
             if m >= 0:
                 heapq.heappush(heap, (-m, next(tiebreak), child_lo, child_hi))
 

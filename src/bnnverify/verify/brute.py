@@ -13,7 +13,7 @@ from ..errors import EnumerationBudgetError
 from ..network import images_per_batch, margin, network_forward_batch
 from ..vnnlib import check_witness, witness_from_flat
 from .intervals import check_property_shapes
-from .verdict import FALSIFIED, VERIFIED, Verdict
+from .verdict import FALSIFIED, TIMEOUT, VERIFIED, Verdict
 
 __all__ = ["DEFAULT_ENUMERATION_BUDGET", "integer_grid_bounds", "brute_force_verify"]
 
@@ -37,7 +37,7 @@ def integer_grid_bounds(prop):
 
 
 def brute_force_verify(
-    net, prop, budget=DEFAULT_ENUMERATION_BUDGET, batch_size=None
+    net, prop, budget=DEFAULT_ENUMERATION_BUDGET, batch_size=None, timeout=None
 ):
     """Enumerate every integer point of the box in lexicographic order.
 
@@ -45,6 +45,8 @@ def brute_force_verify(
     Boxes larger than ``budget`` points raise EnumerationBudgetError: a
     refusal, deliberately distinct from an Unknown verdict.  Points are
     forwarded ``batch_size`` at a time, by default ``images_per_batch(net)``.
+    ``timeout`` is in wall-clock seconds, checked before each batch: once
+    it has passed the answer is Timeout, with ``nodes`` the points done.
     """
     start = time.perf_counter()
     check_property_shapes(net, prop)
@@ -67,6 +69,9 @@ def brute_force_verify(
 
     t = prop.target_label
     for chunk_start in range(0, total, batch_size):
+        if timeout is not None and time.perf_counter() - start >= timeout:
+            return Verdict(TIMEOUT, nodes=chunk_start,
+                           seconds=time.perf_counter() - start)
         idx = np.arange(chunk_start, min(chunk_start + batch_size, total), dtype=np.int64)
         digits = (idx[:, None] // suffix[None, :]) % counts[None, :]
         points = g_lo[None, :] + digits.astype(np.float64)

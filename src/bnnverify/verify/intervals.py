@@ -20,16 +20,40 @@ contain the float64 forward of every point in the box.  Max-pool,
 batch-norm, sign and flatten are monotone in float64, so they need no
 widening: their bounds are the exact forward (``layer_forward``) of the
 two corners, ordered entrywise.
+
+Bounding relative to a reference trace: ``ibp_propagate(net, box,
+base=trace)`` recomputes only what ``box`` changes against the box
+``trace`` was made from.  Through the image layers it tracks the
+rectangle (rows x cols, all channels) where the layer input differs from
+the reference: a ``QConv`` widens it by its kernel, ``MaxPool`` halves
+it, an image ``BatchNorm`` keeps it.  Each layer runs the same
+:func:`_layer_bounds` on the input slice those outputs read, taken from
+the reference with the changed entries written in, and the rectangle
+then shrinks to where the result differs from the reference output.
+Every output entry depends only on its own window, so on integer boxes
+the bounds are bit-identical to :func:`ibp_trace`.  A slice of an
+on-grid box is on the grid, so no entry is widened that the full trace
+would not widen; off the grid the slice may skip a widening, and its
+bounds are then tighter and still sound.  From ``Flatten`` on, the
+vector layers recompute in full.
 """
 
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeMismatchError
-from ..layers import QConv, QDense, contract, layer_forward, sign_quantize
+from ..layers import (
+    Flatten,
+    MaxPool,
+    QConv,
+    QDense,
+    contract,
+    conv_windows,
+    layer_forward,
+    sign_quantize,
+)
 from ..network import image_from_flat, margin
 from .verdict import UNKNOWN, VERIFIED, Verdict
 
@@ -105,9 +129,9 @@ class IntervalTensor:
 def _fan_in_sum(t, layer):
     """``t @ |W|``, the sum of ``t`` over each output's receptive field."""
     if isinstance(layer, QConv):
-        kernel = (layer.kernel_h, layer.kernel_w)
-        windows = sliding_window_view(t.sum(axis=-1), kernel, axis=(-2, -1))
-        return windows.sum(axis=(-2, -1))[..., None]
+        channels = t.sum(axis=-1, keepdims=True)
+        windows = conv_windows(channels, layer.kernel_h, layer.kernel_w)
+        return windows.sum(axis=(-3, -2))
     return t.sum(axis=-1, keepdims=True)
 
 
@@ -166,23 +190,115 @@ def _layer_bounds(box, layer, layer_index):
     return IntervalTensor._frozen(np.minimum(a, b), np.maximum(a, b))
 
 
-def ibp_trace(net, box):
-    """Boxes before each layer plus the final logit box (len(layers)+1)."""
+def _check_input(net, box):
     if box.shape != net.input_shape:
         raise ShapeMismatchError(
             "box shape does not match network input",
             expected=net.input_shape,
             actual=box.shape,
         )
+
+
+def ibp_trace(net, box):
+    """Boxes before each layer plus the final logit box (len(layers)+1)."""
+    _check_input(net, box)
     trace = [box]
     for i, layer in enumerate(net.layers):
         trace.append(_layer_bounds(trace[-1], layer, i))
     return trace
 
 
-def ibp_propagate(net, box):
-    """Sound logit bounds for every concrete input inside ``box``."""
-    return ibp_trace(net, box)[-1]
+def ibp_propagate(net, box, base=None):
+    """Sound logit bounds for every concrete input inside ``box``.
+
+    ``base``, when given, is the :func:`ibp_trace` of a box of the same
+    shape.  Only the region of each image layer whose inputs differ from
+    ``base``'s is then recomputed (see the module docstring); when the
+    change dies out before ``Flatten`` the result is ``base[-1]``.
+    """
+    if base is None:
+        return ibp_trace(net, box)[-1]
+    _check_input(net, box)
+    if base[0].shape != box.shape:
+        raise ShapeMismatchError(
+            "base trace is of another input shape",
+            expected=box.shape,
+            actual=base[0].shape,
+        )
+    patch = _changed(box.lo, box.hi, base[0], 0, 0)
+    # image layers only up to the Flatten that every Network has
+    for i, layer in enumerate(net.layers):
+        if patch is None:
+            return base[-1]
+        if isinstance(layer, Flatten):
+            break
+        patch = _patch_bounds(base[i], base[i + 1], patch, layer, i)
+    h, w = base[i].shape[:2]
+    box = _written(base[i], slice(0, h), slice(0, w), patch)
+    for j in range(i, len(net.layers)):
+        box = _layer_bounds(box, net.layers[j], j)
+    return box
+
+
+def _changed(lo, hi, ref, r0, c0):
+    """The patch ``(r0, c0, lo, hi)``, image bounds placed at row ``r0`` and
+    column ``c0`` of ``ref``, cropped to the rows and columns where it
+    differs from ``ref``; None when it differs nowhere."""
+    rows = slice(r0, r0 + lo.shape[0])
+    cols = slice(c0, c0 + lo.shape[1])
+    diff = ((lo != ref.lo[rows, cols]) | (hi != ref.hi[rows, cols])).any(axis=-1)
+    r = np.flatnonzero(diff.any(axis=1))
+    if r.size == 0:
+        return None
+    c = np.flatnonzero(diff.any(axis=0))
+    keep = (slice(r[0], r[-1] + 1), slice(c[0], c[-1] + 1))
+    return r0 + r[0], c0 + c[0], lo[keep], hi[keep]
+
+
+def _reach(layer, axis, a0, a1, size):
+    """Along image axis ``axis`` (0 rows, 1 columns) of an input of
+    ``size``: the outputs ``[o0, o1)`` of ``layer`` that read inputs
+    ``[a0, a1)``, empty when o0 >= o1, and the inputs ``[i0, i1)`` that
+    those outputs read."""
+    if isinstance(layer, QConv):
+        k = (layer.kernel_h, layer.kernel_w)[axis]
+        o0, o1 = max(a0 - k + 1, 0), min(a1, size - k + 1)
+        return o0, o1, o0, o1 + k - 1
+    if isinstance(layer, MaxPool):
+        # an odd trailing row or column is dropped, as in the forward
+        o0, o1 = a0 // 2, min(-(-a1 // 2), size // 2)
+        return o0, o1, 2 * o0, 2 * o1
+    return a0, a1, a0, a1  # BatchNorm
+
+
+def _patch_bounds(ref_in, ref_out, patch, layer, layer_index):
+    """Bounds of image ``layer`` on ``ref_in`` with ``patch`` written in,
+    as a patch against the layer's reference output ``ref_out``."""
+    r0, c0, lo, hi = patch
+    (o_r0, o_r1, i_r0, i_r1), (o_c0, o_c1, i_c0, i_c1) = (
+        _reach(layer, axis, a0, a0 + lo.shape[axis], ref_in.shape[axis])
+        for axis, a0 in ((0, r0), (1, c0))
+    )
+    if o_r0 >= o_r1 or o_c0 >= o_c1:
+        return None  # the change sits only in a row or column the pool drops
+    box = _written(ref_in, slice(i_r0, i_r1), slice(i_c0, i_c1), patch)
+    out = _layer_bounds(box, layer, layer_index)
+    return _changed(out.lo, out.hi, ref_out, o_r0, o_c0)
+
+
+def _written(ref, rows, cols, patch):
+    """The box ``ref[rows, cols]`` with ``patch``, which starts inside it,
+    written in; a pool's input slice may end before the patch does."""
+    r0, c0, lo, hi = patch
+    n_r = min(lo.shape[0], rows.stop - r0)
+    n_c = min(lo.shape[1], cols.stop - c0)
+    inside = (slice(r0 - rows.start, r0 - rows.start + n_r),
+              slice(c0 - cols.start, c0 - cols.start + n_c))
+    box_lo = ref.lo[rows, cols].copy()
+    box_hi = ref.hi[rows, cols].copy()
+    box_lo[inside] = lo[:n_r, :n_c]
+    box_hi[inside] = hi[:n_r, :n_c]
+    return IntervalTensor._frozen(box_lo, box_hi)
 
 
 def check_property_shapes(net, prop):

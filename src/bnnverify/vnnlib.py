@@ -30,12 +30,17 @@ def _fmt(value: float) -> str:
 
 
 def _check_bounds(lo, hi, error_cls):
-    """Raise ``error_cls`` naming the first X_i whose bounds are NaN or crossed."""
-    bad = ~(lo <= hi)
+    """Raise ``error_cls`` naming the first X_i whose bounds are NaN,
+    infinite or crossed.  An infinite bound is refused because interval
+    arithmetic on it gives ``inf - inf = NaN``, which a sign then reads as
+    a definite phase."""
+    bad = ~((lo <= hi) & np.isfinite(lo) & np.isfinite(hi))
     if bad.any():
         i = int(np.argmax(bad))
         if np.isnan(lo[i]) or np.isnan(hi[i]):
             raise error_cls(f"NaN bound for X_{i}: [{lo[i]}, {hi[i]}]")
+        if np.isinf(lo[i]) or np.isinf(hi[i]):
+            raise error_cls(f"infinite bound for X_{i}: [{lo[i]}, {hi[i]}]")
         raise error_cls(f"crossed bounds for X_{i}: [{lo[i]}, {hi[i]}]")
 
 

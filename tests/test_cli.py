@@ -109,6 +109,25 @@ class TestVerifyCommand:
         assert out.splitlines()[0] == "timeout"
         assert code == 2
 
+    def test_brute_timeout_exits_2(self, tmp_path):
+        model, prop = write_toy(tmp_path, epsilon=1)
+        code, out = run_cli("verify", model, prop, "--engine", "brute",
+                            "--timeout", "0", "--out", str(tmp_path))
+        assert out.splitlines()[0] == "timeout"
+        assert code == 2
+
+    def test_infinite_bound_exits_65_without_a_verdict(self, tmp_path, capsys):
+        model, prop = write_toy(tmp_path, epsilon=1)
+        text = open(prop).read()
+        old = "(assert (<= X_0 2.00000000))"
+        assert old in text
+        with open(prop, "w") as fh:
+            fh.write(text.replace(old, "(assert (<= X_0 inf))"))
+        code, out = run_cli("verify", model, prop, "--engine", "ibp")
+        assert code == 65
+        assert out == ""
+        assert "infinite bound for X_0" in capsys.readouterr().err
+
     def test_empty_disjunction_exits_65_without_a_verdict(self, tmp_path, capsys):
         model, prop = write_toy(tmp_path, epsilon=1)
         text = open(prop).read()

@@ -10,7 +10,7 @@ from bnnverify.errors import EnumerationBudgetError
 from bnnverify.layers import Flatten, QDense
 from bnnverify.network import Network, network_forward
 from bnnverify.vnnlib import check_witness, make_property
-from bnnverify.verify import bab_verify, brute_force_verify, verify_ibp
+from bnnverify.verify import bab_verify, brute, brute_force_verify, verify_ibp
 
 # Frozen regression vectors.  Both toys have four inputs, so epsilon 1
 # spans 3^4 = 81 grid points; the expected outcomes below were produced by
@@ -156,6 +156,19 @@ class TestBruteForce:
             assert v.status == "falsified"
             assert v.witness.input_values == BRITTLE_FIRST_WITNESS
             assert v.nodes == BRITTLE_WITNESS_ORDINAL
+
+    def test_timeout_stops_between_batches(self, monkeypatch):
+        # a clock that advances one second per reading: the call's start,
+        # then one reading before each batch
+        ticks = itertools.count()
+        monkeypatch.setattr(brute.time, "perf_counter", lambda: float(next(ticks)))
+        net = toy(SAFE_W)
+        prop = toy_prop(SAFE_IMG, SAFE_LABEL, 1)
+        v = brute_force_verify(net, prop, batch_size=10, timeout=2.5)
+        assert v.status == "timeout"
+        assert v.nodes == 20  # two batches ran before the third reading
+        assert brute_force_verify(net, prop, timeout=0).nodes == 0
+        assert brute_force_verify(net, prop, timeout=1e9).status == "verified"
 
 
 class TestBranchAndBound:

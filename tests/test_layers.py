@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from bnnverify.arch import (
     build_arch_a,
@@ -14,6 +15,7 @@ from bnnverify.layers import (
     MaxPool,
     QConv,
     QDense,
+    conv_windows,
     layer_forward,
     output_shape,
     sign_quantize,
@@ -113,6 +115,27 @@ class TestQConv:
         np.testing.assert_array_equal(out, np.round(out))
         # parity of the sum equals parity of the fan-in
         assert np.all((out - fan_in) % 2 == 0)
+
+
+class TestConvWindows:
+    @pytest.mark.parametrize("shape, kh, kw", [
+        ((5, 7, 3), 2, 3),  # odd H and W
+        ((4, 4, 2), 1, 1),  # kernel 1
+        ((2, 3, 6, 5, 4), 3, 2),  # two leading batch dims
+        ((3, 3, 1), 3, 3),  # one window
+    ])
+    def test_equals_sliding_window_view(self, shape, kh, kw):
+        t = np.random.default_rng(0).normal(size=shape)
+        for src in (t, t[..., ::-1]):  # contiguous and negatively strided
+            got = conv_windows(src, kh, kw)
+            want = np.moveaxis(sliding_window_view(src, (kh, kw), axis=(-3, -2)), -3, -1)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+
+    def test_window_larger_than_input_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            conv_windows(np.zeros((2, 5, 1)), 3, 1)
 
 
 class TestBinaryWeights:

@@ -252,6 +252,37 @@ class TestParse:
         with pytest.raises(PropertyFormatError, match="NaN bound for X_0"):
             parse_property(text.replace(old, bound))
 
+    @pytest.mark.parametrize("bound", ["(<= X_0 inf)", "(>= X_0 -inf)",
+                                       "(<= X_0 Infinity)", "(>= X_0 -1e999)"])
+    def test_infinite_bound_rejected(self, bound):
+        text = generate_property(np.zeros((1, 2, 1)), 1, 0, num_outputs=2)
+        written = {"<=": "(<= X_0 1.00000000)", ">=": "(>= X_0 -1.00000000)"}
+        old = written[bound[1:3]]
+        assert old in text
+        with pytest.raises(PropertyFormatError, match="infinite bound for X_0"):
+            parse_property(text.replace(old, bound))
+
+    @pytest.mark.parametrize("seed", [31, 37, 43])
+    def test_infinite_bound_cannot_reach_an_engine(self, seed):
+        # On these tiny networks, whose first layer sees raw pixels, an
+        # upper bound of inf on X_0 made IBP compute inf - inf = NaN, which
+        # the next sign read as a definite phase: ibp and bab answered
+        # unsat although X_0 = 1000 is a checked counterexample.
+        net = random_tiny_network(np.random.default_rng(seed))
+        image = np.random.default_rng(seed).integers(0, 9, size=net.input_shape)
+        label = int(np.argmax(network_forward(net, image.astype(float))))
+        text = generate_property(image, 1, label, num_outputs=net.num_classes)
+        old = f"(assert (<= X_0 {image.flat[0] + 1:.8f}))"
+        assert old in text
+        with pytest.raises(PropertyFormatError, match="infinite bound for X_0"):
+            parse_property(text.replace(old, "(assert (<= X_0 inf))"))
+        lo = image.reshape(-1) - 1.0
+        hi = image.reshape(-1) + 1.0
+        hi[0] = np.inf
+        with pytest.raises(ValueError, match="infinite bound for X_0"):
+            RobustnessProperty(net.num_inputs, net.num_classes,
+                               np.column_stack((lo, hi)), label)
+
     def test_duplicate_declaration_named(self):
         img = np.zeros((1, 2, 1))
         text = generate_property(img, 1, 0, num_outputs=2)
