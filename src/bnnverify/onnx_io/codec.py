@@ -763,6 +763,8 @@ def network_from_records(model: ModelRecord) -> Network:
                     raise UnsupportedOpError("Gemm with alpha != 1")
                 if _attr_int(node, "transA", 0) != 0:
                     raise UnsupportedOpError("Gemm with transA")
+                if _attr_int(node, "transB", 0) not in (0, 1):
+                    raise UnsupportedOpError("Gemm with transB not 0 or 1")
                 if len(node.inputs) == 3 and node.inputs[2]:
                     beta = _attr_float(node, "beta", 1.0)
                     bias = _initializer(graph, node, node.inputs[2])

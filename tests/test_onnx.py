@@ -622,3 +622,227 @@ class TestRejections:
                 parse_model(data)
             except BnnVerifyError:
                 pass
+
+
+# ---------------------------------------------------------------------------
+# every per-node check, one node variant at a time
+
+ABSENT = "absent"  # attribute value: leave the chain's own attribute out
+
+# Named initializers every node-variant model carries; unused ones are
+# ignored by the parser.
+NODE_TENSORS = {
+    "w": np.ones((2, 1, 2, 2)),       # Conv weight, (out, in, kh, kw)
+    "b": np.zeros(2),                 # zero Conv bias
+    "nb": np.array([0.0, 1.0]),       # non-zero Conv bias
+    "g": np.ones(1), "bb": np.zeros(1), "m": np.zeros(1), "v": np.ones(1),
+    "d4": np.ones((4, 3)),
+    "d16": np.ones((16, 3)),
+    "d16t": np.ones((3, 16)),         # Gemm weight for transB=1
+    "d18": np.ones((18, 3)),
+    "gb": np.zeros(3),                # zero Gemm bias
+    "ngb": np.array([0.0, 0.0, 1.0]), # non-zero Gemm bias
+    "fshape": np.array([1.0, -1.0]),  # Reshape shape of the wrong type
+}
+NODE_SHAPES = {"shape": [1, -1], "shape2": [-1, -1]}
+
+# Attributes each op gets wherever it appears in a chain.
+NODE_BASE_ATTRS = {"MaxPool": {"kernel_shape": [2, 2], "strides": [2, 2]}}
+
+# The shortest chains on a (1, 1, 4, 4) input that end in a dense layer.
+# Each entry is "op input...", and the starred node is the one under test.
+# Node i writes t<i>; the last node writes "out".
+NODE_CHAINS = {
+    "Conv": ("Conv* input w", "Flatten t0", "MatMul t1 d18"),
+    "MaxPool": ("MaxPool* input", "Flatten t0", "MatMul t1 d4"),
+    "BatchNormalization": ("BatchNormalization* input g bb m v",
+                           "Flatten t0", "MatMul t1 d16"),
+    "Flatten": ("Flatten* input", "MatMul t0 d16"),
+    "Reshape": ("Reshape* input shape", "MatMul t0 d16"),
+    "MatMul": ("Flatten input", "MatMul* t0 d16"),
+    "Gemm": ("Flatten input", "Gemm* t0 d16"),
+    "Sign": ("Sign* input", "Flatten t0", "MatMul t1 d16"),
+    "Sign-Conv": ("Sign* input", "Conv t0 w", "Flatten t1", "MatMul t2 d18"),
+    "Sign-MaxPool": ("Sign* input", "MaxPool t0", "Flatten t1",
+                     "MatMul t2 d4"),
+    "Sign-BatchNormalization": ("Sign* input",
+                                "BatchNormalization t0 g bb m v",
+                                "Flatten t1", "MatMul t2 d16"),
+    "Sign-Sign": ("Sign* input", "Sign t0", "Flatten t1", "MatMul t2 d16"),
+    "trailing-Sign": ("Flatten input", "MatMul t0 d16", "Sign* t1"),
+    "Relu": ("Relu* input", "Flatten t0", "MatMul t1 d16"),
+}
+
+
+def attr_bytes(name, value):
+    """One attribute typed from the Python value; None writes the name
+    alone, as proto3 does for a zero or empty value."""
+    if value is None:
+        return wire.field_string(1, name)
+    if isinstance(value, str):
+        return (wire.field_string(1, name) + wire.field_string(4, value)
+                + wire.field_varint(20, codec.ATTR_STRING))
+    if isinstance(value, float):
+        return codec._attr_float_bytes(name, value)
+    if isinstance(value, list):
+        return codec._attr_ints_bytes(name, value)
+    return codec._attr_int_bytes(name, value)
+
+
+def node_variant_model(chain, attrs, inputs):
+    nodes = []
+    specs = NODE_CHAINS[chain]
+    for i, spec in enumerate(specs):
+        op, *ins = spec.split()
+        node_attrs = dict(NODE_BASE_ATTRS.get(op.rstrip("*"), {}))
+        if op.endswith("*"):
+            op = op[:-1]
+            node_attrs.update(attrs)
+            ins = ins if inputs is None else inputs
+        out = "out" if i == len(specs) - 1 else f"t{i}"
+        nodes.append(codec._node_bytes(
+            op, f"n{i}", ins, [out],
+            attrs=[attr_bytes(k, v) for k, v in node_attrs.items()
+                   if v != ABSENT]))
+    graph = b"".join(wire.field_len(1, n) for n in nodes)
+    graph += wire.field_string(2, "g")
+    for name, array in NODE_TENSORS.items():
+        graph += wire.field_len(5, codec._float_tensor_bytes(name, array))
+    for name, values in NODE_SHAPES.items():
+        graph += wire.field_len(5, int64_tensor_bytes(name, values))
+    graph += wire.field_len(11, codec._value_info_bytes("input", (1, 1, 4, 4)))
+    graph += wire.field_len(12, codec._value_info_bytes("out", (1, 3)))
+    return build_model_bytes(graph)
+
+
+def node_case(chain, expected, inputs=None, **attrs):
+    parts = [f"{k}={v}" for k, v in attrs.items()]
+    if inputs is not None:
+        parts.append(f"{len(inputs)}-inputs")
+    return pytest.param(chain, attrs, inputs, expected,
+                        id="-".join([chain] + parts))
+
+
+U, I, F = UnsupportedOpError, InvalidModelError, ModelFormatError
+CONV_OK = "QConv Flatten QDense"
+POOL_OK = "MaxPool Flatten QDense"
+BN_OK = "BatchNorm Flatten QDense"
+DENSE_OK = "Flatten QDense"
+
+NODE_CASES = [
+    node_case("Conv", CONV_OK),
+    node_case("Conv", CONV_OK, group=1),
+    node_case("Conv", U, group=2),
+    node_case("Conv", U, group=None),
+    node_case("Conv", CONV_OK, dilations=[1, 1]),
+    node_case("Conv", U, dilations=[2, 2]),
+    node_case("Conv", CONV_OK, strides=[1, 1]),
+    node_case("Conv", U, strides=[2, 2]),
+    node_case("Conv", CONV_OK, pads=[0, 0, 0, 0]),
+    node_case("Conv", U, pads=[1, 1, 1, 1]),
+    node_case("Conv", F, pads=None),
+    node_case("Conv", CONV_OK, auto_pad="NOTSET"),
+    node_case("Conv", CONV_OK, auto_pad="VALID"),
+    node_case("Conv", CONV_OK, auto_pad=None),
+    node_case("Conv", U, auto_pad="SAME_UPPER"),
+    node_case("Conv", CONV_OK, kernel_shape=[2, 2]),
+    node_case("Conv", I, kernel_shape=[3, 3]),
+    node_case("Conv", U, foo=1),
+    node_case("Conv", I, inputs=["input"]),
+    node_case("Conv", CONV_OK, inputs=["input", "w", "b"]),
+    node_case("Conv", U, inputs=["input", "w", "nb"]),
+    node_case("Conv", I, inputs=["input", "w", "b", "b"]),
+    node_case("MaxPool", POOL_OK),
+    node_case("MaxPool", POOL_OK, ceil_mode=0),
+    node_case("MaxPool", POOL_OK, ceil_mode=None),
+    node_case("MaxPool", U, ceil_mode=1),
+    node_case("MaxPool", POOL_OK, storage_order=0),
+    node_case("MaxPool", U, storage_order=1),
+    node_case("MaxPool", POOL_OK, dilations=[1, 1]),
+    node_case("MaxPool", U, dilations=[2, 2]),
+    node_case("MaxPool", POOL_OK, pads=[0, 0, 0, 0]),
+    node_case("MaxPool", U, pads=[1, 1, 1, 1]),
+    node_case("MaxPool", POOL_OK, auto_pad="NOTSET"),
+    node_case("MaxPool", U, auto_pad="SAME_LOWER"),
+    node_case("MaxPool", I, kernel_shape=ABSENT),
+    node_case("MaxPool", U, kernel_shape=[3, 3], strides=[3, 3]),
+    node_case("MaxPool", U, strides=ABSENT),
+    node_case("MaxPool", U, foo=1),
+    node_case("MaxPool", I, inputs=[]),
+    node_case("MaxPool", I, inputs=["input", "w"]),
+    node_case("BatchNormalization", BN_OK),
+    node_case("BatchNormalization", BN_OK, training_mode=0),
+    node_case("BatchNormalization", BN_OK, training_mode=None),
+    node_case("BatchNormalization", U, training_mode=1),
+    node_case("BatchNormalization", BN_OK, spatial=1),
+    node_case("BatchNormalization", U, spatial=0),
+    node_case("BatchNormalization", BN_OK, epsilon=0.001),
+    node_case("BatchNormalization", F, epsilon=None),
+    node_case("BatchNormalization", BN_OK, momentum=0.5),
+    node_case("BatchNormalization", U, foo=1),
+    node_case("BatchNormalization", I, inputs=["input", "g", "bb", "m"]),
+    node_case("BatchNormalization", I,
+              inputs=["input", "g", "bb", "m", "v", "v"]),
+    node_case("Flatten", DENSE_OK),
+    node_case("Flatten", DENSE_OK, axis=0),
+    node_case("Flatten", DENSE_OK, axis=None),
+    node_case("Flatten", DENSE_OK, axis=1),
+    node_case("Flatten", U, axis=2),
+    node_case("Flatten", U, axis=-1),
+    node_case("Flatten", U, foo=1),
+    node_case("Flatten", I, inputs=[]),
+    node_case("Flatten", I, inputs=["input", "shape"]),
+    node_case("Reshape", DENSE_OK),
+    node_case("Reshape", DENSE_OK, allowzero=0),
+    node_case("Reshape", U, allowzero=1),
+    node_case("Reshape", I, inputs=["input", "fshape"]),
+    node_case("Reshape", I, inputs=["input", "shape2"]),
+    node_case("Reshape", U, foo=1),
+    node_case("Reshape", I, inputs=["input"]),
+    node_case("Reshape", I, inputs=["input", "shape", "shape"]),
+    node_case("MatMul", DENSE_OK),
+    node_case("MatMul", U, foo=1),
+    node_case("MatMul", I, inputs=["t0"]),
+    node_case("MatMul", I, inputs=["t0", "d16", "gb"]),
+    node_case("Gemm", DENSE_OK),
+    node_case("Gemm", DENSE_OK, alpha=1.0),
+    node_case("Gemm", U, alpha=2.0),
+    node_case("Gemm", U, alpha=None),
+    node_case("Gemm", DENSE_OK, transA=0),
+    node_case("Gemm", U, transA=1),
+    node_case("Gemm", DENSE_OK, transB=0),
+    node_case("Gemm", DENSE_OK, transB=None),
+    node_case("Gemm", DENSE_OK, transB=1, inputs=["t0", "d16t"]),
+    node_case("Gemm", U, transB=2),
+    node_case("Gemm", DENSE_OK, inputs=["t0", "d16", "gb"]),
+    node_case("Gemm", DENSE_OK, beta=0.0, inputs=["t0", "d16", "ngb"]),
+    node_case("Gemm", U, beta=1.0, inputs=["t0", "d16", "ngb"]),
+    node_case("Gemm", U, foo=1),
+    node_case("Gemm", I, inputs=["t0"]),
+    node_case("Gemm", I, inputs=["t0", "d16", "gb", "gb"]),
+    node_case("Sign", "Flatten QDense+sign"),
+    node_case("Sign", U, foo=1),
+    node_case("Sign", I, inputs=[]),
+    node_case("Sign", I, inputs=["input", "w"]),
+    node_case("Sign-Conv", "QConv+sign Flatten QDense"),
+    node_case("Sign-MaxPool", U),
+    node_case("Sign-BatchNormalization", U),
+    node_case("Sign-Sign", U),
+    node_case("trailing-Sign", U),
+    node_case("Relu", U),
+]
+
+
+@pytest.mark.parametrize("chain,attrs,inputs,expected", NODE_CASES)
+def test_node_check(chain, attrs, inputs, expected):
+    data = node_variant_model(chain, attrs, inputs)
+    if isinstance(expected, str):
+        net = parse_model(data)
+        kinds = [type(layer).__name__
+                 + ("+sign" if getattr(layer, "quantize_input", False) else "")
+                 for layer in net.layers]
+        assert " ".join(kinds) == expected
+    else:
+        with pytest.raises(BnnVerifyError) as info:
+            parse_model(data)
+        assert type(info.value) is expected, info.value
