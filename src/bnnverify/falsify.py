@@ -82,12 +82,6 @@ def random_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
     return None
 
 
-def _extremes(lo, hi, d, integer_grid):
-    if integer_grid:
-        return (float(np.ceil(lo[d])), float(np.floor(hi[d])))
-    return (float(lo[d]), float(hi[d]))
-
-
 def greedy_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfig(),
                   deadline=None):
     """Coordinate descent on the runner-up margin, start at the box centre.
@@ -102,8 +96,8 @@ def greedy_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
     t = prop.target_label
     x = (lo + hi) * 0.5
     if cfg.integer_grid:
-        g_lo, g_hi = integer_grid_bounds(prop)
-        x = np.clip(np.floor(x + 0.5), g_lo, g_hi)  # snap centre to the grid
+        lo, hi = integer_grid_bounds(prop)  # moves go to the grid's extremes
+        x = np.clip(np.floor(x + 0.5), lo, hi)  # snap centre to the grid
 
     logits = network_forward(net, x.reshape(net.input_shape))
     current = float(margin(logits, logits, t))
@@ -116,7 +110,7 @@ def greedy_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
         for d in range(n):
             if deadline is not None and time.monotonic() >= deadline:
                 return None
-            cands = [v for v in _extremes(lo, hi, d, cfg.integer_grid) if v != x[d]]
+            cands = [v for v in (lo[d], hi[d]) if v != x[d]]
             if not cands:
                 continue
             trial = np.repeat(x[None, :], len(cands), axis=0)

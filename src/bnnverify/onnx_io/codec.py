@@ -15,9 +15,11 @@ checks the activation shape.  The codec checks a shape itself only where
 its own indexing needs it: batch-norm vector lengths, and the dense input
 length before the flatten row permutation.
 
-Exactly one operator-set version is accepted; anything else is rejected
-with a structured error rather than guessed at.  See docs/onnx-subset.md
-for the wire-level field map.
+``OPERATORS`` states the accepted operators, with their input counts and
+attributes, and every node is checked against it.  Exactly one
+operator-set version is accepted; anything else is rejected with a
+structured error rather than guessed at.  See docs/onnx-subset.md for
+the wire-level field map.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from ..errors import (
     UnsupportedOpError,
 )
 from ..layers import (
-    DEFAULT_BN_EPS,
     BatchNorm,
     Flatten,
     MaxPool,
@@ -78,9 +79,6 @@ class NodeRecord:
     inputs: tuple = ()
     outputs: tuple = ()
     attrs: dict = field(default_factory=dict)
-
-    def attr(self, name):
-        return self.attrs.get(name)
 
 
 @dataclass
@@ -314,43 +312,34 @@ def _parse_dim(data, start, end):
     return value
 
 
-def _parse_value_info(data, start, end):
-    name = ""
-    dims = None
+def _len_windows(data, start, end, number):
+    """The (start, end) windows of every length-delimited field ``number``."""
+    windows = []
     reader = WireReader(data, start, end)
     while not reader.at_end():
         fnum, wtype = reader.read_tag()
-        if fnum == 1 and wtype == wire.WIRE_LEN:
-            name = reader.read_string()
-        elif fnum == 2 and wtype == wire.WIRE_LEN:
-            type_reader = WireReader(data, *reader.read_len_window())
-            while not type_reader.at_end():
-                tnum, twt = type_reader.read_tag()
-                if tnum == 1 and twt == wire.WIRE_LEN:  # tensor_type
-                    tensor_reader = WireReader(data, *type_reader.read_len_window())
-                    while not tensor_reader.at_end():
-                        snum, swt = tensor_reader.read_tag()
-                        if snum == 2 and swt == wire.WIRE_LEN:  # shape
-                            dims = []
-                            shape_reader = WireReader(
-                                data, *tensor_reader.read_len_window()
-                            )
-                            while not shape_reader.at_end():
-                                dnum, dwt = shape_reader.read_tag()
-                                if dnum == 1 and dwt == wire.WIRE_LEN:
-                                    dims.append(
-                                        _parse_dim(
-                                            data, *shape_reader.read_len_window()
-                                        )
-                                    )
-                                else:
-                                    shape_reader.skip(dwt)
-                        else:
-                            tensor_reader.skip(swt)
-                else:
-                    type_reader.skip(twt)
+        if fnum == number and wtype == wire.WIRE_LEN:
+            windows.append(reader.read_len_window())
         else:
             reader.skip(wtype)
+    return windows
+
+
+def _parse_value_info(data, start, end):
+    name = ""
+    for s, e in _len_windows(data, start, end, 1):
+        try:
+            name = data[s:e].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelFormatError(
+                "value name is not valid UTF-8", byte_offset=s
+            ) from None
+    dims = None
+    for type_window in _len_windows(data, start, end, 2):
+        for tensor_window in _len_windows(data, *type_window, 1):  # tensor_type
+            for shape_window in _len_windows(data, *tensor_window, 2):  # shape
+                dims = [_parse_dim(data, *window)
+                        for window in _len_windows(data, *shape_window, 1)]
     return ValueInfoRecord(name=name, dims=None if dims is None else tuple(dims))
 
 
@@ -438,52 +427,89 @@ def decode_model(data: bytes) -> ModelRecord:
 # records -> Network
 
 
-def _attr_ints(node, name, default=None):
-    attr = node.attr(name)
-    if attr is None:
-        return default
-    if attr.ints is None:
-        raise ModelFormatError(
-            f"attribute '{name}' of node '{node.name}' carries no int list"
+# The operator subset, stated once.  Each op maps to its fewest and most
+# inputs and to its attributes; each attribute maps to its default (None:
+# required) and its accepted values (None: any).  An attribute's kind is
+# its default's type: int, float, str or a list of ints.  The one required
+# attribute, MaxPool's kernel_shape, is a list of ints.
+_PADDING_OFF = ("", "NOTSET", "VALID")
+OPERATORS = {
+    "Sign": (1, 1, {}),
+    "Conv": (2, 3, {
+        "auto_pad": ("NOTSET", _PADDING_OFF),
+        "dilations": ([1, 1], ([1, 1],)),
+        "group": (1, (1,)),
+        "kernel_shape": ([], None),  # [] means: the weight's kernel dims
+        "pads": ([0, 0, 0, 0], ([0, 0, 0, 0],)),
+        "strides": ([1, 1], ([1, 1],)),
+    }),
+    "MaxPool": (1, 1, {
+        "auto_pad": ("NOTSET", _PADDING_OFF),
+        "ceil_mode": (0, (0,)),
+        "dilations": ([1, 1], ([1, 1],)),
+        "kernel_shape": (None, None),
+        "pads": ([0, 0, 0, 0], ([0, 0, 0, 0],)),
+        "storage_order": (0, (0,)),
+        "strides": ([1, 1], None),
+    }),
+    "BatchNormalization": (5, 5, {
+        "epsilon": (float(np.float32(1e-5)), None),
+        "momentum": (0.9, None),
+        "spatial": (1, (1,)),
+        "training_mode": (0, (0,)),
+    }),
+    "Flatten": (1, 1, {"axis": (1, (0, 1))}),
+    "Reshape": (2, 2, {"allowzero": (0, (0,))}),
+    "MatMul": (2, 2, {}),
+    "Gemm": (2, 3, {
+        "alpha": (1.0, (1.0,)),
+        "beta": (1.0, None),
+        "transA": (0, (0,)),
+        "transB": (0, (0, 1)),
+    }),
+}
+
+
+def _node_attrs(node):
+    """Check ``node`` against ``OPERATORS``; return every attribute of its
+    op, typed, with the defaults filled in."""
+    if node.op_type not in OPERATORS:
+        raise UnsupportedOpError(node.op_type)
+    low, high, table = OPERATORS[node.op_type]
+    if not low <= len(node.inputs) <= high:
+        raise InvalidModelError(
+            f"{node.op_type} node '{node.name}' has {len(node.inputs)} "
+            f"inputs, expected {low}..{high}"
         )
-    return list(attr.ints)
-
-
-def _attr_int(node, name, default=None):
-    attr = node.attr(name)
-    if attr is None:
-        return default
-    # proto3 omits zero scalars on the wire, so a present-but-empty
-    # attribute means the value 0
-    return attr.i if attr.i is not None else 0
-
-
-def _attr_float(node, name, default=None):
-    attr = node.attr(name)
-    if attr is None:
-        return default
-    return attr.f if attr.f is not None else 0.0
-
-
-def _attr_string(node, name, default=""):
-    attr = node.attr(name)
-    if attr is None:
-        return default
-    return attr.s if attr.s is not None else ""
-
-
-def _reject_unknown_attrs(node, known):
     for name in node.attrs:
-        if name not in known:
-            raise UnsupportedOpError(
-                f"{node.op_type} with attribute '{name}'"
-            )
-
-
-def _require_auto_pad_off(node):
-    pad = _attr_string(node, "auto_pad", "NOTSET")
-    if pad not in ("", "NOTSET", "VALID"):
-        raise UnsupportedOpError(f"{node.op_type} with auto_pad={pad}")
+        if name not in table:
+            raise UnsupportedOpError(f"{node.op_type} with attribute '{name}'")
+    values = {}
+    for name, (default, accepted) in table.items():
+        attr = node.attrs.get(name)
+        if attr is None:
+            if default is None:
+                raise InvalidModelError(
+                    f"{node.op_type} node '{node.name}' is missing {name}"
+                )
+            value = default
+        elif default is None or isinstance(default, list):
+            if attr.ints is None:
+                raise ModelFormatError(
+                    f"attribute '{name}' of node '{node.name}' carries no "
+                    "int list"
+                )
+            value = list(attr.ints)
+        else:
+            kind = type(default)
+            value = {int: attr.i, float: attr.f, str: attr.s}[kind]
+            # proto3 omits zero scalars on the wire, so a present-but-empty
+            # attribute means 0, 0.0 or ""
+            value = kind() if value is None else value
+        if accepted is not None and value not in accepted:
+            raise UnsupportedOpError(f"{node.op_type} with {name}={value}")
+        values[name] = value
+    return values
 
 
 def _initializer(graph, node, tensor_name):
@@ -503,6 +529,15 @@ def _weight(graph, node, rank):
             "float tensor"
         )
     return tensor
+
+
+def _nonzero_bias(graph, node):
+    """Whether the optional third input names a bias that is not all
+    float zeros."""
+    if len(node.inputs) < 3 or not node.inputs[2]:
+        return False
+    bias = _initializer(graph, node, node.inputs[2])
+    return bias.kind != "float" or bool(np.any(bias.data != 0.0))
 
 
 def _binary_layer(cls, weight, **fields):
@@ -600,13 +635,6 @@ def network_from_records(model: ModelRecord) -> Network:
     current = entry.name
     visited = 0
 
-    def expect_inputs(node, low, high):
-        if not low <= len(node.inputs) <= high:
-            raise InvalidModelError(
-                f"{node.op_type} node '{node.name}' has {len(node.inputs)} "
-                f"inputs, expected {low}..{high}"
-            )
-
     while current != exit_name:
         node = consumers.get(current)
         if node is None:
@@ -617,40 +645,25 @@ def network_from_records(model: ModelRecord) -> Network:
         if visited > len(graph.nodes):
             raise InvalidModelError("graph chain loops back on itself")
         op = node.op_type
+        attrs = _node_attrs(node)
         layer = None
 
         if op == "Sign":
-            expect_inputs(node, 1, 1)
-            _reject_unknown_attrs(node, ())
             if pending_sign:
                 raise UnsupportedOpError("consecutive Sign nodes")
             pending_sign = True
 
         elif op == "Conv":
-            expect_inputs(node, 2, 3)
-            _reject_unknown_attrs(node, ("auto_pad", "dilations", "group",
-                                         "kernel_shape", "pads", "strides"))
-            _require_auto_pad_off(node)
-            if _attr_int(node, "group", 1) != 1:
-                raise UnsupportedOpError("Conv with group != 1")
-            if any(d != 1 for d in _attr_ints(node, "dilations", [1, 1])):
-                raise UnsupportedOpError("Conv with dilation")
-            if any(s != 1 for s in _attr_ints(node, "strides", [1, 1])):
-                raise UnsupportedOpError("Conv with stride != 1")
-            if any(p != 0 for p in _attr_ints(node, "pads", [0, 0, 0, 0])):
-                raise UnsupportedOpError("Conv with padding")
             weight = _weight(graph, node, 4)
             out_ch, _, kh, kw = weight.dims
-            ks = _attr_ints(node, "kernel_shape", [kh, kw])
-            if list(ks) != [kh, kw]:
+            ks = attrs["kernel_shape"]
+            if ks not in ([], [kh, kw]):
                 raise InvalidModelError(
                     f"kernel_shape {ks} disagrees with weight dims "
                     f"{[kh, kw]} on node '{node.name}'"
                 )
-            if len(node.inputs) == 3 and node.inputs[2]:
-                bias = _initializer(graph, node, node.inputs[2])
-                if bias.kind != "float" or np.any(bias.data != 0.0):
-                    raise UnsupportedOpError("Conv with non-zero bias")
+            if _nonzero_bias(graph, node):
+                raise UnsupportedOpError("Conv with non-zero bias")
             layer = _binary_layer(
                 QConv, weight, out_channels=out_ch, kernel_h=kh, kernel_w=kw,
                 weights=weight.data.transpose(2, 3, 1, 0),  # (kh, kw, in, out)
@@ -658,27 +671,9 @@ def network_from_records(model: ModelRecord) -> Network:
             pending_sign = False
 
         elif op == "MaxPool":
-            expect_inputs(node, 1, 1)
-            _reject_unknown_attrs(node, ("auto_pad", "ceil_mode", "dilations",
-                                         "kernel_shape", "pads", "strides",
-                                         "storage_order"))
-            _require_auto_pad_off(node)
             if pending_sign:
                 raise UnsupportedOpError("Sign feeding MaxPool")
-            if _attr_int(node, "ceil_mode", 0) != 0:
-                raise UnsupportedOpError("MaxPool with ceil_mode")
-            if _attr_int(node, "storage_order", 0) != 0:
-                raise UnsupportedOpError("MaxPool with storage_order")
-            if any(d != 1 for d in _attr_ints(node, "dilations", [1, 1])):
-                raise UnsupportedOpError("MaxPool with dilation")
-            if any(p != 0 for p in _attr_ints(node, "pads", [0, 0, 0, 0])):
-                raise UnsupportedOpError("MaxPool with padding")
-            ks = _attr_ints(node, "kernel_shape", None)
-            if ks is None:
-                raise InvalidModelError(
-                    f"MaxPool node '{node.name}' is missing kernel_shape"
-                )
-            strides = _attr_ints(node, "strides", [1, 1])
+            ks, strides = attrs["kernel_shape"], attrs["strides"]
             if ks != [2, 2] or strides != [2, 2]:
                 raise UnsupportedOpError(
                     f"MaxPool with kernel {ks} and stride {strides}; only "
@@ -687,24 +682,12 @@ def network_from_records(model: ModelRecord) -> Network:
             layer = MaxPool()
 
         elif op == "BatchNormalization":
-            expect_inputs(node, 5, 5)
-            _reject_unknown_attrs(node, ("epsilon", "momentum", "spatial",
-                                         "training_mode"))
             if pending_sign:
                 raise UnsupportedOpError("Sign feeding BatchNormalization")
-            if _attr_int(node, "training_mode", 0) != 0:
-                raise UnsupportedOpError("BatchNormalization in training mode")
-            if _attr_int(node, "spatial", 1) != 1:
-                raise UnsupportedOpError("BatchNormalization with spatial=0")
-            eps_attr = node.attr("epsilon")
-            if eps_attr is None:
-                epsilon = float(np.float32(1e-5))
-            elif eps_attr.f is None:
+            if "epsilon" in node.attrs and node.attrs["epsilon"].f is None:
                 raise ModelFormatError(
                     f"epsilon of node '{node.name}' carries no float value"
                 )
-            else:
-                epsilon = eps_attr.f
             channels = shape[-1]
             gamma = _bn_vector(graph, node, node.inputs[1], channels, "scale")
             beta = _bn_vector(graph, node, node.inputs[2], channels, "shift")
@@ -714,24 +697,13 @@ def network_from_records(model: ModelRecord) -> Network:
                 gamma, beta = gamma[perm], beta[perm]
                 mean, var = mean[perm], var[perm]
             layer = BatchNorm(gamma=gamma, beta=beta, moving_mean=mean,
-                              moving_variance=var, eps=epsilon)
+                              moving_variance=var, eps=attrs["epsilon"])
 
         elif op in ("Flatten", "Reshape"):
             if len(shape) != 3:
                 raise InvalidModelError(f"{op} applied to a flattened tensor")
             h, w, c = shape
-            if op == "Flatten":
-                expect_inputs(node, 1, 1)
-                _reject_unknown_attrs(node, ("axis",))
-                if _attr_int(node, "axis", 1) not in (0, 1):
-                    raise UnsupportedOpError(
-                        f"Flatten with axis={_attr_int(node, 'axis')}"
-                    )
-            else:
-                expect_inputs(node, 2, 2)
-                _reject_unknown_attrs(node, ("allowzero",))
-                if _attr_int(node, "allowzero", 0) != 0:
-                    raise UnsupportedOpError("Reshape with allowzero")
+            if op == "Reshape":
                 shape_tensor = _initializer(graph, node, node.inputs[1])
                 if shape_tensor.kind != "int64" or len(shape_tensor.dims) != 1:
                     raise InvalidModelError(
@@ -751,30 +723,11 @@ def network_from_records(model: ModelRecord) -> Network:
             perm = _flatten_permutation(h, w, c)
             # a pending Sign commutes with reshaping; leave it pending
 
-        elif op in ("MatMul", "Gemm"):
-            if op == "MatMul":
-                expect_inputs(node, 2, 2)
-                _reject_unknown_attrs(node, ())
-            else:
-                expect_inputs(node, 2, 3)
-                _reject_unknown_attrs(node, ("alpha", "beta", "transA",
-                                             "transB"))
-                if _attr_float(node, "alpha", 1.0) != 1.0:
-                    raise UnsupportedOpError("Gemm with alpha != 1")
-                if _attr_int(node, "transA", 0) != 0:
-                    raise UnsupportedOpError("Gemm with transA")
-                if _attr_int(node, "transB", 0) not in (0, 1):
-                    raise UnsupportedOpError("Gemm with transB not 0 or 1")
-                if len(node.inputs) == 3 and node.inputs[2]:
-                    beta = _attr_float(node, "beta", 1.0)
-                    bias = _initializer(graph, node, node.inputs[2])
-                    if beta != 0.0 and (bias.kind != "float"
-                                        or np.any(bias.data != 0.0)):
-                        raise UnsupportedOpError("Gemm with non-zero bias")
+        else:  # MatMul, or Gemm: the only op here with a bias and transB
+            if _nonzero_bias(graph, node) and attrs["beta"] != 0.0:
+                raise UnsupportedOpError("Gemm with non-zero bias")
             weight = _weight(graph, node, 2)
-            matrix = weight.data
-            if op == "Gemm" and _attr_int(node, "transB", 0) == 1:
-                matrix = matrix.T
+            matrix = weight.data.T if attrs.get("transB") else weight.data
             k, m = matrix.shape
             if shape != (k,):
                 raise InvalidModelError(
@@ -787,9 +740,6 @@ def network_from_records(model: ModelRecord) -> Network:
             layer = _binary_layer(QDense, weight, out_features=m,
                                   weights=matrix, quantize_input=pending_sign)
             pending_sign = False
-
-        else:
-            raise UnsupportedOpError(op)
 
         if layer is not None:
             layers.append(layer)

@@ -64,7 +64,7 @@ class RobustnessProperty:
 
     def __init__(self, num_inputs, num_outputs, input_bounds, target_label,
                  source=None):
-        pairs = np.array(input_bounds, dtype=np.float64)
+        pairs = np.asarray(input_bounds, dtype=np.float64)
         if len(pairs) != num_inputs:
             raise ValueError(
                 f"expected {num_inputs} bound pairs, got {len(pairs)}")
@@ -374,13 +374,17 @@ def parse_property(text: str) -> RobustnessProperty:
     upper = np.frombuffer("".join(sides).encode(), dtype=np.uint8) == ord("<")
     lo = _bound_vector(idx[~upper], values[~upper], num_inputs, "lower")
     hi = _bound_vector(idx[upper], values[upper], num_inputs, "upper")
-    _check_bounds(lo, hi, PropertyFormatError)
-    return RobustnessProperty(
-        num_inputs=num_inputs,
-        num_outputs=num_outputs,
-        input_bounds=np.column_stack((lo, hi)),
-        target_label=target,
-    )
+    try:
+        return RobustnessProperty(
+            num_inputs=num_inputs,
+            num_outputs=num_outputs,
+            input_bounds=np.column_stack((lo, hi)),
+            target_label=target,
+        )
+    except ValueError as exc:
+        # the counts and the target are checked above, so this is the
+        # constructor's bounds check
+        raise PropertyFormatError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

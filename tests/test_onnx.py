@@ -1,5 +1,7 @@
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,7 +459,35 @@ class TestParserFeatures:
         assert np.array_equal(ours, theirs)
 
 
+    def test_symbolic_batch_dimension_read_as_unknown(self):
+        dims = wire.field_len(1, wire.field_string(2, "N"))  # dim_param
+        dims += b"".join(wire.field_len(1, wire.field_varint(1, d))
+                         for d in (1, 2, 2))
+        tensor_type = wire.field_varint(1, codec.TENSOR_FLOAT)
+        tensor_type += wire.field_len(2, dims)
+        info = wire.field_string(1, "input")
+        info += wire.field_len(2, wire.field_len(1, tensor_type))
+        graph = simple_dense_graph(
+            codec._node_bytes("MatMul", "m", ["t0", "w"], ["out"]),
+            codec._float_tensor_bytes("w", np.ones((4, 3))),
+        ).replace(wire.field_len(11, codec._value_info_bytes(
+            "input", (1, 1, 2, 2))), wire.field_len(11, info))
+        data = build_model_bytes(graph)
+        assert decode_model(data).graph.inputs[0].dims == (None, 1, 2, 2)
+        assert parse_model(data).input_shape == (2, 2, 1)
+
+
 class TestRejections:
+    def test_value_name_not_utf8_rejected(self):
+        graph = simple_dense_graph(
+            codec._node_bytes("MatMul", "m", ["t0", "w"], ["out"]),
+            codec._float_tensor_bytes("w", np.ones((4, 3))),
+        )
+        out_info = codec._value_info_bytes("out", (1, 3))
+        graph = graph.replace(out_info, out_info.replace(b"out", b"ou\xff"))
+        with pytest.raises(ModelFormatError, match="not valid UTF-8"):
+            decode_model(build_model_bytes(graph))
+
     def test_unsupported_op_named(self):
         net = pooled_net()
         data = serialize_model(net).replace(b"MaxPool", b"Softmax")
@@ -846,3 +876,18 @@ def test_node_check(chain, attrs, inputs, expected):
         with pytest.raises(BnnVerifyError) as info:
             parse_model(data)
         assert type(info.value) is expected, info.value
+
+
+def test_doc_operator_table_matches_the_codec():
+    doc = (Path(__file__).resolve().parent.parent / "docs"
+           / "onnx-subset.md").read_text()
+    section = doc.split("## Operator subset")[1].split("\n## ")[0]
+    rows = {}
+    for line in section.splitlines():
+        found = re.match(r"\| `(\w+)` \|", line)
+        if found:
+            rows[found.group(1)] = line
+    assert set(rows) == set(codec.OPERATORS)
+    for op, (_, _, attrs) in codec.OPERATORS.items():
+        for name in attrs:
+            assert f"`{name}`" in rows[op], (op, name)

@@ -9,6 +9,7 @@ from bnnverify.errors import (
     ShapeMismatchError,
     WitnessFormatError,
 )
+from bnnverify import vnnlib
 from bnnverify.layers import Flatten, QDense
 from bnnverify.network import Network, image_from_flat, margin, network_forward
 from bnnverify.vnnlib import (
@@ -431,6 +432,25 @@ class TestPropertyType:
             prop.lo[0] = 0.0
         with pytest.raises(ValueError, match="expected 3 bound pairs"):
             RobustnessProperty(3, 2, pairs[:2], 1)
+
+    def test_bounds_copied_from_the_callers_array(self):
+        pairs = np.array([[1.0, 2.5], [-3.0, 0.0]])
+        prop = RobustnessProperty(2, 2, pairs, 1)
+        pairs[:] = 7.0
+        assert prop.input_bounds == ((1.0, 2.5), (-3.0, 0.0))
+
+    def test_parse_checks_bounds_once(self, monkeypatch):
+        text = generate_property(np.zeros((1, 2, 1)), 1, 0, num_outputs=2)
+        calls = []
+        check = vnnlib._check_bounds
+        monkeypatch.setattr(vnnlib, "_check_bounds",
+                            lambda *args: calls.append(args) or check(*args))
+        parse_property(text)
+        assert len(calls) == 1
+        with pytest.raises(PropertyFormatError, match="crossed bounds for X_0"):
+            parse_property(text.replace("(>= X_0 -1.00000000)",
+                                        "(>= X_0 2.00000000)"))
+        assert len(calls) == 2
 
     def test_bounds_arrays_round_trip(self):
         prop = make_property(np.full((2, 2, 1), 9.0), 4, 1, num_outputs=2)
