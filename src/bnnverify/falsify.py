@@ -14,9 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import images_per_batch, margin, network_forward, network_forward_batch
-from .vnnlib import RobustnessProperty, Witness, check_witness, witness_from_flat
+from .vnnlib import (
+    RobustnessProperty,
+    Witness,
+    check_property_shapes,
+    check_witness,
+    witness_from_flat,
+)
 from .verify.brute import integer_grid_bounds
-from .verify.intervals import check_property_shapes
 from .verify.verdict import FALSIFIED, TIMEOUT, UNKNOWN, Verdict
 
 

@@ -27,7 +27,7 @@ matrix product, bit-identical to float64.  The unquantized first layer
 multiplies float64 pixels and keeps float64 arithmetic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -93,6 +93,17 @@ def _check_signed_binary(w, what):
         )
 
 
+def _fields_equal(self, other):
+    """Equality by value of every field, arrays included; the ``__eq__``
+    of each layer with array fields."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(
+        np.array_equal(getattr(self, f.name), getattr(other, f.name))
+        for f in fields(self)
+    )
+
+
 @dataclass(frozen=True)
 class QConv:
     """Binarized convolution.
@@ -130,16 +141,7 @@ class QConv:
     def in_channels(self):
         return self.weights.shape[2]
 
-    def __eq__(self, other):
-        if not isinstance(other, QConv):
-            return NotImplemented
-        return (
-            self.out_channels == other.out_channels
-            and self.kernel_h == other.kernel_h
-            and self.kernel_w == other.kernel_w
-            and self.quantize_input == other.quantize_input
-            and np.array_equal(self.weights, other.weights)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -178,16 +180,7 @@ class BatchNorm:
     def channels(self):
         return self.gamma.shape[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, BatchNorm):
-            return NotImplemented
-        return (
-            self.eps == other.eps
-            and np.array_equal(self.gamma, other.gamma)
-            and np.array_equal(self.beta, other.beta)
-            and np.array_equal(self.moving_mean, other.moving_mean)
-            and np.array_equal(self.moving_variance, other.moving_variance)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -219,14 +212,7 @@ class QDense:
     def in_features(self):
         return self.weights.shape[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, QDense):
-            return NotImplemented
-        return (
-            self.out_features == other.out_features
-            and self.quantize_input == other.quantize_input
-            and np.array_equal(self.weights, other.weights)
-        )
+    __eq__ = _fields_equal
 
 
 Layer = QConv | MaxPool | BatchNorm | Flatten | QDense
@@ -266,6 +252,16 @@ def conv_windows(t, kh, kw):
     )
 
 
+def _pool_windows(t):
+    """The four stride-2 slices that a 2x2 max pool compares, over the
+    trailing ``(H, W, C)`` axes of ``t``, in (0,0), (0,1), (1,0), (1,1)
+    order; an odd trailing row or column is dropped."""
+    h, w = t.shape[-3:-1]
+    t = t[..., : h - h % 2, : w - w % 2, :]
+    return (t[..., 0::2, 0::2, :], t[..., 0::2, 1::2, :],
+            t[..., 1::2, 0::2, :], t[..., 1::2, 1::2, :])
+
+
 def contract(t, layer):
     """Apply the +-1 weights of a QConv or QDense to ``t``, unquantized;
     returns float64.
@@ -298,10 +294,8 @@ def layer_forward(t, layer, layer_index=None):
     if isinstance(layer, (QConv, QDense)):
         return contract(sign_quantize(t) if layer.quantize_input else t, layer)
     if isinstance(layer, MaxPool):
-        h, w = t.shape[-3:-1]
-        t = t[..., : h - h % 2, : w - w % 2, :]
-        top = np.maximum(t[..., 0::2, 0::2, :], t[..., 0::2, 1::2, :])
-        return np.maximum(top, np.maximum(t[..., 1::2, 0::2, :], t[..., 1::2, 1::2, :]))
+        a, b, c, d = _pool_windows(t)
+        return np.maximum(np.maximum(a, b), np.maximum(c, d))
     if isinstance(layer, BatchNorm):
         # gamma * (x - mean) / sqrt(var + eps) + beta, per trailing channel
         scale = layer.gamma / np.sqrt(layer.moving_variance + layer.eps)

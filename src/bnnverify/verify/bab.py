@@ -24,9 +24,9 @@ import time
 import numpy as np
 
 from ..network import image_from_flat, margin, network_forward
-from ..vnnlib import check_witness, witness_from_flat
+from ..vnnlib import check_property_shapes, check_witness, witness_from_flat
 from .brute import integer_grid_bounds
-from .intervals import IntervalTensor, check_property_shapes, ibp_propagate, ibp_trace
+from .intervals import IntervalTensor, ibp_propagate, ibp_trace
 from .verdict import FALSIFIED, TIMEOUT, UNKNOWN, VERIFIED, Verdict
 
 __all__ = ["bab_verify"]

@@ -11,8 +11,7 @@ import numpy as np
 
 from ..errors import EnumerationBudgetError
 from ..network import images_per_batch, margin, network_forward_batch
-from ..vnnlib import check_witness, witness_from_flat
-from .intervals import check_property_shapes
+from ..vnnlib import check_property_shapes, check_witness, witness_from_flat
 from .verdict import FALSIFIED, TIMEOUT, VERIFIED, Verdict
 
 __all__ = ["DEFAULT_ENUMERATION_BUDGET", "integer_grid_bounds", "brute_force_verify"]

@@ -9,6 +9,9 @@ counter), binary maxpool becomes OR (AND under a negative fold direction),
 and the negated robustness property becomes a disjunction over rival
 classes.  The formula is satisfiable exactly when some completion of the
 free phases produces a counterexample.
+
+Each unit's terms come from the forward's own windows (``conv_windows``
+and the max pool's four slices), in the order inference sums them.
 """
 
 import math
@@ -17,8 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EncodingError, ShapeMismatchError
-from ..layers import BatchNorm, Flatten, MaxPool, QConv, QDense, layer_forward
-from .intervals import check_property_shapes, fold_bn_sign, ibp_trace, property_box
+from ..layers import (
+    BatchNorm,
+    MaxPool,
+    QConv,
+    QDense,
+    _pool_windows,
+    conv_windows,
+    layer_forward,
+)
+from ..vnnlib import check_property_shapes
+from .intervals import FoldedSign, fold_bn_sign, ibp_trace, property_box
 
 __all__ = [
     "CnfFormula",
@@ -217,138 +229,98 @@ def _normalize_phases(phases, n):
 
 
 def _signed_sums(acts, lin):
-    """Per-output tuples of signed literals, one +-1 term per weight."""
-    if isinstance(lin, QDense):
-        w = lin.weights
-        out = np.empty(w.shape[1], dtype=object)
-        flat = [int(a) for a in acts.reshape(-1)]
-        for o in range(w.shape[1]):
-            col = w[:, o]
-            out[o] = tuple(a if cv > 0 else -a for a, cv in zip(flat, col))
-        return out
-    kh, kw = lin.kernel_h, lin.kernel_w
-    h, w_, c = acts.shape
-    oh, ow = h - kh + 1, w_ - kw + 1
-    wt = lin.weights
-    out = np.empty((oh, ow, lin.out_channels), dtype=object)
-    for r in range(oh):
-        for s in range(ow):
-            for o in range(lin.out_channels):
-                terms = []
-                for di in range(kh):
-                    for dj in range(kw):
-                        for cc in range(c):
-                            a = int(acts[r + di, s + dj, cc])
-                            terms.append(a if wt[di, dj, cc, o] > 0 else -a)
-                out[r, s, o] = tuple(terms)
-    return out
+    """Signed literals ``(..., out, fan_in)``: one +-1 term per weight.
+
+    A conv reads the rows of :func:`conv_windows`, in the ``(kh, kw, C)``
+    order of ``weights.reshape(-1, out)`` that :func:`contract` uses.
+    """
+    w = lin.weights
+    if isinstance(lin, QConv):
+        windows = conv_windows(acts, lin.kernel_h, lin.kernel_w)
+        acts = windows.reshape(windows.shape[:-3] + (-1,))
+        w = w.reshape(-1, lin.out_channels)
+    return acts[..., None, :] * w.T.astype(np.int64)
 
 
-def _element_literal(builder, members, rule, bn_after_mp, name=None):
+def _element_literal(builder, members, direction, threshold, conjoin, name):
     """Boolean literal for sign(post-chain(sums)) of one output unit.
 
-    ``members`` holds the window's integer sums (one entry when no
-    pooling).  ``rule`` is None (plain sign), ("const", v), or
-    (direction, threshold).
+    ``members`` holds the window's rows of signed terms (one row when no
+    pooling).  A member passes when its sum reaches ``threshold``
+    (``direction`` +1) or stays at or below it (-1); the unit fires when
+    any member passes, or every one when ``conjoin``.
     """
-    if rule is not None and rule[0] == "const":
-        return builder.const_lit(rule[1])
-    direction, t_float = (1, 0.0) if rule is None else rule
-    if direction > 0:
-        if math.isinf(t_float):
-            member_lits = [builder.const_lit(-1.0 if t_float > 0 else 1.0)] * len(members)
-        else:
-            c = math.ceil(t_float)
-            member_lits = [_sum_geq_lit(builder, mem, c) for mem in members]
+    if math.isinf(threshold):
+        member_lits = [builder.const_lit(-direction * threshold)] * len(members)
+    elif direction > 0:
+        c = math.ceil(threshold)
+        member_lits = [_sum_geq_lit(builder, mem, c) for mem in members]
     else:
-        if math.isinf(t_float):
-            member_lits = [builder.const_lit(1.0 if t_float > 0 else -1.0)] * len(members)
-        else:
-            c = math.floor(t_float)
-            member_lits = [_sum_leq_lit(builder, mem, c) for mem in members]
+        c = math.floor(threshold)
+        member_lits = [_sum_leq_lit(builder, mem, c) for mem in members]
     if len(member_lits) == 1:
         lit = member_lits[0]
-    elif bn_after_mp and direction < 0:
-        # sign(bn(max(..))) with a negative slope fires only when every
-        # window member is at or below the threshold
+    elif conjoin:
         lit = _and_literal(builder, member_lits)
     else:
         lit = _or_literal(builder, member_lits)
-    if name is not None and lit > 0 and lit not in builder.names:
+    if lit > 0 and lit not in builder.names:
         builder.names[lit] = name
     return lit
 
 
-def _post_chain_to_bools(builder, sums, post, layer_tag):
-    """Fold [MaxPool|BatchNorm|Flatten]* plus the next sign into literals."""
-    members = np.empty(sums.shape, dtype=object)
-    for idx in np.ndindex(sums.shape):
-        members[idx] = (sums[idx],)
-    rules = np.full(sums.shape, None, dtype=object)
-    bn_seen = False
-    mp_before_bn = False
-    mp_after_bn = False
-    bn_after_mp = False
+# sign(x) itself: +1 iff x >= 0, the rule of a block without a batch norm
+_PLAIN_SIGN = FoldedSign(direction=[1], threshold=[0.0], constant=[np.nan])
 
-    for _, layer in post:
+
+def _post_chain_to_bools(builder, sums, post, layer_tag):
+    """Fold [MaxPool|BatchNorm|Flatten]* plus the next sign into literals.
+
+    ``members`` holds ``sums`` as (window member, term, *unit shape): a
+    pool concatenates the forward's four windows on the members axis.
+    ``chan`` gives each unit its channel in the batch norm's fold.
+    """
+    members = np.moveaxis(sums, -1, 0)[None]
+    chan = np.zeros(sums.shape[:-1], dtype=np.intp)
+    fold = None
+    pooled_before = pooled_after = False
+    for layer in post:
         if isinstance(layer, MaxPool):
-            if members.ndim != 3:
-                raise EncodingError("pooling a flattened block is not supported")
-            if bn_seen:
-                mp_after_bn = True
+            if fold is None:
+                pooled_before = True
             else:
-                mp_before_bn = True
-            h, w, c = members.shape
-            oh, ow = h // 2, w // 2
-            pooled = np.empty((oh, ow, c), dtype=object)
-            pooled_rules = np.empty((oh, ow, c), dtype=object)
-            for r in range(oh):
-                for s in range(ow):
-                    for cc in range(c):
-                        pooled[r, s, cc] = (
-                            members[2 * r, 2 * s, cc]
-                            + members[2 * r, 2 * s + 1, cc]
-                            + members[2 * r + 1, 2 * s, cc]
-                            + members[2 * r + 1, 2 * s + 1, cc]
-                        )
-                        pooled_rules[r, s, cc] = rules[2 * r, 2 * s, cc]
-            members = pooled
-            rules = pooled_rules
+                pooled_after = True
+            members = np.concatenate(_pool_windows(members))
+            chan = _pool_windows(chan)[0]
         elif isinstance(layer, BatchNorm):
-            if bn_seen:
+            if fold is not None:
                 raise EncodingError("two batch-norm layers in one block are not foldable")
-            bn_seen = True
-            if mp_before_bn:
-                bn_after_mp = True
-            folded = fold_bn_sign(layer)
-            if folded.channels != members.shape[-1]:
-                raise ShapeMismatchError(
-                    "batch-norm width mismatch in block fold",
-                    expected=members.shape[-1],
-                    actual=folded.channels,
-                )
-            for idx in np.ndindex(members.shape):
-                cc = idx[-1]
-                d = int(folded.direction[cc])
-                if d == 0:
-                    rules[idx] = ("const", float(folded.constant[cc]))
-                else:
-                    rules[idx] = (d, float(folded.threshold[cc]))
-        elif isinstance(layer, Flatten):
-            members = members.reshape(-1)
-            rules = rules.reshape(-1)
-        else:
-            raise EncodingError(
-                f"layer {type(layer).__name__} breaks the binary block pattern"
-            )
-    if bn_seen and mp_before_bn and mp_after_bn:
+            fold = fold_bn_sign(layer)
+            chan = np.broadcast_to(np.arange(fold.channels), chan.shape)
+        else:  # Flatten
+            members = members.reshape(members.shape[:2] + (-1,))
+            chan = chan.reshape(-1)
+    if pooled_before and pooled_after:
         raise EncodingError("batch-norm sandwiched between poolings is not foldable")
 
-    lits = np.empty(members.shape, dtype=np.int64)
-    for idx in np.ndindex(members.shape):
-        name = f"act L{layer_tag} " + ",".join(str(v) for v in idx)
-        lits[idx] = _element_literal(builder, members[idx], rules[idx], bn_after_mp, name)
-    return lits
+    rule = fold or _PLAIN_SIGN
+    direction = rule.direction[chan].ravel().tolist()
+    threshold = rule.threshold[chan].ravel().tolist()
+    constant = rule.constant[chan].ravel().tolist()
+    rows = np.moveaxis(members.reshape(members.shape[:2] + (-1,)), -1, 0).tolist()
+    lits = np.empty(len(rows), dtype=np.int64)
+    for k, idx in enumerate(np.ndindex(chan.shape)):
+        if direction[k] == 0:
+            lits[k] = builder.const_lit(constant[k])
+            continue
+        name = f"act L{layer_tag} " + ",".join(map(str, idx))
+        # sign(bn(max(..))) with a negative slope fires only when every
+        # window member is at or below the threshold
+        conjoin = pooled_before and direction[k] < 0
+        lits[k] = _element_literal(
+            builder, rows[k], direction[k], threshold[k], conjoin, name
+        )
+    return lits.reshape(chan.shape)
 
 
 def _encode_property(builder, sums, lin, prop):
@@ -361,7 +333,7 @@ def _encode_property(builder, sums, lin, prop):
             continue
         # z_j - z_t collapses to twice the sum of the terms where the
         # columns disagree, read with class-j signs
-        terms = [sums[j][i] for i in range(w.shape[0]) if w[i, j] != w[i, t]]
+        terms = sums[j][w[:, j] != w[:, t]].tolist()
         if not terms:
             lit = builder.true_lit()  # identical columns: a tie is guaranteed
         else:
@@ -383,47 +355,32 @@ def export_cnf(net, prop, fixed_first_layer_phases):
     check_property_shapes(net, prop)
     q = first_quantize_index(net)
     boundary_shape = net.layer_shapes()[q]
-    n_phase = int(np.prod(boundary_shape))
-    phases = _normalize_phases(fixed_first_layer_phases, n_phase)
+    phases = _normalize_phases(fixed_first_layer_phases, int(np.prod(boundary_shape)))
 
     builder = CnfBuilder()
     builder.true_lit()  # var 1 is always the pinned constant
     lits = []
-    for i, p in enumerate(phases):
+    for p, coords in zip(phases, np.ndindex(boundary_shape)):
         if p is None:
-            if len(boundary_shape) > 1:
-                coords = np.unravel_index(i, boundary_shape)
-                label = "phase " + ",".join(str(v) for v in coords)
-            else:
-                label = f"phase {i}"
-            lits.append(builder.new_var(label))
+            lits.append(builder.new_var("phase " + ",".join(map(str, coords))))
         else:
             lits.append(builder.const_lit(p))
     acts = np.array(lits, dtype=np.int64).reshape(boundary_shape)
 
+    # a constructed Network ends in a QDense, and every block between two
+    # linear layers is MaxPool/BatchNorm/Flatten in a shape-checked chain
     layers = net.layers
-    i = q
-    while True:
-        lin = layers[i]
-        if not isinstance(lin, (QConv, QDense)):
-            raise EncodingError(f"expected a linear layer at position {i}")
-        if not lin.quantize_input:
+    linear = [i for i in range(q, len(layers)) if isinstance(layers[i], (QConv, QDense))]
+    for i, j in zip(linear, linear[1:] + [None]):
+        if not layers[i].quantize_input:
             raise EncodingError(
                 f"layer {i} consumes real values; the suffix is not pure-binary"
             )
-        sums = _signed_sums(acts, lin)
-        j = i + 1
-        post = []
-        while j < len(layers) and not isinstance(layers[j], (QConv, QDense)):
-            post.append((j, layers[j]))
-            j += 1
-        if j == len(layers) and not post:
-            _encode_property(builder, sums, lin, prop)
-            return builder.build(), dict(builder.names)
-        if j == len(layers):
-            raise EncodingError("layers after the final dense are not supported")
-        acts = _post_chain_to_bools(builder, sums, post, layer_tag=i)
-        i = j
+        sums = _signed_sums(acts, layers[i])
+        if j is not None:
+            acts = _post_chain_to_bools(builder, sums, layers[i + 1 : j], layer_tag=i)
+    _encode_property(builder, sums, layers[-1], prop)
+    return builder.build(), dict(builder.names)
 
 
 def format_varmap(formula, names):

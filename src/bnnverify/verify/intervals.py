@@ -55,12 +55,12 @@ from ..layers import (
     sign_quantize,
 )
 from ..network import image_from_flat, margin
+from ..vnnlib import check_property_shapes
 from .verdict import UNKNOWN, VERIFIED, Verdict
 
 __all__ = [
     "IntervalTensor",
     "FoldedSign",
-    "check_property_shapes",
     "property_box",
     "ibp_trace",
     "ibp_propagate",
@@ -299,15 +299,6 @@ def _written(ref, rows, cols, patch):
     box_lo[inside] = lo[:n_r, :n_c]
     box_hi[inside] = hi[:n_r, :n_c]
     return IntervalTensor._frozen(box_lo, box_hi)
-
-
-def check_property_shapes(net, prop):
-    if net.num_inputs != prop.num_inputs or net.num_classes != prop.num_outputs:
-        raise ShapeMismatchError(
-            "network and property disagree on dimensions",
-            expected=(net.num_inputs, net.num_classes),
-            actual=(prop.num_inputs, prop.num_outputs),
-        )
 
 
 def property_box(net, prop):

@@ -23,10 +23,19 @@ PIXEL_MIN = 0.0
 PIXEL_MAX = 255.0
 
 
-def _fmt(value: float) -> str:
-    s = f"{float(value):.8f}"
-    # normalize the sign of zero so files are reproducible
-    return "0.00000000" if s == "-0.00000000" else s
+def _fill(template: str, *columns) -> str:
+    """``template`` once per row, all rows filled in one ``%`` call.
+
+    Row r takes element r of each column in order: an index for a ``%d``,
+    a float for a ``%.8f``.  Every ``%.8f`` follows a space in the
+    template, so a value printed as -0.00000000 is found by that text and
+    written 0.00000000, which keeps files reproducible.
+    """
+    rows = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for k, column in enumerate(columns):
+        rows[:, k] = column
+    text = (template * len(rows)) % tuple(rows.ravel().tolist())
+    return text.replace(" -0.00000000", " 0.00000000")
 
 
 def _check_bounds(lo, hi, error_cls):
@@ -105,6 +114,17 @@ class RobustnessProperty:
         return self.lo.copy(), self.hi.copy()
 
 
+def check_property_shapes(net: Network, prop: RobustnessProperty) -> None:
+    """Raise ShapeMismatchError unless ``net`` and ``prop`` agree on the
+    input and class counts."""
+    if net.num_inputs != prop.num_inputs or net.num_classes != prop.num_outputs:
+        raise ShapeMismatchError(
+            "network and property disagree on dimensions",
+            expected=(net.num_inputs, net.num_classes),
+            actual=(prop.num_inputs, prop.num_outputs),
+        )
+
+
 @dataclass(frozen=True)
 class Witness:
     """Candidate counterexample: a flat input vector, optionally with logits."""
@@ -142,33 +162,20 @@ def render_property(prop: RobustnessProperty) -> str:
             "file format cannot state it: an empty disjunction loses the "
             "target label"
         )
-    lines = [
-        f"; robustness query: {prop.num_inputs} inputs, "
-        f"{prop.num_outputs} outputs, target label {prop.target_label}"
-    ]
+    n, t = prop.num_inputs, prop.target_label
+    text = (f"; robustness query: {n} inputs, {prop.num_outputs} outputs, "
+            f"target label {t}\n")
     if prop.source is not None:
         idx, eps = prop.source
-        lines.append(f"; image index {idx}, epsilon {_fmt(eps)}")
-    lines.append("")
-    for i in range(prop.num_inputs):
-        lines.append(f"(declare-const X_{i} Real)")
-    for j in range(prop.num_outputs):
-        lines.append(f"(declare-const Y_{j} Real)")
-    lines.append("")
-    for i, (lo, hi) in enumerate(zip(prop.lo.tolist(), prop.hi.tolist())):
-        lines.append(f"(assert (<= X_{i} {_fmt(hi)}))")
-        lines.append(f"(assert (>= X_{i} {_fmt(lo)}))")
-    lines.append("")
-    t = prop.target_label
+        text += f"; image index {idx}, epsilon" + _fill(" %.8f\n", [float(eps)])
     head = "(assert (or "
-    parts = [f"(>= Y_{j} Y_{t})" for j in others]
-    block = [head + parts[0]]
-    for part in parts[1:]:
-        block.append(" " * len(head) + part)
-    block[-1] += "))"
-    lines.extend(block)
-    lines.append("")
-    return "\n".join(lines)
+    rivals = ("\n" + " " * len(head)).join(f"(>= Y_{j} Y_{t})" for j in others)
+    return (text + "\n"
+            + _fill("(declare-const X_%d Real)\n", range(n))
+            + _fill("(declare-const Y_%d Real)\n", range(prop.num_outputs)) + "\n"
+            + _fill("(assert (<= X_%d %.8f))\n(assert (>= X_%d %.8f))\n",
+                    range(n), prop.hi, range(n), prop.lo) + "\n"
+            + head + rivals + "))\n")
 
 
 def generate_property(image, epsilon, label, clip=False, num_outputs=43,
@@ -399,11 +406,7 @@ def check_witness(net: Network, prop: RobustnessProperty, w: Witness) -> bool:
     values carried by the witness are ignored; the network is always
     re-evaluated.
     """
-    if net.num_inputs != prop.num_inputs or net.num_classes != prop.num_outputs:
-        raise ShapeMismatchError(
-            f"network has {net.num_inputs} inputs and {net.num_classes} classes "
-            f"but the property declares {prop.num_inputs}/{prop.num_outputs}"
-        )
+    check_property_shapes(net, prop)
     if len(w.input_values) != prop.num_inputs:
         raise WitnessFormatError(
             f"witness carries {len(w.input_values)} input values, "
@@ -423,11 +426,12 @@ def check_witness(net: Network, prop: RobustnessProperty, w: Witness) -> bool:
 
 def format_witness(w: Witness) -> str:
     """One ``(X_i value)`` line per input, then ``(Y_j value)`` if present."""
-    lines = [f"(X_{i} {_fmt(v)})" for i, v in enumerate(w.input_values)]
+    xs = np.asarray(w.input_values, dtype=np.float64)
+    text = _fill("(X_%d %.8f)\n", range(xs.size), xs)
     if w.output_values is not None:
-        lines.extend(f"(Y_{j} {_fmt(v)})" for j, v in enumerate(w.output_values))
-    lines.append("")
-    return "\n".join(lines)
+        ys = np.asarray(w.output_values, dtype=np.float64)
+        text += _fill("(Y_%d %.8f)\n", range(ys.size), ys)
+    return text
 
 
 def parse_witness(text: str) -> Witness:

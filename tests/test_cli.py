@@ -12,10 +12,15 @@ from bnnverify.arch import build_arch_a, build_arch_b, random_tiny_network, \
     with_random_weights
 from bnnverify.bench import save_ppm
 from bnnverify.cli import main, _configure_logging
-from bnnverify.layers import Flatten, QDense
+from bnnverify.layers import BatchNorm, Flatten, QConv, QDense
 from bnnverify.network import Network, predict
 from bnnverify.onnx_io import serialize_model
-from bnnverify.vnnlib import generate_property, parse_property
+from bnnverify.vnnlib import (
+    RobustnessProperty,
+    generate_property,
+    parse_property,
+    render_property,
+)
 
 BRITTLE_W = [[1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]]
 BRITTLE_IMG = [1.0, 1.0, 3.0, 3.0]
@@ -336,3 +341,56 @@ class TestLogging:
     def test_level_applies(self, monkeypatch):
         monkeypatch.setenv("BNNVERIFY_LOG", "debug")
         _configure_logging()  # must not raise
+
+
+def write_window_model(tmp_path):
+    """One pixel X_0 in [0, 1], where class 1 wins only for 0.25 <= X_0 <= 0.75.
+
+    A 1x1 conv copies the pixel to three channels, and the batch norm folds
+    them to sign(X_0 - 0.25), sign(0.75 - X_0) and a constant +1.  Both
+    integer points, 0 and 1, are classified 0, so the property's only
+    counterexamples lie between the grid points.
+    """
+    net = Network(
+        input_shape=(1, 1, 1),
+        layers=(
+            QConv(3, 1, 1, np.ones((1, 1, 1, 3)), quantize_input=False),
+            BatchNorm(gamma=[1.0, -1.0, 0.0], beta=[0.0, 0.0, 1.0],
+                      moving_mean=[0.25, 0.75, 0.0], moving_variance=[1.0, 1.0, 1.0]),
+            Flatten(),
+            QDense(2, np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])),
+        ),
+        num_classes=2,
+    )
+    model = tmp_path / "window.onnx"
+    model.write_bytes(serialize_model(net))
+    prop = tmp_path / "window.vnnlib"
+    prop.write_text(render_property(RobustnessProperty(1, 2, ((0.0, 1.0),), 0)))
+    return str(model), str(prop)
+
+
+class TestOffGridCounterexample:
+    def test_witness_between_grid_points_is_valid(self, tmp_path):
+        model, prop = write_window_model(tmp_path)
+        witness = tmp_path / "half.witness.txt"
+        witness.write_text("(X_0 0.5)\n")
+        assert run_cli("check", model, prop, str(witness)) == (0, "valid\n")
+        for x in ("0", "1"):
+            witness.write_text(f"(X_0 {x})\n")
+            assert run_cli("check", model, prop, str(witness))[1] == "invalid\n"
+
+    def test_ibp_does_not_prove_the_box(self, tmp_path):
+        model, prop = write_window_model(tmp_path)
+        code, out = run_cli("verify", model, prop, "--engine", "ibp")
+        assert (code, out.splitlines()[0]) == (2, "unknown")
+
+    # Known defect: bab and brute search only the integer points of the box,
+    # so their unsat does not cover X_0 = 0.5.  Which semantics the CLI
+    # should give is open (ROADMAP item 6); until then this fails.
+    @pytest.mark.xfail(strict=True, reason="bab and brute decide the integer grid only")
+    @pytest.mark.parametrize("engine", ["bab", "brute"])
+    def test_complete_engines_do_not_prove_a_falsifiable_box(self, tmp_path, engine):
+        model, prop = write_window_model(tmp_path)
+        code, out = run_cli("verify", model, prop, "--engine", engine,
+                            "--out", str(tmp_path))
+        assert out.splitlines()[0] != "unsat"

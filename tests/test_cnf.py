@@ -331,6 +331,25 @@ class TestExportCnf:
             export_cnf(net, prop, [1] * 8)
 
 
+    @pytest.mark.parametrize("block,message", [
+        (("bn", "bn"), "two batch-norm layers in one block are not foldable"),
+        (("pool", "bn", "pool"), "batch-norm sandwiched between poolings is not foldable"),
+    ], ids=["two-batch-norms", "batch-norm-between-pools"])
+    def test_unfoldable_block_rejected(self, block, message):
+        rng = np.random.default_rng(8)
+        norm = dict(gamma=np.array([0.7, -1.1]), beta=np.zeros(2),
+                    moving_mean=np.zeros(2), moving_variance=np.ones(2))
+        layers = [QConv(1, 1, 1, np.ones((1, 1, 1, 1)), quantize_input=False),
+                  QConv(2, 1, 1, rng.choice([-1.0, 1.0], size=(1, 1, 1, 2)), True)]
+        layers += [MaxPool() if name == "pool" else BatchNorm(**norm) for name in block]
+        side = 4 // 2 ** block.count("pool")
+        layers += [Flatten(), QDense(2, rng.choice([-1.0, 1.0], size=(side * side * 2, 2)))]
+        net = Network(input_shape=(4, 4, 1), layers=tuple(layers), num_classes=2)
+        prop = make_property(np.zeros((4, 4, 1)), epsilon=1, label=0, num_outputs=2)
+        with pytest.raises(EncodingError) as err:
+            export_cnf(net, prop, [None] * 16)
+        assert str(err.value) == message
+
 class TestSuffixForward:
     def test_matches_full_forward_past_the_boundary(self):
         for seed in range(8):

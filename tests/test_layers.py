@@ -296,3 +296,42 @@ def test_layer_forward_honours_output_shape(name):
         output_shape(Unknown(), net.input_shape)
     with pytest.raises(TypeError, match="unknown layer type"):
         layer_forward(np.zeros(net.input_shape), Unknown())
+
+
+def equality_cases():
+    """Each array-holding layer, and one variant per field that differs
+    from it in that field alone."""
+    w4 = np.ones((2, 2, 1, 3))
+    w4b = w4.copy()
+    w4b[0, 0, 0, 0] = -1.0
+    conv = dict(out_channels=3, kernel_h=2, kernel_w=2, weights=w4, quantize_input=True)
+    w2 = np.ones((4, 2))
+    w2b = -w2
+    dense = dict(out_features=2, weights=w2, quantize_input=True)
+    v = np.array([1.0, 2.0])
+    norm = dict(gamma=v, beta=v, moving_mean=v, moving_variance=v, eps=1e-3)
+    return [
+        (QConv, conv, [dict(weights=w4b), dict(quantize_input=False),
+                       dict(out_channels=2, weights=w4[..., :2]),
+                       dict(kernel_h=1, weights=w4[:1]), dict(kernel_w=1, weights=w4[:, :1])]),
+        (QDense, dense, [dict(weights=w2b), dict(quantize_input=False),
+                         dict(out_features=1, weights=w2[:, :1])]),
+        (BatchNorm, norm, [dict(gamma=v + 1), dict(beta=v + 1), dict(moving_mean=v + 1),
+                           dict(moving_variance=v + 1), dict(eps=1e-5)]),
+    ]
+
+
+@pytest.mark.parametrize("cls,base,variants", equality_cases(),
+                         ids=["QConv", "QDense", "BatchNorm"])
+def test_layer_equality_is_by_value_of_every_field(cls, base, variants):
+    layer = cls(**base)
+    copy = cls(**{k: np.copy(v) if isinstance(v, np.ndarray) else v
+                  for k, v in base.items()})
+    assert layer == copy and not (layer != copy)
+    for change in variants:
+        other = cls(**{**base, **change})
+        assert layer != other and other != layer, change
+    assert layer.__eq__(object()) is NotImplemented
+    assert layer != MaxPool() and layer != "layer"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(layer)

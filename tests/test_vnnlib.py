@@ -366,6 +366,74 @@ class TestCheckWitness:
         with pytest.raises(ShapeMismatchError):
             check_witness(net, prop, witness_from_flat([10.0] * 9))
 
+    def test_shape_check_is_the_engines_check(self):
+        net = self.net_with_strict_winner()
+        prop = make_property(np.full((3, 3, 1), 10.0), 5, 0, num_outputs=2)
+        with pytest.raises(ShapeMismatchError) as engine_error:
+            vnnlib.check_property_shapes(net, prop)
+        with pytest.raises(ShapeMismatchError) as witness_error:
+            check_witness(net, prop, witness_from_flat([10.0] * 9))
+        assert str(witness_error.value) == str(engine_error.value)
+        assert "disagree on dimensions" in str(engine_error.value)
+
+
+def per_value_text(value):
+    """The per-value number rule the one-call formatter must reproduce."""
+    s = f"{float(value):.8f}"
+    return "0.00000000" if s == "-0.00000000" else s
+
+
+# negative zero, both sides of the rounding to -0.00000000, a value past
+# the float64 integer grid, and one that is a binary tie at the 8th decimal
+EDGE_VALUES = (-0.0, 0.0, 5e-9, -5e-9, -4.9999999e-9, 1e16, 123.456789125)
+
+
+class TestNumberText:
+    def per_line_property(self, prop):
+        t = prop.target_label
+        lines = [f"; robustness query: {prop.num_inputs} inputs, "
+                 f"{prop.num_outputs} outputs, target label {t}"]
+        if prop.source is not None:
+            idx, eps = prop.source
+            lines.append(f"; image index {idx}, epsilon {per_value_text(eps)}")
+        lines.append("")
+        lines += [f"(declare-const X_{i} Real)" for i in range(prop.num_inputs)]
+        lines += [f"(declare-const Y_{j} Real)" for j in range(prop.num_outputs)]
+        lines.append("")
+        for i, (lo, hi) in enumerate(prop.input_bounds):
+            lines.append(f"(assert (<= X_{i} {per_value_text(hi)}))")
+            lines.append(f"(assert (>= X_{i} {per_value_text(lo)}))")
+        lines.append("")
+        head = "(assert (or "
+        parts = [f"(>= Y_{j} Y_{t})" for j in range(prop.num_outputs) if j != t]
+        lines += [head + parts[0]] + [" " * len(head) + p for p in parts[1:]]
+        lines[-1] += "))"
+        lines.append("")
+        return "\n".join(lines)
+
+    @pytest.mark.parametrize("source", [None, (7, -0.0), (7, -4.9999999e-9), (7, 3.0)])
+    def test_property_text_matches_the_per_value_rule(self, source):
+        values = np.array(EDGE_VALUES)
+        pairs = np.column_stack((np.minimum(values, -values), np.maximum(values, -values)))
+        pairs = np.vstack((pairs, np.column_stack((values, values))))
+        prop = RobustnessProperty(len(pairs), 4, pairs, 2, source=source)
+        text = vnnlib.render_property(prop)
+        assert text == self.per_line_property(prop)
+        assert "-0.00000000" not in text
+
+    @pytest.mark.parametrize("outputs", [None, (), EDGE_VALUES + (float("nan"),)])
+    def test_witness_text_matches_the_per_value_rule(self, outputs):
+        inputs = EDGE_VALUES + (float("nan"), float("-nan"), -1e16, -123.456789125)
+        want = [f"(X_{i} {per_value_text(v)})" for i, v in enumerate(inputs)]
+        if outputs is not None:
+            want += [f"(Y_{j} {per_value_text(v)})" for j, v in enumerate(outputs)]
+        text = format_witness(Witness(inputs, outputs))
+        assert text == "\n".join(want + [""])
+        assert "(X_7 nan)" in text and "-0.00000000" not in text
+
+    def test_empty_witness_text(self):
+        assert format_witness(Witness((), None)) == ""
+
 
 class TestWitnessFiles:
     def test_round_trip_with_outputs(self):
