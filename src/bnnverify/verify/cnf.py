@@ -58,12 +58,9 @@ class CnfFormula:
             raise ValueError("num_vars cannot be negative")
         normalized = []
         for clause in self.clauses:
-            c = tuple(int(lit) for lit in clause)
-            for lit in c:
-                if lit == 0:
-                    raise ValueError("literal 0 is the DIMACS terminator, not a literal")
-                if abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} exceeds num_vars={self.num_vars}")
+            c = tuple(map(int, clause))
+            if 0 in c or max(map(abs, c), default=0) > self.num_vars:
+                _reject_clause(c, self.num_vars)
             normalized.append(c)
         object.__setattr__(self, "clauses", tuple(normalized))
 
@@ -72,6 +69,16 @@ class CnfFormula:
         for clause in self.clauses:
             lines.append(" ".join([str(lit) for lit in clause] + ["0"]))
         return "\n".join(lines) + "\n"
+
+
+def _reject_clause(clause, num_vars):
+    """Raise for the first literal of ``clause`` that is 0 or past
+    ``num_vars``."""
+    for lit in clause:
+        if lit == 0:
+            raise ValueError("literal 0 is the DIMACS terminator, not a literal")
+        if abs(lit) > num_vars:
+            raise ValueError(f"literal {lit} exceeds num_vars={num_vars}")
 
 
 class CnfBuilder:
@@ -90,8 +97,8 @@ class CnfBuilder:
         return self.num_vars
 
     def add(self, clause):
-        c = tuple(int(lit) for lit in clause)
-        if any(lit == 0 for lit in c):
+        c = tuple(map(int, clause))
+        if 0 in c:
             raise ValueError("clause may not contain literal 0")
         self.clauses.append(c)
 

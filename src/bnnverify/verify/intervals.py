@@ -34,8 +34,22 @@ Every output entry depends only on its own window, so on integer boxes
 the bounds are bit-identical to :func:`ibp_trace`.  A slice of an
 on-grid box is on the grid, so no entry is widened that the full trace
 would not widen; off the grid the slice may skip a widening, and its
-bounds are then tighter and still sound.  From ``Flatten`` on, the
-vector layers recompute in full.
+bounds are then tighter and still sound.  A ``QDense`` right after
+``Flatten`` that quantizes its input is updated by rank k: only the
+patch's flat entries move its centre and radius sum, by integer
+amounts, so the base output plus those exact sums is the full recompute
+bit for bit.  Every later vector layer, and a ``QDense`` that reads raw
+values, recomputes in full.
+
+Points: ``IntervalTensor.point`` holds one read-only array as both
+``lo`` and ``hi``.  Every layer then computes the point once, by its
+``layer_forward``, with no radius, no second corner and no rounding
+margin, so ``ibp_trace`` of a point is exactly ``network_forward``.
+Relative to a point trace, ``ibp_propagate`` of a point is a delta
+forward: it recomputes only the changed windows, and its logits equal
+``network_forward`` on the integer grid, where every sum is exact.  Off
+the grid they may differ in the last bits, since a slice of the first
+layer's float64 sums may round in another order than the full forward.
 """
 
 import time
@@ -50,7 +64,6 @@ from ..layers import (
     QConv,
     QDense,
     contract,
-    conv_windows,
     layer_forward,
     sign_quantize,
 )
@@ -106,9 +119,11 @@ class IntervalTensor:
 
     @classmethod
     def point(cls, values):
-        """Zero-width box around one concrete tensor."""
-        v = np.asarray(values, dtype=np.float64)
-        return cls(v, v.copy())
+        """Zero-width box around one concrete tensor: one private read-only
+        array serves as both ``lo`` and ``hi``, so the layers below give
+        it one forward instead of two corners."""
+        v = np.array(values, dtype=np.float64)
+        return cls._frozen(v, v)
 
     @property
     def shape(self):
@@ -127,12 +142,25 @@ class IntervalTensor:
 
 
 def _fan_in_sum(t, layer):
-    """``t @ |W|``, the sum of ``t`` over each output's receptive field."""
+    """``t @ |W|``, the sum of ``t`` over each output's receptive field.
+
+    A window sum is built from shifted slices: kh slice adds down the
+    rows, then kw across the columns.  On integer boxes every partial sum
+    is exact; off them the order differs from a window reduce, which
+    :func:`_rounding_margin` covers, since its bound holds for any order.
+    """
+    t = t.sum(axis=-1, keepdims=True)
     if isinstance(layer, QConv):
-        channels = t.sum(axis=-1, keepdims=True)
-        windows = conv_windows(channels, layer.kernel_h, layer.kernel_w)
-        return windows.sum(axis=(-3, -2))
-    return t.sum(axis=-1, keepdims=True)
+        kh, kw = layer.kernel_h, layer.kernel_w
+        h = t.shape[-3] - kh + 1
+        w = t.shape[-2] - kw + 1
+        rows = t[..., 0:h, :, :].copy()
+        for i in range(1, kh):
+            rows += t[..., i : i + h, :, :]
+        t = rows[..., 0:w, :].copy()
+        for j in range(1, kw):
+            t += rows[..., j : j + w, :]
+    return t
 
 
 def _on_grid(lo, hi, fan_in):
@@ -181,6 +209,10 @@ def _linear_bounds(box, layer):
 
 
 def _layer_bounds(box, layer, layer_index):
+    if box.lo is box.hi:
+        # a point: its one forward, with no radius and no rounding margin
+        v = layer_forward(box.lo, layer, layer_index)
+        return IntervalTensor._frozen(v, v)
     if isinstance(layer, (QConv, QDense)):
         return _linear_bounds(box, layer)
     # every other layer is monotone in each input; a negative batch-norm
@@ -213,8 +245,10 @@ def ibp_propagate(net, box, base=None):
 
     ``base``, when given, is the :func:`ibp_trace` of a box of the same
     shape.  Only the region of each image layer whose inputs differ from
-    ``base``'s is then recomputed (see the module docstring); when the
-    change dies out before ``Flatten`` the result is ``base[-1]``.
+    ``base``'s is then recomputed, and a quantizing ``QDense`` after
+    ``Flatten`` is updated by rank k (see the module docstring); when the
+    change dies out before that layer's signs, the result is
+    ``base[-1]``.  A point against a point trace is a delta forward.
     """
     if base is None:
         return ibp_trace(net, box)[-1]
@@ -233,11 +267,62 @@ def ibp_propagate(net, box, base=None):
         if isinstance(layer, Flatten):
             break
         patch = _patch_bounds(base[i], base[i + 1], patch, layer, i)
-    h, w = base[i].shape[:2]
-    box = _written(base[i], slice(0, h), slice(0, w), patch)
+    dense = net.layers[i + 1]
+    if isinstance(dense, QDense) and dense.quantize_input:
+        box = _dense_update(base[i], base[i + 2], patch, dense)
+        if box is None:
+            return base[-1]
+        i += 2
+    else:
+        h, w = base[i].shape[:2]
+        box = _written(base[i], slice(0, h), slice(0, w), patch)
     for j in range(i, len(net.layers)):
         box = _layer_bounds(box, net.layers[j], j)
     return box
+
+
+def _quantized_mid_rad(lo, hi, point):
+    """Centre and radius of the sign-quantized box; float32 in {-1, 0, 1},
+    and a radius of 0 for a point."""
+    lo = sign_quantize(lo)
+    if point:
+        return lo, 0.0
+    hi = sign_quantize(hi)
+    return (lo + hi) * 0.5, (hi - lo) * 0.5
+
+
+def _dense_update(ref_in, ref_out, patch, layer):
+    """Bounds of the quantizing ``QDense`` right after ``Flatten``, with the
+    image ``patch`` written into its reference input ``ref_in``, as a
+    rank-k update of its reference output ``ref_out``; None when no
+    quantized bound in the patch changes.
+
+    Only the patch's flat entries move the centre and the radius sum, by
+    integer amounts, so ``ref_out``'s integer centre and spread plus
+    those exact sums are the full recompute bit for bit.
+    """
+    r0, c0, lo, hi = patch
+    rows = slice(r0, r0 + lo.shape[0])
+    cols = slice(c0, c0 + lo.shape[1])
+    ref_point = ref_in.lo is ref_in.hi
+    new_mid, new_rad = _quantized_mid_rad(lo, hi, lo is hi)
+    old_mid, old_rad = _quantized_mid_rad(ref_in.lo[rows, cols], ref_in.hi[rows, cols],
+                                          ref_point)
+    dmid = new_mid - old_mid
+    # a quantized radius changes only where its centre does
+    r, c, ch = np.nonzero(dmid)
+    if r.size == 0:
+        return None
+    _, w, channels = ref_in.shape
+    flat = ((r + r0) * w + (c + c0)) * channels + ch
+    # float64: the partial sums of +-2 terms may pass float32's 2**24
+    delta = dmid[r, c, ch].astype(np.float64) @ layer.weights[flat].astype(np.float64)
+    if ref_point and lo is hi:
+        centre = ref_out.lo + delta
+        return IntervalTensor._frozen(centre, centre)
+    centre = (ref_out.lo + ref_out.hi) * 0.5 + delta
+    spread = (ref_out.hi - ref_out.lo) * 0.5 + float(np.sum(new_rad - old_rad))
+    return IntervalTensor._frozen(centre - spread, centre + spread)
 
 
 def _changed(lo, hi, ref, r0, c0):
@@ -246,13 +331,17 @@ def _changed(lo, hi, ref, r0, c0):
     differs from ``ref``; None when it differs nowhere."""
     rows = slice(r0, r0 + lo.shape[0])
     cols = slice(c0, c0 + lo.shape[1])
-    diff = ((lo != ref.lo[rows, cols]) | (hi != ref.hi[rows, cols])).any(axis=-1)
+    diff = lo != ref.lo[rows, cols]
+    if not (lo is hi and ref.lo is ref.hi):
+        diff |= hi != ref.hi[rows, cols]
+    diff = diff.any(axis=-1)
     r = np.flatnonzero(diff.any(axis=1))
     if r.size == 0:
         return None
     c = np.flatnonzero(diff.any(axis=0))
     keep = (slice(r[0], r[-1] + 1), slice(c[0], c[-1] + 1))
-    return r0 + r[0], c0 + c[0], lo[keep], hi[keep]
+    lo_kept = lo[keep]
+    return r0 + r[0], c0 + c[0], lo_kept, lo_kept if hi is lo else hi[keep]
 
 
 def _reach(layer, axis, a0, a1, size):
@@ -295,8 +384,10 @@ def _written(ref, rows, cols, patch):
     inside = (slice(r0 - rows.start, r0 - rows.start + n_r),
               slice(c0 - cols.start, c0 - cols.start + n_c))
     box_lo = ref.lo[rows, cols].copy()
-    box_hi = ref.hi[rows, cols].copy()
     box_lo[inside] = lo[:n_r, :n_c]
+    if lo is hi and ref.lo is ref.hi:
+        return IntervalTensor._frozen(box_lo, box_lo)
+    box_hi = ref.hi[rows, cols].copy()
     box_hi[inside] = hi[:n_r, :n_c]
     return IntervalTensor._frozen(box_lo, box_hi)
 

@@ -1,6 +1,7 @@
 """CNF export, sequential counters, and the toy DPLL, all oracle-checked."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,26 @@ class TestCnfFormula:
     def test_rejects_out_of_range_literal(self):
         with pytest.raises(ValueError, match="exceeds"):
             CnfFormula(2, ((3,),))
+
+    @pytest.mark.parametrize("clauses, message", [
+        (((1, 0),), "literal 0 is the DIMACS terminator, not a literal"),
+        (((1, -2), (3,)), "literal 3 exceeds num_vars=2"),
+        (((-3, 0),), "literal -3 exceeds num_vars=2"),  # the first offender
+        (((0, 3),), "literal 0 is the DIMACS terminator, not a literal"),
+        (((np.int64(2), 1.0), (-5,)), "literal -5 exceeds num_vars=2"),
+    ])
+    def test_rejection_messages(self, clauses, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CnfFormula(2, clauses)
+
+    def test_literals_converted_to_int(self):
+        f = CnfFormula(3, ((np.int64(1), -2.0), [3], ()))
+        assert f.clauses == ((1, -2), (3,), ())
+        assert all(type(lit) is int for c in f.clauses for lit in c)
+
+    def test_builder_rejects_literal_zero(self):
+        with pytest.raises(ValueError, match="^clause may not contain literal 0$"):
+            CnfBuilder().add([1, np.int64(0)])
 
     def test_empty_clause_is_allowed_and_unsat(self):
         f = CnfFormula(1, ((), (1,)))

@@ -4,9 +4,11 @@
 image layer that ``box`` changes against the box of ``trace``.  On
 integer boxes it must be bit-identical to ``ibp_trace(net, box)[-1]``;
 off the grid it must lie inside those bounds and still contain the
-float64 forward of every point.  BaB bounds every non-root node this
+float64 forward of every point.  A point box is the exact forward:
+through a full trace always, through a base trace on integer inputs.
+BaB bounds every non-root node and every probe after the first this
 way, so its verdicts, node counts and witnesses must equal those of a
-run that bounds every node with a full trace.
+run that bounds every node and probe with a full trace.
 """
 
 import numpy as np
@@ -22,11 +24,12 @@ from bnnverify.arch import (
     with_random_weights,
 )
 from bnnverify.errors import ShapeMismatchError
-from bnnverify.layers import BatchNorm, Flatten, MaxPool, QConv, QDense
+from bnnverify.layers import BatchNorm, Flatten, MaxPool, QConv, QDense, conv_windows
 from bnnverify.network import Network, network_forward, network_forward_batch
 from bnnverify.vnnlib import RobustnessProperty, make_property
 from bnnverify.verify import IntervalTensor, bab_verify, ibp_propagate, ibp_trace
 from bnnverify.verify import bab as bab_module
+from bnnverify.verify import intervals as intervals_module
 
 ARCHS = {"A": (build_arch_a, 64), "B": (build_arch_b, 48), "XNOR": (build_arch_xnor, 30)}
 SEEDS = st.integers(0, 2**32 - 1)
@@ -229,12 +232,24 @@ def sparse_property(image, pixels, label, num_outputs):
 
 def bab_runs(monkeypatch, net, prop, max_nodes):
     """(status, nodes, witness) of bab_verify as it is and with every node
-    bounded by a full trace; also whether each non-root node got a base."""
+    and every probe bounded by a full trace.  Also checks the base of each
+    relative call: every non-root node is bounded against the root's trace,
+    and every probe after the first against the first probe's trace."""
     relative = ibp_propagate
-    bases = []
+    traces = []  # the root's trace, then the first probe's
+    points = []  # the probe boxes, in order
+    calls = []  # (box, base) of every relative call
+
+    def trace_spy(net, box):
+        traces.append(ibp_trace(net, box))
+        return traces[-1]
+
+    def point_spy(values):
+        points.append(make_point(values))
+        return points[-1]
 
     def spy(net, box, base=None):
-        bases.append(base is not None)
+        calls.append((box, base))
         return relative(net, box, base=base)
 
     def full_trace(net, box, base=None):
@@ -243,12 +258,26 @@ def bab_runs(monkeypatch, net, prop, max_nodes):
     def key(v):
         return v.status, v.nodes, None if v.witness is None else v.witness.input_values
 
+    make_point = IntervalTensor.point
+    monkeypatch.setattr(bab_module, "ibp_trace", trace_spy)
+    monkeypatch.setattr(IntervalTensor, "point", point_spy)
     monkeypatch.setattr(bab_module, "ibp_propagate", spy)
     got = key(bab_verify(net, prop, max_nodes=max_nodes))
+    monkeypatch.undo()
     monkeypatch.setattr(bab_module, "ibp_propagate", full_trace)
     want = key(bab_verify(net, prop, max_nodes=max_nodes))
-    assert all(bases)
-    assert len(bases) == got[1] - 1  # the root is bounded by its own trace
+
+    root = traces[0]
+    node_calls = [base for _, base in calls if base is root]
+    assert len(node_calls) == got[1] - 1  # the root is bounded by its own trace
+    probe_calls = [(box, base) for box, base in calls if base is not root]
+    if points:
+        assert len(traces) == 2 and traces[1][0] is points[0]
+        assert len(probe_calls) == len(points) - 1
+        assert all(box is point and base is traces[1]
+                   for (box, base), point in zip(probe_calls, points[1:]))
+    else:
+        assert len(traces) == 1 and not probe_calls
     return got, want
 
 
@@ -282,3 +311,269 @@ class TestBranchAndBound:
             prop = make_property(image, 1, label, num_outputs=net.num_classes)
             got, want = bab_runs(monkeypatch, net, prop, 8)
             assert got == want
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def integer_image(rng, shape, pixel_max):
+    return rng.integers(0, pixel_max + 1, size=shape).astype(np.float64)
+
+
+class TestPoints:
+    def test_one_array_point(self):
+        v = np.arange(6.0).reshape(1, 2, 3)
+        box = IntervalTensor.point(v)
+        assert box.lo is box.hi and not box.lo.flags.writeable
+        assert box.lo is not v and v.flags.writeable  # the caller's array is copied
+        v[0, 0, 0] = 9.0
+        assert box.lo[0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_point_trace_is_the_forward_on_archs(self, arch_nets, arch):
+        net = arch_nets[arch]
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            x = integer_image(rng, net.input_shape, 255)
+            trace = ibp_trace(net, IntervalTensor.point(x))
+            assert all(b.lo is b.hi for b in trace)
+            assert_same_bits(trace[-1].lo, network_forward(net, x))
+
+    @settings(max_examples=200)
+    @given(net_seed=SEEDS, channels=st.integers(1, 3), max_side=st.integers(2, 7),
+           x_seed=SEEDS, grid=st.booleans())
+    def test_point_trace_is_the_forward_on_tiny_networks(self, net_seed, channels,
+                                                         max_side, x_seed, grid):
+        net = random_tiny_network(np.random.default_rng(net_seed), max_side=max_side,
+                                  channels=channels)
+        rng = np.random.default_rng(x_seed)
+        if grid:
+            x = integer_image(rng, net.input_shape, 8)
+        else:
+            x = rng.uniform(-1.0, 9.0, size=net.input_shape)
+        out = ibp_trace(net, IntervalTensor.point(x))[-1]
+        assert_same_bits(out.lo, network_forward(net, x))
+
+    @settings(max_examples=100)
+    @given(net_seed=SEEDS, channels=st.integers(1, 3), max_side=st.integers(2, 7),
+           x_seed=SEEDS)
+    def test_one_array_trace_equals_two_array_trace(self, net_seed, channels, max_side,
+                                                    x_seed):
+        net = random_tiny_network(np.random.default_rng(net_seed), max_side=max_side,
+                                  channels=channels)
+        x = integer_image(np.random.default_rng(x_seed), net.input_shape, 8)
+        one = ibp_trace(net, IntervalTensor.point(x))
+        two = ibp_trace(net, IntervalTensor(x, x.copy()))
+        for a, b in zip(one, two):
+            assert_same_bits(a.lo, b.lo)
+            assert_same_bits(a.hi, b.hi)
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_one_array_trace_equals_two_array_trace_on_archs(self, arch_nets, arch):
+        net = arch_nets[arch]
+        x = integer_image(np.random.default_rng(4), net.input_shape, 255)
+        one = ibp_trace(net, IntervalTensor.point(x))
+        two = ibp_trace(net, IntervalTensor(x, x.copy()))
+        for a, b in zip(one, two):
+            assert_same_bits(a.lo, b.lo)
+            assert_same_bits(a.hi, b.hi)
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_delta_probe_is_the_forward(self, arch_nets, arch):
+        # BaB's probes: a point trace of one centre as the base, then
+        # points that differ from it by +-1 in a few pixels
+        net = arch_nets[arch]
+        rng = np.random.default_rng(6)
+        x = integer_image(rng, net.input_shape, 255)
+        base = ibp_trace(net, IntervalTensor.point(x))
+        for n in range(40):
+            where = ("corner", "border", "far", "random")[n % 4]
+            y = x.reshape(-1).copy()
+            y[changed_entries(rng, x.shape, int(rng.integers(1, 5)), where)] += (
+                rng.choice([-1.0, 1.0]))
+            y = y.reshape(x.shape)
+            got = ibp_propagate(net, IntervalTensor.point(y), base=base)
+            assert got.lo is got.hi
+            assert_same_bits(got.lo, network_forward(net, y))
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_points_and_boxes_mixed(self, arch_nets, arch):
+        # a point against a box trace, and a box against a point trace
+        net = arch_nets[arch]
+        rng = np.random.default_rng(7)
+        box_base = ibp_trace(net, integer_box(rng, net.input_shape, 255))
+        x = box_base[0].lo + 1.0
+        point_base = ibp_trace(net, IntervalTensor.point(x))
+        for n in range(8):
+            where = ("corner", "border", "far", "random")[n % 4]
+            # the box's lower corner, moved in a few entries
+            y = box_base[0].lo.reshape(-1).copy()
+            y[changed_entries(rng, x.shape, 3, where)] += rng.choice([-1.0, 1.0])
+            point = IntervalTensor.point(y.reshape(x.shape))
+            assert_equals_full_trace(net, box_base, point)
+            lo = x.reshape(-1).copy()
+            hi = lo.copy()
+            hi[changed_entries(rng, x.shape, 3, where)] += 2.0
+            box = IntervalTensor(lo.reshape(x.shape), hi.reshape(x.shape))
+            assert_equals_full_trace(net, point_base, box)
+
+    @settings(max_examples=200)
+    @given(net_seed=SEEDS, channels=st.integers(1, 3), max_side=st.integers(2, 7),
+           x_seed=SEEDS, k=st.integers(1, 4), where=WHERE)
+    def test_delta_probe_is_the_forward_on_tiny_networks(self, net_seed, channels,
+                                                         max_side, x_seed, k, where):
+        net = random_tiny_network(np.random.default_rng(net_seed), max_side=max_side,
+                                  channels=channels)
+        rng = np.random.default_rng(x_seed)
+        x = integer_image(rng, net.input_shape, 8)
+        base = ibp_trace(net, IntervalTensor.point(x))
+        y = x.reshape(-1).copy()
+        y[changed_entries(rng, x.shape, k, where)] += rng.choice([-1.0, 1.0])
+        y = y.reshape(x.shape)
+        got = ibp_propagate(net, IntervalTensor.point(y), base=base)
+        assert_same_bits(got.lo, network_forward(net, y))
+
+
+def dense_calls(monkeypatch):
+    """Record the results of every rank-k dense update."""
+    calls = []
+    update = intervals_module._dense_update
+
+    def spy(*args):
+        calls.append(update(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(intervals_module, "_dense_update", spy)
+    return calls
+
+
+class TestRankKDense:
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_update_equals_full_recompute(self, monkeypatch, arch_nets, arch):
+        net = arch_nets[arch]
+        calls = dense_calls(monkeypatch)
+        rng = np.random.default_rng(8)
+        for eps in (0, 1, 3):
+            base = ibp_trace(net, integer_box(rng, net.input_shape, 255, eps))
+            for n in range(16):
+                # a few far-moved pixels change signs up to Flatten
+                lo = base[0].lo.reshape(-1).copy()
+                hi = base[0].hi.reshape(-1).copy()
+                where = ("corner", "border", "far", "random")[n % 4]
+                entries = changed_entries(rng, base[0].shape, 4, where)
+                lo[entries] -= rng.integers(0, 200, size=entries.size)
+                if n % 2:
+                    hi[entries] = lo[entries]
+                box = IntervalTensor(lo.reshape(base[0].shape), hi.reshape(base[0].shape))
+                got = ibp_propagate(net, box, base=base)
+                want = ibp_trace(net, box)[-1]
+                assert_same_bits(got.lo, want.lo)
+                assert_same_bits(got.hi, want.hi)
+        assert sum(c is not None for c in calls) >= 3
+
+    def test_unchanged_signs_return_the_base_logits(self, monkeypatch):
+        # a raw-pixel 1x1 conv feeding Flatten and a quantizing QDense:
+        # moving one pixel within the same sign reaches the dense layer,
+        # whose quantized input does not change
+        net = Network(
+            input_shape=(2, 3, 1),
+            layers=(QConv(1, 1, 1, np.ones((1, 1, 1, 1)), False), Flatten(),
+                    QDense(2, np.array([[1.0, -1.0]] * 6), True)),
+            num_classes=2,
+        )
+        calls = dense_calls(monkeypatch)
+        x = np.arange(6.0).reshape(2, 3, 1) + 1.0
+        base = ibp_trace(net, IntervalTensor.point(x))
+        y = x.copy()
+        y[1, 2, 0] += 5.0
+        assert ibp_propagate(net, IntervalTensor.point(y), base=base) is base[-1]
+        assert calls == [None]
+        y[0, 0, 0] = -3.0  # flips one sign: a rank-1 update
+        got = ibp_propagate(net, IntervalTensor.point(y), base=base)
+        assert_same_bits(got.lo, network_forward(net, y))
+
+    def test_flatten_first_network_recomputes_in_full(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        net = Network(
+            input_shape=(3, 4, 2),
+            layers=(Flatten(), QDense(3, rng.choice([-1.0, 1.0], size=(24, 3)), False)),
+            num_classes=3,
+        )
+        calls = dense_calls(monkeypatch)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            base = ibp_trace(net, integer_box(rng, net.input_shape, 8))
+            for where in ("corner", "border", "far", "random"):
+                for how in ("narrow", "shift", "widen", "point"):
+                    assert_equals_full_trace(net, base,
+                                             child_box(rng, base[0], 2, where, how))
+            x = integer_image(rng, net.input_shape, 8)
+            probe_base = ibp_trace(net, IntervalTensor.point(x))
+            y = x.copy()
+            y[0, 0, 0] += 1.0
+            got = ibp_propagate(net, IntervalTensor.point(y), base=probe_base)
+            assert_same_bits(got.lo, network_forward(net, y))
+        assert calls == []
+
+
+class TestFanInSum:
+    @settings(max_examples=100)
+    @given(seed=SEEDS, kh=st.integers(1, 4), kw=st.integers(1, 4),
+           extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           channels=st.integers(1, 3), batch=st.integers(0, 2),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_equals_the_window_reduce(self, seed, kh, kw, extra, channels, batch, dtype):
+        rng = np.random.default_rng(seed)
+        shape = (2,) * batch + (kh + extra[0], kw + extra[1], channels)
+        t = rng.integers(0, 256, size=shape).astype(dtype)
+        layer = QConv(2, kh, kw, rng.choice([-1.0, 1.0], size=(kh, kw, channels, 2)),
+                      False)
+        old = conv_windows(t.sum(axis=-1, keepdims=True), kh, kw).sum(axis=(-3, -2))
+        assert_same_bits(intervals_module._fan_in_sum(t, layer), old)
+
+
+class TestOffGridProbes:
+    """A delta probe off the integer grid may round apart from the exact
+    forward.  A probe that claims a witness which the forward rejects is
+    split like a passing probe off the grid, and is an error on it."""
+
+    def runs(self, monkeypatch, integer_grid):
+        rng = np.random.default_rng(14)  # capped at 40 nodes without a witness
+        net = random_tiny_network(rng, max_side=4, channels=2)
+        image = integer_image(rng, net.input_shape, 8)
+        label = int(np.argmax(network_forward(net, image)))
+        prop = make_property(image, 1, label, num_outputs=net.num_classes)
+        relative = ibp_propagate
+
+        def key(v):
+            return v.status, v.nodes, v.witness
+
+        clean = key(bab_verify(net, prop, max_nodes=40, integer_grid=integer_grid))
+        lied = []
+
+        def lying_probe(net, box, base=None):
+            out = relative(net, box, base=base)
+            if box.lo is not box.hi:
+                return out
+            # every class ties: a witness that the forward rejects
+            lied.append(box)
+            return IntervalTensor.point(np.zeros_like(out.lo))
+
+        monkeypatch.setattr(bab_module, "ibp_propagate", lying_probe)
+        return clean, lambda: key(bab_verify(net, prop, max_nodes=40,
+                                             integer_grid=integer_grid)), lied
+
+    def test_off_grid_split_like_a_pass(self, monkeypatch):
+        clean, run, lied = self.runs(monkeypatch, integer_grid=False)
+        assert clean == ("unknown", 41, None)
+        assert run() == clean
+        assert len(lied) > 10
+
+    def test_on_grid_an_error(self, monkeypatch):
+        clean, run, lied = self.runs(monkeypatch, integer_grid=True)
+        assert clean == ("unknown", 41, None)
+        with pytest.raises(RuntimeError, match="probe witness failed its own check"):
+            run()
