@@ -36,7 +36,8 @@ import numpy as np
 
 from ..network import image_from_flat, margin
 # not called here: probes are point bounds; perfbench's traced run wraps
-# this module's network_forward by name
+# this module's network_forward by name, and the import goes with that
+# hook (ROADMAP item 10)
 from ..network import network_forward  # noqa: F401
 from ..vnnlib import check_property_shapes, check_witness, witness_from_flat
 from .brute import integer_grid_bounds

@@ -64,6 +64,7 @@ from ..layers import (
     QConv,
     QDense,
     contract,
+    conv_windows,
     layer_forward,
     sign_quantize,
 )
@@ -142,25 +143,12 @@ class IntervalTensor:
 
 
 def _fan_in_sum(t, layer):
-    """``t @ |W|``, the sum of ``t`` over each output's receptive field.
-
-    A window sum is built from shifted slices: kh slice adds down the
-    rows, then kw across the columns.  On integer boxes every partial sum
-    is exact; off them the order differs from a window reduce, which
-    :func:`_rounding_margin` covers, since its bound holds for any order.
-    """
-    t = t.sum(axis=-1, keepdims=True)
+    """``t @ |W|``, the sum of ``t`` over each output's receptive field."""
     if isinstance(layer, QConv):
-        kh, kw = layer.kernel_h, layer.kernel_w
-        h = t.shape[-3] - kh + 1
-        w = t.shape[-2] - kw + 1
-        rows = t[..., 0:h, :, :].copy()
-        for i in range(1, kh):
-            rows += t[..., i : i + h, :, :]
-        t = rows[..., 0:w, :].copy()
-        for j in range(1, kw):
-            t += rows[..., j : j + w, :]
-    return t
+        channels = t.sum(axis=-1, keepdims=True)
+        windows = conv_windows(channels, layer.kernel_h, layer.kernel_w)
+        return windows.sum(axis=(-3, -2))
+    return t.sum(axis=-1, keepdims=True)
 
 
 def _on_grid(lo, hi, fan_in):
@@ -241,14 +229,18 @@ def ibp_trace(net, box):
 
 
 def ibp_propagate(net, box, base=None):
-    """Sound logit bounds for every concrete input inside ``box``.
+    """Sound logit bounds for every concrete input inside ``box``, with
+    one exception: a point against a point trace.
 
     ``base``, when given, is the :func:`ibp_trace` of a box of the same
     shape.  Only the region of each image layer whose inputs differ from
     ``base``'s is then recomputed, and a quantizing ``QDense`` after
     ``Flatten`` is updated by rank k (see the module docstring); when the
     change dies out before that layer's signs, the result is
-    ``base[-1]``.  A point against a point trace is a delta forward.
+    ``base[-1]``.  A point against a point trace is a delta forward, not
+    an enclosure: on the integer grid it is ``network_forward`` bit for
+    bit, but off it the first layer's sums over a slice may round apart
+    from the full forward's, and the result carries no rounding margin.
     """
     if base is None:
         return ibp_trace(net, box)[-1]

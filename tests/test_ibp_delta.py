@@ -24,7 +24,7 @@ from bnnverify.arch import (
     with_random_weights,
 )
 from bnnverify.errors import ShapeMismatchError
-from bnnverify.layers import BatchNorm, Flatten, MaxPool, QConv, QDense, conv_windows
+from bnnverify.layers import BatchNorm, Flatten, MaxPool, QConv, QDense
 from bnnverify.network import Network, network_forward, network_forward_batch
 from bnnverify.vnnlib import RobustnessProperty, make_property
 from bnnverify.verify import IntervalTensor, bab_verify, ibp_propagate, ibp_trace
@@ -517,22 +517,6 @@ class TestRankKDense:
             got = ibp_propagate(net, IntervalTensor.point(y), base=probe_base)
             assert_same_bits(got.lo, network_forward(net, y))
         assert calls == []
-
-
-class TestFanInSum:
-    @settings(max_examples=100)
-    @given(seed=SEEDS, kh=st.integers(1, 4), kw=st.integers(1, 4),
-           extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
-           channels=st.integers(1, 3), batch=st.integers(0, 2),
-           dtype=st.sampled_from([np.float32, np.float64]))
-    def test_equals_the_window_reduce(self, seed, kh, kw, extra, channels, batch, dtype):
-        rng = np.random.default_rng(seed)
-        shape = (2,) * batch + (kh + extra[0], kw + extra[1], channels)
-        t = rng.integers(0, 256, size=shape).astype(dtype)
-        layer = QConv(2, kh, kw, rng.choice([-1.0, 1.0], size=(kh, kw, channels, 2)),
-                      False)
-        old = conv_windows(t.sum(axis=-1, keepdims=True), kh, kw).sum(axis=(-3, -2))
-        assert_same_bits(intervals_module._fan_in_sum(t, layer), old)
 
 
 class TestOffGridProbes:
