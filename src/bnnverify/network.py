@@ -109,15 +109,23 @@ def _check_image(net, image, batched):
     return image
 
 
-def _forward(net, t):
+def _forward(net, t, outputs=None):
     for i, layer in enumerate(net.layers):
         t = layer_forward(t, layer, layer_index=i)
+        if outputs is not None:
+            outputs.append(t)
     return t
 
 
-def network_forward(net, image):
-    """Run one image through the chain; returns the logits vector."""
-    return _forward(net, _check_image(net, image, batched=False))
+def network_forward(net, image, trace=False):
+    """Run one image through the chain; returns the logits vector, or with
+    ``trace`` the list of the float64 image and every layer's output."""
+    image = _check_image(net, image, batched=False)
+    if not trace:
+        return _forward(net, image)
+    outputs = [image]
+    _forward(net, image, outputs)
+    return outputs
 
 
 def network_forward_batch(net, images):

@@ -13,10 +13,11 @@ every later node is bounded relative to it (``ibp_propagate`` with
 reach.  On integer boxes those bounds are bit-identical to a full trace.
 
 Probes work the same way on points.  A point box carries one array, and
-its trace is the forward.  The first probe, at the root's centre, keeps
-its point trace for the call; every later probe is a delta forward from
-it, since its centre differs from the root's only in the pixels split so
-far.  On the integer grid a delta probe is exactly ``network_forward``.
+its trace is the forward.  The first probe, at the root's centre, is
+``network_forward``, and its layer outputs are kept for the call as the
+point trace; every later probe is a delta forward from it, since its
+centre differs from the root's only in the pixels split so far.  On the
+integer grid a delta probe is exactly ``network_forward``.
 Off it, a slice of the first layer's sums may round apart from the full
 forward, so each witness is confirmed by ``check_witness``, whose forward
 is the oracle; a probe that the forward does not confirm is split like a
@@ -34,11 +35,7 @@ import time
 
 import numpy as np
 
-from ..network import image_from_flat, margin
-# not called here: probes are point bounds; perfbench's traced run wraps
-# this module's network_forward by name, and the import goes with that
-# hook (ROADMAP item 10)
-from ..network import network_forward  # noqa: F401
+from ..network import image_from_flat, margin, network_forward
 from ..vnnlib import check_property_shapes, check_witness, witness_from_flat
 from .brute import integer_grid_bounds
 from .intervals import IntervalTensor, ibp_propagate, ibp_trace
@@ -92,7 +89,7 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
     tiebreak = itertools.count()
     heap = [(-root_margin, next(tiebreak), root_lo, root_hi)]
     stuck = False
-    probe_trace = None  # the root centre's point trace, from the first probe
+    probe_trace = None  # the first probe's point trace
 
     while heap:
         if timeout is not None and time.perf_counter() - start >= timeout:
@@ -106,12 +103,13 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
             centre = lo + np.floor(widths * 0.5)
         else:
             centre = (lo + hi) * 0.5
-        point = IntervalTensor.point(image_from_flat(centre, shape))
+        image = image_from_flat(centre, shape)
         if probe_trace is None:
-            probe_trace = ibp_trace(net, point)
-            logits = probe_trace[-1].lo
+            outputs = network_forward(net, image, trace=True)
+            probe_trace = [IntervalTensor.point(v) for v in outputs]
+            logits = outputs[-1]
         else:
-            logits = ibp_propagate(net, point, base=probe_trace).lo
+            logits = ibp_propagate(net, IntervalTensor.point(image), base=probe_trace).lo
         if margin(logits, logits, target) >= 0:
             w = witness_from_flat(centre, logits=logits)
             if check_witness(net, prop, w):

@@ -234,15 +234,22 @@ def bab_runs(monkeypatch, net, prop, max_nodes):
     """(status, nodes, witness) of bab_verify as it is and with every node
     and every probe bounded by a full trace.  Also checks the base of each
     relative call: every non-root node is bounded against the root's trace,
-    and every probe after the first against the first probe's trace."""
+    and every probe after the first against the first probe's trace, which
+    is the exact forward's layer outputs."""
     relative = ibp_propagate
-    traces = []  # the root's trace, then the first probe's
-    points = []  # the probe boxes, in order
+    forward = bab_module.network_forward
+    traces = []  # full traces: the root's only
+    forwards = []  # (image, outputs) of every exact forward
+    points = []  # every box made by IntervalTensor.point
     calls = []  # (box, base) of every relative call
 
     def trace_spy(net, box):
         traces.append(ibp_trace(net, box))
         return traces[-1]
+
+    def forward_spy(net, image, **kwargs):
+        forwards.append((np.array(image), forward(net, image, **kwargs)))
+        return forwards[-1][1]
 
     def point_spy(values):
         points.append(make_point(values))
@@ -260,6 +267,7 @@ def bab_runs(monkeypatch, net, prop, max_nodes):
 
     make_point = IntervalTensor.point
     monkeypatch.setattr(bab_module, "ibp_trace", trace_spy)
+    monkeypatch.setattr(bab_module, "network_forward", forward_spy)
     monkeypatch.setattr(IntervalTensor, "point", point_spy)
     monkeypatch.setattr(bab_module, "ibp_propagate", spy)
     got = key(bab_verify(net, prop, max_nodes=max_nodes))
@@ -267,17 +275,27 @@ def bab_runs(monkeypatch, net, prop, max_nodes):
     monkeypatch.setattr(bab_module, "ibp_propagate", full_trace)
     want = key(bab_verify(net, prop, max_nodes=max_nodes))
 
+    assert len(traces) == 1
     root = traces[0]
     node_calls = [base for _, base in calls if base is root]
     assert len(node_calls) == got[1] - 1  # the root is bounded by its own trace
     probe_calls = [(box, base) for box, base in calls if base is not root]
-    if points:
-        assert len(traces) == 2 and traces[1][0] is points[0]
-        assert len(probe_calls) == len(points) - 1
-        assert all(box is point and base is traces[1]
-                   for (box, base), point in zip(probe_calls, points[1:]))
+    if forwards:
+        (image, outputs), = forwards
+        base = points[:len(outputs)]
+        assert len(base) == len(net.layers) + 1
+        assert_same_bits(base[0].lo, image)
+        for t, full in zip(base, ibp_trace(net, make_point(image))):
+            assert t.lo is t.hi
+            assert_same_bits(t.lo, full.lo)
+        # every later probe is the next point box, against that trace
+        assert len(probe_calls) == len(points) - len(base)
+        assert all(box is point and probe_base is probe_calls[0][1]
+                   for (box, probe_base), point in zip(probe_calls, points[len(base):]))
+        if probe_calls:
+            assert all(a is b for a, b in zip(probe_calls[0][1], base, strict=True))
     else:
-        assert len(traces) == 1 and not probe_calls
+        assert not points and not probe_calls
     return got, want
 
 
@@ -341,6 +359,10 @@ class TestPoints:
             trace = ibp_trace(net, IntervalTensor.point(x))
             assert all(b.lo is b.hi for b in trace)
             assert_same_bits(trace[-1].lo, network_forward(net, x))
+            outputs = network_forward(net, x, trace=True)
+            assert len(outputs) == len(trace)
+            for b, out in zip(trace, outputs):
+                assert_same_bits(b.lo, out)
 
     @settings(max_examples=200)
     @given(net_seed=SEEDS, channels=st.integers(1, 3), max_side=st.integers(2, 7),
@@ -354,8 +376,12 @@ class TestPoints:
             x = integer_image(rng, net.input_shape, 8)
         else:
             x = rng.uniform(-1.0, 9.0, size=net.input_shape)
-        out = ibp_trace(net, IntervalTensor.point(x))[-1]
-        assert_same_bits(out.lo, network_forward(net, x))
+        trace = ibp_trace(net, IntervalTensor.point(x))
+        outputs = network_forward(net, x, trace=True)
+        assert_same_bits(trace[-1].lo, network_forward(net, x))
+        assert len(outputs) == len(trace)
+        for b, out in zip(trace, outputs):
+            assert_same_bits(b.lo, out)
 
     @settings(max_examples=100)
     @given(net_seed=SEEDS, channels=st.integers(1, 3), max_side=st.integers(2, 7),
