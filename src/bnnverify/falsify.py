@@ -6,6 +6,11 @@ non-negative somewhere in the box.  `random_attack` samples the box,
 `greedy_attack` walks pixels to their bound extremes, and `falsify`
 wraps both behind the engine verdict vocabulary.  Neither attack can
 prove robustness; no witness means "unknown".
+
+Sampling starts at one image and doubles its batch up to the byte
+budget of `images_per_batch`, because most witnesses are the first
+sample.  Exhaustive enumeration (`verify.brute`) keeps full batches: an
+`unsat` grid visits every point, so a ramp there only adds calls.
 """
 
 import time
@@ -53,15 +58,19 @@ def random_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
     """Uniform sampling of the box; first witness by sample index, or None.
 
     Integer-grid mode draws whole-valued pixels only.  Deterministic for a
-    fixed seed, and batches of `images_per_batch(net)` rows split one
-    stream of draws, so the witness does not depend on the batch size;
-    `deadline` (a time.monotonic() instant) stops the search between
-    batches.
+    fixed seed.  The first batch is one image and each later batch is as
+    large as all the batches before it (1, 2, 4, ...) up to
+    `images_per_batch(net)`, so a witness at sample 0 costs one forward
+    and a witness-free search at most ceil(log2(cap)) extra calls.  The
+    batches split one stream of draws, so the witness does not depend on
+    their sizes; `deadline` (a time.monotonic() instant) stops the search
+    between batches.
     """
     check_property_shapes(net, prop)
     lo, hi = prop.bounds_arrays()
     if cfg.integer_grid:
         g_lo, g_hi = integer_grid_bounds(prop)
+        g_lo, g_end = g_lo.astype(np.int64), g_hi.astype(np.int64) + 1
     rng = np.random.default_rng(cfg.seed)
     t = prop.target_label
     cap = images_per_batch(net)
@@ -69,13 +78,9 @@ def random_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
     while drawn < cfg.max_samples:
         if deadline is not None and time.monotonic() >= deadline:
             return None
-        batch = min(cap, cfg.max_samples - drawn)
+        batch = min(cap, cfg.max_samples - drawn, drawn + 1)
         if cfg.integer_grid:
-            points = rng.integers(
-                g_lo.astype(np.int64),
-                g_hi.astype(np.int64) + 1,
-                size=(batch, lo.size),
-            ).astype(np.float64)
+            points = rng.integers(g_lo, g_end, size=(batch, lo.size)).astype(np.float64)
         else:
             points = rng.uniform(lo, hi, size=(batch, lo.size))
         logits = network_forward_batch(net, points.reshape((-1,) + net.input_shape))

@@ -16,6 +16,7 @@ and the max pool's four slices), in the order inference sums them.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -56,13 +57,20 @@ class CnfFormula:
     def __post_init__(self):
         if self.num_vars < 0:
             raise ValueError("num_vars cannot be negative")
-        normalized = []
-        for clause in self.clauses:
-            c = tuple(map(int, clause))
-            if 0 in c or max(map(abs, c), default=0) > self.num_vars:
-                _reject_clause(c, self.num_vars)
-            normalized.append(c)
-        object.__setattr__(self, "clauses", tuple(normalized))
+        clauses = tuple(tuple(map(int, c)) for c in self.clauses)
+        _check_literals(clauses, self.num_vars)
+        object.__setattr__(self, "clauses", clauses)
+
+    @classmethod
+    def _of_ints(cls, num_vars, clauses):
+        """Formula over a tuple of clauses that already are tuples of
+        Python ints (``CnfBuilder.add`` makes them so): checks each literal
+        once and converts none again."""
+        _check_literals(clauses, num_vars)
+        formula = object.__new__(cls)
+        object.__setattr__(formula, "num_vars", num_vars)
+        object.__setattr__(formula, "clauses", clauses)
+        return formula
 
     def to_dimacs(self):
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
@@ -71,14 +79,17 @@ class CnfFormula:
         return "\n".join(lines) + "\n"
 
 
-def _reject_clause(clause, num_vars):
-    """Raise for the first literal of ``clause`` that is 0 or past
-    ``num_vars``."""
-    for lit in clause:
-        if lit == 0:
-            raise ValueError("literal 0 is the DIMACS terminator, not a literal")
-        if abs(lit) > num_vars:
-            raise ValueError(f"literal {lit} exceeds num_vars={num_vars}")
+def _check_literals(clauses, num_vars):
+    """Raise for the first literal of ``clauses`` that is 0 or past
+    ``num_vars``.  The flattened literals are scanned in bulk and walked
+    one by one only when they fail, to name the first offender."""
+    flat = list(chain.from_iterable(clauses))
+    if 0 in flat or max(flat, default=0) > num_vars or min(flat, default=0) < -num_vars:
+        for lit in flat:
+            if lit == 0:
+                raise ValueError("literal 0 is the DIMACS terminator, not a literal")
+            if abs(lit) > num_vars:
+                raise ValueError(f"literal {lit} exceeds num_vars={num_vars}")
 
 
 class CnfBuilder:
@@ -114,7 +125,7 @@ class CnfBuilder:
         return t if value > 0 else -t
 
     def build(self):
-        return CnfFormula(self.num_vars, tuple(self.clauses))
+        return CnfFormula._of_ints(self.num_vars, tuple(self.clauses))
 
 
 def counter_geq(builder, lits, k):

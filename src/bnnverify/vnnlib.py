@@ -474,5 +474,10 @@ def parse_witness(text: str) -> Witness:
 
 
 def witness_from_flat(values: Sequence[float], logits=None) -> Witness:
-    out = None if logits is None else tuple(float(v) for v in logits)
-    return Witness(input_values=tuple(float(v) for v in values), output_values=out)
+    out = None if logits is None else _floats(logits)
+    return Witness(input_values=_floats(values), output_values=out)
+
+
+def _floats(values):
+    """The values as a tuple of Python floats, the same as float() on each."""
+    return tuple(np.asarray(values, dtype=np.float64).tolist())

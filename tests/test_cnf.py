@@ -140,6 +140,18 @@ class TestCnfFormula:
         with pytest.raises(ValueError, match="^clause may not contain literal 0$"):
             CnfBuilder().add([1, np.int64(0)])
 
+    def test_builder_checks_literals_at_build(self):
+        b = CnfBuilder()
+        x = b.new_var()
+        b.add([x, -x])
+        b.add([-2, x])  # variable 2 is never allocated
+        with pytest.raises(ValueError, match="^literal -2 exceeds num_vars=1$"):
+            b.build()
+        b.new_var()
+        f = b.build()
+        assert f == CnfFormula(2, ((1, -1), (-2, 1)))
+        assert all(type(lit) is int for c in f.clauses for lit in c)
+
     def test_empty_clause_is_allowed_and_unsat(self):
         f = CnfFormula(1, ((), (1,)))
         assert dpll_satisfiable(f) is None

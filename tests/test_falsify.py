@@ -394,3 +394,65 @@ class TestBatchBudget:
         assert want is not None
         w = random_attack(net, prop, cfg)
         assert w is not None and w.input_values == want
+
+
+class _TickingClock:
+    """Stands in for the ``time`` module: each reading is one second later."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+class TestBatchRamp:
+    @pytest.fixture(scope="class")
+    def xnor_free(self):
+        """A witness-free eps=1 ball: the highest-margin image of a seeded
+        XNOR pool, checked against the one-draw reference."""
+        net = with_random_weights(build_arch_xnor(30, 30), np.random.default_rng(11))
+        imgs = np.random.default_rng(101).integers(0, 256, size=(32,) + net.input_shape)
+        imgs = imgs.astype(np.float64)
+        logits = network_forward_batch(net, imgs)
+        labels = np.argmax(logits, axis=1)
+        k = int(np.argmin([margin(row, row, t) for row, t in zip(logits, labels)]))
+        prop = make_property(imgs[k], epsilon=1, label=int(labels[k]))
+        assert reference_first_witness(net, prop, AttackConfig(max_samples=1024)) is None
+        return net, prop
+
+    def test_witness_at_the_first_sample_costs_one_image(self, monkeypatch):
+        net = with_random_weights(build_arch_a(64, 64), np.random.default_rng(11))
+        img = np.random.default_rng(100).integers(0, 256, size=net.input_shape)
+        img = img.astype(np.float64)
+        cfg = AttackConfig(max_samples=1024, seed=0)
+        g_lo, g_hi = integer_grid_bounds(make_property(img, epsilon=3, label=0))
+        first = np.random.default_rng(cfg.seed).integers(
+            g_lo.astype(np.int64), g_hi.astype(np.int64) + 1, size=(1, g_lo.size))
+        out = network_forward(net, first.astype(np.float64).reshape(net.input_shape))
+        # a label that the first sample beats, so sample 0 is the witness
+        prop = make_property(img, epsilon=3, label=int(np.argmin(out)))
+        sizes = forward_recorder(monkeypatch, "bnnverify.falsify", images_per_batch(net))
+        w = random_attack(net, prop, cfg)
+        assert sizes == [1]
+        assert w is not None and w.input_values == tuple(first[0].astype(np.float64))
+
+    def test_witness_free_batches_double_up_to_the_cap(self, xnor_free, monkeypatch):
+        net, prop = xnor_free
+        cap = images_per_batch(net)
+        assert 64 < cap < 128  # the ramp reaches 64, then one step hits the cap
+        sizes = forward_recorder(monkeypatch, "bnnverify.falsify", cap)
+        assert random_attack(net, prop, AttackConfig(max_samples=1024, seed=0)) is None
+        ramp = [1, 2, 4, 8, 16, 32, 64]
+        full, rest = divmod(1024 - sum(ramp), cap)
+        assert sizes == ramp + [cap] * full + ([rest] if rest else [])
+        assert sum(sizes) == 1024
+
+    def test_deadline_is_checked_before_every_batch(self, xnor_free, monkeypatch):
+        net, prop = xnor_free
+        sizes = forward_recorder(monkeypatch, "bnnverify.falsify", images_per_batch(net))
+        monkeypatch.setattr("bnnverify.falsify.time", _TickingClock())
+        # readings 1, 2, 3 come before batches one, two, three
+        assert random_attack(net, prop, AttackConfig(max_samples=1024), deadline=3.0) is None
+        assert sizes == [1, 2]

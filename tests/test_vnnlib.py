@@ -447,6 +447,18 @@ class TestWitnessFiles:
         assert "Y_" not in text
         assert parse_witness(text) == w
 
+    @pytest.mark.parametrize("values", [
+        [0, 3, -7, 255],
+        np.array([0.1, -0.0, 1e-30, 3.5, 255.0], dtype=np.float32),
+        np.array([0.1, -0.0, 1e300, -2.5, np.pi]),
+        [-0.0, 0.0, np.float32(-0.0), np.int64(-4)],
+    ])
+    def test_from_flat_matches_per_value_float(self, values):
+        w = witness_from_flat(values, logits=values)
+        want = [repr(float(v)) for v in values]  # repr tells -0.0 and int apart
+        assert [repr(v) for v in w.input_values] == want
+        assert [repr(v) for v in w.output_values] == want
+
     def test_single_expression_convention_accepted(self):
         text = "((X_0 1.0) (X_1 2.0) (Y_0 -3.0))"
         w = parse_witness(text)
