@@ -61,17 +61,6 @@ class CnfFormula:
         _check_literals(clauses, self.num_vars)
         object.__setattr__(self, "clauses", clauses)
 
-    @classmethod
-    def _of_ints(cls, num_vars, clauses):
-        """Formula over a tuple of clauses that already are tuples of
-        Python ints (``CnfBuilder.add`` makes them so): checks each literal
-        once and converts none again."""
-        _check_literals(clauses, num_vars)
-        formula = object.__new__(cls)
-        object.__setattr__(formula, "num_vars", num_vars)
-        object.__setattr__(formula, "clauses", clauses)
-        return formula
-
     def to_dimacs(self):
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
         for clause in self.clauses:
@@ -108,7 +97,8 @@ class CnfBuilder:
         return self.num_vars
 
     def add(self, clause):
-        c = tuple(map(int, clause))
+        # Literals are converted to int once, when the formula is built.
+        c = tuple(clause)
         if 0 in c:
             raise ValueError("clause may not contain literal 0")
         self.clauses.append(c)
@@ -125,7 +115,7 @@ class CnfBuilder:
         return t if value > 0 else -t
 
     def build(self):
-        return CnfFormula._of_ints(self.num_vars, tuple(self.clauses))
+        return CnfFormula(self.num_vars, tuple(self.clauses))
 
 
 def counter_geq(builder, lits, k):

@@ -143,7 +143,7 @@ class TestCnfFormula:
     def test_builder_checks_literals_at_build(self):
         b = CnfBuilder()
         x = b.new_var()
-        b.add([x, -x])
+        b.add([np.int64(x), -x])
         b.add([-2, x])  # variable 2 is never allocated
         with pytest.raises(ValueError, match="^literal -2 exceeds num_vars=1$"):
             b.build()
