@@ -17,6 +17,7 @@ from .layers import (
     QConv,
     QDense,
     layer_forward,
+    output_shape,
 )
 from .network import Network
 
@@ -60,18 +61,21 @@ def _bn(channels):
     )
 
 
+def _flat_size(input_shape, body):
+    """Length of the vector that ``Flatten`` makes after the image layers
+    ``body`` on ``input_shape``."""
+    shape = input_shape
+    for layer in (*body, Flatten()):
+        shape = output_shape(layer, shape)
+    return shape[0]
+
+
 def build_arch_a(h, w, num_classes=GTSRB_CLASSES):
     """Three conv blocks with pooling, a 1024-unit dense block, 43 logits.
 
     The benchmark uses 64x64 RGB inputs.
     """
-    def conv_out(size, kernel):
-        return size - kernel + 1
-
-    h1, w1 = conv_out(h, 5) // 2, conv_out(w, 5) // 2
-    h2, w2 = conv_out(h1, 5) // 2, conv_out(w1, 5) // 2
-    h3, w3 = conv_out(h2, 3) // 2, conv_out(w2, 3) // 2
-    layers = (
+    body = (
         _qconv(32, 5, 3, quantize_input=False),
         MaxPool(),
         _bn(32),
@@ -81,8 +85,10 @@ def build_arch_a(h, w, num_classes=GTSRB_CLASSES):
         _qconv(64, 3, 64, quantize_input=True),
         MaxPool(),
         _bn(64),
+    )
+    layers = body + (
         Flatten(),
-        _qdense(1024, h3 * w3 * 64),
+        _qdense(1024, _flat_size((h, w, 3), body)),
         _bn(1024),
         _qdense(num_classes, 1024),
     )
@@ -93,13 +99,7 @@ def build_arch_b(h, w, num_classes=GTSRB_CLASSES):
     """Like arch A but the third block keeps its spatial extent (no pool)
     and the dense block is 256 units wide.  The benchmark uses 48x48 inputs.
     """
-    def conv_out(size, kernel):
-        return size - kernel + 1
-
-    h1, w1 = conv_out(h, 5) // 2, conv_out(w, 5) // 2
-    h2, w2 = conv_out(h1, 5) // 2, conv_out(w1, 5) // 2
-    h3, w3 = conv_out(h2, 3), conv_out(w2, 3)
-    layers = (
+    body = (
         _qconv(32, 5, 3, quantize_input=False),
         MaxPool(),
         _bn(32),
@@ -108,8 +108,10 @@ def build_arch_b(h, w, num_classes=GTSRB_CLASSES):
         _bn(64),
         _qconv(64, 3, 64, quantize_input=True),
         _bn(64),
+    )
+    layers = body + (
         Flatten(),
-        _qdense(256, h3 * w3 * 64),
+        _qdense(256, _flat_size((h, w, 3), body)),
         _bn(256),
         _qdense(num_classes, 256),
     )
@@ -120,13 +122,13 @@ def build_arch_xnor(h, w, num_classes=GTSRB_CLASSES):
     """Purely binary stack: two convolutions straight into the output
     block, no pooling or normalization.  The benchmark uses 30x30 inputs.
     """
-    h1, w1 = h - 3 + 1, w - 3 + 1
-    h2, w2 = h1 - 2 + 1, w1 - 2 + 1
-    layers = (
+    body = (
         _qconv(16, 3, 3, quantize_input=False),
         _qconv(32, 2, 16, quantize_input=True),
+    )
+    layers = body + (
         Flatten(),
-        _qdense(num_classes, h2 * w2 * 32, quantize_input=True),
+        _qdense(num_classes, _flat_size((h, w, 3), body), quantize_input=True),
     )
     return Network(input_shape=(h, w, 3), layers=layers, num_classes=num_classes)
 
@@ -187,26 +189,24 @@ def random_tiny_network(rng, max_side=4, channels=1, num_classes=3, pixel_max=8)
     shape = (h, w, channels)
     probes = rng.integers(0, pixel_max + 1, size=(16,) + shape).astype(float)
     layers = []
-    cur = shape
     quantize = False  # first linear layer sees raw pixels
     for _ in range(int(rng.integers(1, 3))):
-        kernel = int(rng.integers(1, min(cur[0], cur[1], 2) + 1))
+        rows, cols, in_ch = probes.shape[1:]
+        kernel = int(rng.integers(1, min(rows, cols, 2) + 1))
         out_ch = int(rng.integers(1, 3))
-        w_conv = rng.choice([-1.0, 1.0], size=(kernel, kernel, cur[2], out_ch))
+        w_conv = rng.choice([-1.0, 1.0], size=(kernel, kernel, in_ch, out_ch))
         conv = QConv(out_ch, kernel, kernel, w_conv, quantize)
         layers.append(conv)
         probes = layer_forward(probes, conv)
         quantize = True
-        cur = (cur[0] - kernel + 1, cur[1] - kernel + 1, out_ch)
-        if cur[0] >= 2 and cur[1] >= 2 and rng.random() < 0.4:
+        if probes.shape[1] >= 2 and probes.shape[2] >= 2 and rng.random() < 0.4:
             layers.append(MaxPool())
             probes = layer_forward(probes, layers[-1])
-            cur = (cur[0] // 2, cur[1] // 2, cur[2])
         if rng.random() < 0.6:
             layers.append(_calibrated_bn(rng, probes))
             probes = layer_forward(probes, layers[-1])
     layers.append(Flatten())
-    flat = cur[0] * cur[1] * cur[2]
+    flat = int(np.prod(probes.shape[1:]))
     w_out = rng.choice([-1.0, 1.0], size=(flat, num_classes))
     layers.append(QDense(num_classes, w_out, quantize_input=quantize))
     return Network(input_shape=shape, layers=tuple(layers), num_classes=num_classes)

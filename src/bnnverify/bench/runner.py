@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..errors import EnumerationBudgetError
+from ..errors import EngineDeclinedError
 from ..falsify import AttackConfig, falsify
 from ..onnx_io import parse_model
 from ..vnnlib import check_witness, format_witness, parse_property
@@ -81,9 +81,9 @@ def _run_one(inst, engine, seed, attack, load_model):
         with open(inst.property_path) as fh:
             prop = parse_property(fh.read())
         verdict = ENGINES[engine](net, prop, inst.timeout_seconds, attack)
-    except EnumerationBudgetError as exc:
-        # the exhaustive engine refuses oversized grids; that is a
-        # declined answer, not a crash
+    except EngineDeclinedError as exc:
+        # an engine that cannot search the instance (an oversized or
+        # empty grid) declines it: no answer, not a crash
         return VerdictRecord(name, "unknown", time.monotonic() - start,
                              detail=str(exc))
     except RuntimeError as exc:

@@ -25,7 +25,7 @@ from .bench import (
     summarize_records,
     synthetic_benchmark,
 )
-from .errors import BnnVerifyError, EnumerationBudgetError
+from .errors import BnnVerifyError, EngineDeclinedError
 from .falsify import AttackConfig
 from .layers import BatchNorm, Flatten, MaxPool, QConv, QDense
 from .network import count_params, predict
@@ -147,14 +147,12 @@ def _image_pool(images_dir):
 
 
 def cmd_bench(args):
-    epsilons = tuple(float(e) if "." in e else int(e)
-                     for e in args.epsilons.split(","))
     if (args.models is None) != (args.images is None):
         sys.stderr.write("bnnverify bench: --models and --images go together\n")
         raise SystemExit(int(ExitStatus.USAGE))
     if args.models is None:
         instances = synthetic_benchmark(args.out, seed=args.seed,
-                                        epsilons=epsilons,
+                                        epsilons=args.epsilons,
                                         timeout=args.timeout)
     else:
         names = sorted(n for n in os.listdir(args.models)
@@ -164,7 +162,7 @@ def cmd_bench(args):
         models = [(os.path.splitext(n)[0],
                    _read_model(os.path.join(args.models, n))) for n in names]
         pool = _image_pool(args.images)
-        instances = generate_benchmark(models, pool, epsilons=epsilons,
+        instances = generate_benchmark(models, pool, epsilons=args.epsilons,
                                        out_dir=args.out, seed=args.seed,
                                        timeout=args.timeout)
     print(f"{len(instances)} instances -> "
@@ -190,8 +188,8 @@ def cmd_verify(args):
     try:
         verdict = ENGINES[args.engine](net, prop, args.timeout,
                                        AttackConfig(seed=args.seed))
-    except EnumerationBudgetError as exc:
-        # the exhaustive engine declined an oversized grid: no answer
+    except EngineDeclinedError as exc:
+        # the engine declined the instance, say an oversized or empty grid
         sys.stderr.write(f"bnnverify: {exc}\n")
         verdict = Verdict(UNKNOWN)
     except RuntimeError as exc:
@@ -242,6 +240,31 @@ def _counts_spec(text):
         ) from None
 
 
+def _epsilon_list(text):
+    try:
+        epsilons = tuple(float(e) if "." in e else int(e) for e in text.split(","))
+        if all(e >= 0 for e in epsilons):
+            return epsilons
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"{text!r}: expected comma-separated non-negative numbers")
+
+
+def _positive(kind):
+    """An argparse ``type=`` that parses ``kind`` and refuses values <= 0."""
+    def parse(text):
+        try:
+            value = kind(text)
+            if value > 0:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: expected a positive {kind.__name__}")
+    return parse
+
+
 def cmd_score(args):
     rows = score_results(args.counts)
     sys.stdout.write(format_score_table(rows))
@@ -279,8 +302,8 @@ def build_parser():
     p.add_argument("--images", default=None,
                    help="directory of <label>_*.ppm images")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilons", default="1,3,5,10,15")
-    p.add_argument("--timeout", type=float, default=480.0)
+    p.add_argument("--epsilons", type=_epsilon_list, default="1,3,5,10,15")
+    p.add_argument("--timeout", type=_positive(float), default=480.0)
     p.add_argument("--out", default="benchmark")
     p.set_defaults(func=cmd_bench)
 
@@ -311,7 +334,7 @@ def build_parser():
     p = sub.add_parser("run", help="run an engine over an instance CSV")
     p.add_argument("csv")
     p.add_argument("--engine", choices=tuple(ENGINES), default="falsify")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive(int), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="results")
     p.set_defaults(func=cmd_run)

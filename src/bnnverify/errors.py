@@ -59,7 +59,16 @@ class PpmFormatError(BnnVerifyError):
     """PPM image bytes cannot be decoded."""
 
 
-class EnumerationBudgetError(BnnVerifyError):
+class EngineDeclinedError(BnnVerifyError, ValueError):
+    """The engine declines an instance it cannot search, such as a grid
+    past its budget or a box with no integer point.
+
+    Neither the input nor the engine is at fault: callers report
+    ``unknown``, with this error as the reason.
+    """
+
+
+class EnumerationBudgetError(EngineDeclinedError):
     """Exhaustive enumeration would exceed the configured point budget.
 
     Deliberately distinct from an ``unknown`` verdict: the caller asked for

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from ..errors import EnumerationBudgetError
+from ..errors import EngineDeclinedError, EnumerationBudgetError
 from ..network import images_per_batch, margin, network_forward_batch
 from ..vnnlib import check_property_shapes, check_witness, witness_from_flat
 from .verdict import FALSIFIED, TIMEOUT, VERIFIED, Verdict
@@ -22,8 +22,9 @@ DEFAULT_ENUMERATION_BUDGET = 10_000_000
 def integer_grid_bounds(prop):
     """Integer endpoints of the box: (ceil(lo), floor(hi)) as float arrays.
 
-    Raises ValueError when some dimension holds no integer at all, which
-    cannot happen for integer-centred integer-radius benchmark properties.
+    Raises EngineDeclinedError (a ValueError) when some dimension holds no
+    integer at all, which cannot happen for integer-centred integer-radius
+    benchmark properties.
     """
     lo, hi = prop.bounds_arrays()
     g_lo = np.ceil(lo)
@@ -31,7 +32,7 @@ def integer_grid_bounds(prop):
     bad = g_lo > g_hi
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ValueError(f"input box contains no integer point in dimension {i}")
+        raise EngineDeclinedError(f"input box contains no integer point in dimension {i}")
     return g_lo, g_hi
 
 

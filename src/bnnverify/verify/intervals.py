@@ -34,12 +34,10 @@ Every output entry depends only on its own window, so on integer boxes
 the bounds are bit-identical to :func:`ibp_trace`.  A slice of an
 on-grid box is on the grid, so no entry is widened that the full trace
 would not widen; off the grid the slice may skip a widening, and its
-bounds are then tighter and still sound.  A ``QDense`` right after
-``Flatten`` that quantizes its input is updated by rank k: only the
-patch's flat entries move its centre and radius sum, by integer
-amounts, so the base output plus those exact sums is the full recompute
-bit for bit.  Every later vector layer, and a ``QDense`` that reads raw
-values, recomputes in full.
+bounds are then tighter and still sound.  At ``Flatten`` the rectangle
+is written into the reference image once, and every vector layer from
+there on recomputes in full.  A change that dies out before ``Flatten``
+returns the reference logits as they are.
 
 Points: ``IntervalTensor.point`` holds one read-only array as both
 ``lo`` and ``hi``.  Every layer then computes the point once, by its
@@ -234,13 +232,13 @@ def ibp_propagate(net, box, base=None):
 
     ``base``, when given, is the :func:`ibp_trace` of a box of the same
     shape.  Only the region of each image layer whose inputs differ from
-    ``base``'s is then recomputed, and a quantizing ``QDense`` after
-    ``Flatten`` is updated by rank k (see the module docstring); when the
-    change dies out before that layer's signs, the result is
-    ``base[-1]``.  A point against a point trace is a delta forward, not
-    an enclosure: on the integer grid it is ``network_forward`` bit for
-    bit, but off it the first layer's sums over a slice may round apart
-    from the full forward's, and the result carries no rounding margin.
+    ``base``'s is then recomputed, and every vector layer from ``Flatten``
+    on recomputes in full; when the change dies out before ``Flatten``,
+    the result is ``base[-1]``.  A point against a point trace is a delta
+    forward, not an enclosure: on the integer grid it is
+    ``network_forward`` bit for bit, but off it the first layer's sums
+    over a slice may round apart from the full forward's, and the result
+    carries no rounding margin.
     """
     if base is None:
         return ibp_trace(net, box)[-1]
@@ -259,62 +257,11 @@ def ibp_propagate(net, box, base=None):
         if isinstance(layer, Flatten):
             break
         patch = _patch_bounds(base[i], base[i + 1], patch, layer, i)
-    dense = net.layers[i + 1]
-    if isinstance(dense, QDense) and dense.quantize_input:
-        box = _dense_update(base[i], base[i + 2], patch, dense)
-        if box is None:
-            return base[-1]
-        i += 2
-    else:
-        h, w = base[i].shape[:2]
-        box = _written(base[i], slice(0, h), slice(0, w), patch)
+    h, w = base[i].shape[:2]
+    box = _written(base[i], slice(0, h), slice(0, w), patch)
     for j in range(i, len(net.layers)):
         box = _layer_bounds(box, net.layers[j], j)
     return box
-
-
-def _quantized_mid_rad(lo, hi, point):
-    """Centre and radius of the sign-quantized box; float32 in {-1, 0, 1},
-    and a radius of 0 for a point."""
-    lo = sign_quantize(lo)
-    if point:
-        return lo, 0.0
-    hi = sign_quantize(hi)
-    return (lo + hi) * 0.5, (hi - lo) * 0.5
-
-
-def _dense_update(ref_in, ref_out, patch, layer):
-    """Bounds of the quantizing ``QDense`` right after ``Flatten``, with the
-    image ``patch`` written into its reference input ``ref_in``, as a
-    rank-k update of its reference output ``ref_out``; None when no
-    quantized bound in the patch changes.
-
-    Only the patch's flat entries move the centre and the radius sum, by
-    integer amounts, so ``ref_out``'s integer centre and spread plus
-    those exact sums are the full recompute bit for bit.
-    """
-    r0, c0, lo, hi = patch
-    rows = slice(r0, r0 + lo.shape[0])
-    cols = slice(c0, c0 + lo.shape[1])
-    ref_point = ref_in.lo is ref_in.hi
-    new_mid, new_rad = _quantized_mid_rad(lo, hi, lo is hi)
-    old_mid, old_rad = _quantized_mid_rad(ref_in.lo[rows, cols], ref_in.hi[rows, cols],
-                                          ref_point)
-    dmid = new_mid - old_mid
-    # a quantized radius changes only where its centre does
-    r, c, ch = np.nonzero(dmid)
-    if r.size == 0:
-        return None
-    _, w, channels = ref_in.shape
-    flat = ((r + r0) * w + (c + c0)) * channels + ch
-    # float64: the partial sums of +-2 terms may pass float32's 2**24
-    delta = dmid[r, c, ch].astype(np.float64) @ layer.weights[flat].astype(np.float64)
-    if ref_point and lo is hi:
-        centre = ref_out.lo + delta
-        return IntervalTensor._frozen(centre, centre)
-    centre = (ref_out.lo + ref_out.hi) * 0.5 + delta
-    spread = (ref_out.hi - ref_out.lo) * 0.5 + float(np.sum(new_rad - old_rad))
-    return IntervalTensor._frozen(centre - spread, centre + spread)
 
 
 def _changed(lo, hi, ref, r0, c0):

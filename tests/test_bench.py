@@ -3,6 +3,7 @@
 import logging
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +32,14 @@ from bnnverify.errors import PpmFormatError, ShapeMismatchError
 from bnnverify.falsify import AttackConfig
 from bnnverify.layers import Flatten, QDense
 from bnnverify.network import Network, predict
-from bnnverify.vnnlib import check_witness, parse_property, parse_witness
+from bnnverify.onnx_io import serialize_model
+from bnnverify.vnnlib import (
+    RobustnessProperty,
+    check_witness,
+    parse_property,
+    parse_witness,
+    render_property,
+)
 
 TABLE4_COUNTS = [
     ("Marabou", 0, 18, 0, 1),
@@ -143,7 +151,7 @@ class TestGenerate:
                                        images_per_model=1)
         assert len(instances) == 1
         prop = parse_property(
-            open(os.path.join(str(tmp_path), instances[0].property_path)).read()
+            Path(tmp_path, instances[0].property_path).read_text()
         )
         lo, hi = prop.bounds_arrays()
         assert np.array_equal(lo, hi)
@@ -206,7 +214,7 @@ class TestGenerate:
 
     def test_instance_csv_round_trip(self, tmp_path):
         csv_path = tiny_suite(tmp_path, timeout=30.0)
-        text = open(csv_path).read()
+        text = Path(csv_path).read_text()
         assert "model_path" not in text  # no header
         first = text.splitlines()[0].split(",")
         assert len(first) == 3
@@ -260,11 +268,11 @@ class TestRunner:
         from bnnverify.onnx_io import parse_model
         for r in sats:
             assert r.witness_path and os.path.exists(r.witness_path)
-            w = parse_witness(open(r.witness_path).read())
+            w = parse_witness(Path(r.witness_path).read_text())
             inst = next(i for i in read_instances(csv_path)
                         if i.property_path == r.instance)
-            net = parse_model(open(inst.model_path, "rb").read())
-            prop = parse_property(open(inst.property_path).read())
+            net = parse_model(Path(inst.model_path).read_bytes())
+            prop = parse_property(Path(inst.property_path).read_text())
             assert check_witness(net, prop, w)
         for r in records:
             if r.verdict != "sat":
@@ -308,6 +316,24 @@ class TestRunner:
         records = run_instances(str(tmp_path / "instances.csv"), engine="brute")
         assert records[0].verdict == "unknown"
         assert "budget" in records[0].detail
+
+    @pytest.mark.parametrize("engine", ["bab", "brute", "falsify"])
+    def test_gridless_box_declined_as_unknown(self, tmp_path, engine):
+        # X_0 in [0.2, 0.8] holds no integer, so the grid engines decline
+        net = Network(
+            input_shape=(1, 2, 1),
+            layers=(Flatten(), QDense(2, np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                                      quantize_input=False)),
+            num_classes=2,
+        )
+        (tmp_path / "net.onnx").write_bytes(serialize_model(net))
+        (tmp_path / "box.vnnlib").write_text(render_property(
+            RobustnessProperty(2, 2, ((0.2, 0.8), (1.0, 2.0)), 0)))
+        (tmp_path / "instances.csv").write_text("net.onnx,box.vnnlib,60\n")
+        records = run_instances(str(tmp_path / "instances.csv"), engine=engine)
+        assert records[0].verdict == "unknown"
+        assert not records[0].penalty
+        assert "no integer point in dimension 0" in records[0].detail
 
     def test_each_model_file_is_parsed_once_per_run(self, tmp_path,
                                                      monkeypatch):

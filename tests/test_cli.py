@@ -4,6 +4,7 @@ import io
 import logging
 import os
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ class TestVerifyCommand:
 
     def test_infinite_bound_exits_65_without_a_verdict(self, tmp_path, capsys):
         model, prop = write_toy(tmp_path, epsilon=1)
-        text = open(prop).read()
+        text = Path(prop).read_text()
         old = "(assert (<= X_0 2.00000000))"
         assert old in text
         with open(prop, "w") as fh:
@@ -135,7 +136,7 @@ class TestVerifyCommand:
 
     def test_empty_disjunction_exits_65_without_a_verdict(self, tmp_path, capsys):
         model, prop = write_toy(tmp_path, epsilon=1)
-        text = open(prop).read()
+        text = Path(prop).read_text()
         start = text.index("(assert (or ")
         with open(prop, "w") as fh:
             fh.write(text[:start] + "(assert (or))\n")
@@ -200,8 +201,8 @@ class TestFalsifyPipeline:
         b = run_cli("falsify", model, prop, "--seed", "5",
                     "--out", str(tmp_path / "b"))
         assert a[0] == b[0] == 1
-        wa = open(a[1].splitlines()[1].split(" ", 1)[1]).read()
-        wb = open(b[1].splitlines()[1].split(" ", 1)[1]).read()
+        wa = Path(a[1].splitlines()[1].split(" ", 1)[1]).read_text()
+        wb = Path(b[1].splitlines()[1].split(" ", 1)[1]).read_text()
         assert wa == wb
 
 
@@ -220,7 +221,7 @@ class TestGenerateCommand:
         assert code == 0
         path = out.strip()
         assert os.path.basename(path) == "model_3_idx_7_eps_2.00000.vnnlib"
-        prop = parse_property(open(path).read())
+        prop = parse_property(Path(path).read_text())
         assert prop.target_label == predict(net, img)
         lo, hi = prop.bounds_arrays()
         assert np.array_equal(hi - lo, np.full(img.size, 4.0))
@@ -237,7 +238,7 @@ class TestGenerateCommand:
                             "--epsilon", "5", "--label", "1", "--clip",
                             "--out", str(tmp_path))
         assert code == 0
-        prop = parse_property(open(out.strip()).read())
+        prop = parse_property(Path(out.strip()).read_text())
         assert prop.target_label == 1
         lo, hi = prop.bounds_arrays()
         assert np.all(lo == 0.0)  # clipped at the pixel floor
@@ -311,6 +312,32 @@ class TestBenchAndRun:
         assert code == 65
 
 
+class TestBadOptionValues:
+    """Option values the parser rejects: a usage error, and nothing written."""
+
+    def test_run_jobs_zero_is_usage_error(self, tmp_path):
+        model, prop = write_toy(tmp_path)
+        csv_path = tmp_path / "instances.csv"
+        csv_path.write_text(f"{model},{prop},60\n")
+        out_dir = tmp_path / "results"
+        code, out = run_cli("run", str(csv_path), "--jobs", "0", "--out", str(out_dir))
+        assert (code, out) == (64, "")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("epsilons", ["1,x", "1,-1"])
+    def test_bench_bad_epsilon_is_usage_error(self, tmp_path, epsilons):
+        out_dir = tmp_path / "bench"
+        code, out = run_cli("bench", "--epsilons", epsilons, "--out", str(out_dir))
+        assert (code, out) == (64, "")
+        assert not out_dir.exists()
+
+    def test_bench_timeout_zero_is_usage_error(self, tmp_path):
+        out_dir = tmp_path / "bench"
+        code, out = run_cli("bench", "--timeout", "0", "--out", str(out_dir))
+        assert (code, out) == (64, "")
+        assert not out_dir.exists()
+
+
 class TestScoreCommand:
     def test_table4_counts(self):
         code, out = run_cli(
@@ -367,6 +394,34 @@ def write_window_model(tmp_path):
     prop = tmp_path / "window.vnnlib"
     prop.write_text(render_property(RobustnessProperty(1, 2, ((0.0, 1.0),), 0)))
     return str(model), str(prop)
+
+
+def write_gridless_model(tmp_path):
+    """Two pixels, X_0 in [0.2, 0.8] and X_1 in [1, 2]: a valid box with no
+    integer point in dimension 0, so the grid engines have nothing to
+    search."""
+    net = Network(
+        input_shape=(1, 2, 1),
+        layers=(Flatten(), QDense(2, np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                                  quantize_input=False)),
+        num_classes=2,
+    )
+    model = tmp_path / "gridless.onnx"
+    model.write_bytes(serialize_model(net))
+    prop = tmp_path / "gridless.vnnlib"
+    prop.write_text(render_property(
+        RobustnessProperty(2, 2, ((0.2, 0.8), (1.0, 2.0)), 0)))
+    return str(model), str(prop)
+
+
+class TestGridlessBox:
+    @pytest.mark.parametrize("engine", ["bab", "brute", "falsify"])
+    def test_grid_engines_decline_with_unknown(self, tmp_path, capsys, engine):
+        model, prop = write_gridless_model(tmp_path)
+        code, out = run_cli("verify", model, prop, "--engine", engine,
+                            "--out", str(tmp_path))
+        assert (code, out.splitlines()[0]) == (2, "unknown")
+        assert "no integer point in dimension 0" in capsys.readouterr().err
 
 
 class TestOffGridCounterexample:

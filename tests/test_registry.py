@@ -5,6 +5,7 @@ import io
 import logging
 import os
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,11 +105,11 @@ class TestRegistry:
         out = str(tmp_path / "w")
         witness = os.path.join(out, "net.witness.txt")
         a = run_cli("falsify", model, prop, "--seed", "5", "--out", out)
-        wa = open(witness, "rb").read()
+        wa = Path(witness).read_bytes()
         os.remove(witness)
         b = run_cli("verify", model, prop, "--engine", "falsify",
                     "--seed", "5", "--out", out)
-        wb = open(witness, "rb").read()
+        wb = Path(witness).read_bytes()
         assert a[0] == b[0] == 1
         assert a[1] == b[1]
         assert wa == wb
