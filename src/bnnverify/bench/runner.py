@@ -78,7 +78,7 @@ def _run_one(inst, engine, seed, attack, load_model):
     start = time.monotonic()
     try:
         net = load_model(inst.model_path)
-        with open(inst.property_path) as fh:
+        with open(inst.property_path, encoding="utf-8", newline="") as fh:
             prop = parse_property(fh.read())
         verdict = ENGINES[engine](net, prop, inst.timeout_seconds, attack)
     except EngineDeclinedError as exc:

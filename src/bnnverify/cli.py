@@ -74,7 +74,7 @@ def _read_model(path):
 
 
 def _read_property(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return parse_property(fh.read())
 
 
@@ -203,7 +203,7 @@ def cmd_verify(args):
 def cmd_check(args):
     net = _read_model(args.model)
     prop = _read_property(args.property)
-    with open(args.witness) as fh:
+    with open(args.witness, encoding="utf-8", newline="") as fh:
         witness = parse_witness(fh.read())
     if check_witness(net, prop, witness):
         print("valid")

@@ -84,19 +84,35 @@ def images_per_batch(net):
     """Images per batched forward that keep its working set within
     :data:`BATCH_BYTES`, and at least 1.
 
-    An image's working set is, at the layer where it peaks, the layer's
-    output plus, for a convolution, its im2col matrix (one row of
-    ``kh * kw * C`` window entries per output position), at 8 bytes an
-    entry.
+    An image's working set is what is live, per image, at the layer where
+    that peaks: the float64 batch, which the caller holds throughout, the
+    layer's float64 input and output, and its temporaries, each at its
+    real item size.  A ``QConv`` or ``QDense`` holds the
+    float32 sign copy of a quantized input and the float32 product before
+    its float64 cast, and a ``QConv`` its im2col matrix (one row of
+    ``kh * kw * C`` window entries per output position) at the item size
+    of what it reads.  A ``MaxPool`` holds two partial maxima and a
+    ``BatchNorm`` its centred input, each of the output's size; a
+    ``Flatten`` is a view.
     """
     shapes = net.layer_shapes()
     per_image = 0
-    for layer, out in zip(net.layers, shapes[1:]):
-        entries = int(np.prod(out))
+    for i, (layer, shape_in, shape_out) in enumerate(zip(net.layers, shapes, shapes[1:])):
+        if isinstance(layer, Flatten):
+            continue  # a view of its input
+        n_in, n_out = int(np.prod(shape_in)), int(np.prod(shape_out))
+        live = 8 * (net.num_inputs + n_out + (n_in if i else 0))
+        if isinstance(layer, (QConv, QDense)) and layer.quantize_input:
+            live += 4 * (n_in + n_out)
         if isinstance(layer, QConv):
             fan_in = layer.kernel_h * layer.kernel_w * layer.in_channels
-            entries += out[0] * out[1] * fan_in
-        per_image = max(per_image, 8 * entries)
+            item = 4 if layer.quantize_input else 8
+            live += item * shape_out[0] * shape_out[1] * fan_in
+        elif isinstance(layer, MaxPool):
+            live += 16 * n_out
+        elif isinstance(layer, BatchNorm):
+            live += 8 * n_out
+        per_image = max(per_image, live)
     return max(1, BATCH_BYTES // per_image)
 
 

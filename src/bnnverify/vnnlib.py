@@ -195,14 +195,14 @@ def property_filename(size: int, image_index: int, epsilon: float) -> str:
 
 _COMMENT = re.compile(r";[^\n]*")
 _TOKEN = re.compile(r"[()]|[^\s();]+")
-# A property file is almost entirely declarations and pixel bounds, so
-# those two forms are matched whole; every other token comes one at a time
-# (last group) and is nested by ``_read_forms``.
-_FORM = re.compile(r"""
-    \(\s*declare-const\s+([XY])_([0-9]+)\s+Real\s*\)
-  | \(\s*assert\s*\(\s*([<>])=\s+X_([0-9]+)\s+([^\s();]+)\s*\)\s*\)
-  | ([()]|[^\s();]+)
-""", re.VERBOSE)
+# A property file is almost entirely declarations and pixel bounds, read in
+# runs of one kind and split at a fixed stride.  The regex engine keeps a
+# record per repeat until a match ends: a run stops at 1024 forms to bound it.
+_X_DECLS, _Y_DECLS, _BOUNDS = (re.compile(r"(?:\s*%s){1,1024}" % form) for form in (
+    r"\(\s*declare-const\s+X_[0-9]+\s+Real\s*\)",
+    r"\(\s*declare-const\s+Y_[0-9]+\s+Real\s*\)",
+    r"\(\s*assert\s*\(\s*[<>]=\s+X_[0-9]+\s+[^\s();]+\s*\)\s*\)"))
+_PARENS = str.maketrans("()", "  ")
 
 
 def _tokenize(text):
@@ -250,22 +250,33 @@ def _number(token, error_cls):
         raise error_cls(f"expected a numeric constant, got {token!r}") from None
 
 
-def _indices(digits, prefix):
-    try:
-        return np.array(list(map(int, digits)), dtype=np.int64)
-    except OverflowError:
-        raise PropertyFormatError(
-            f"{prefix} variable index does not fit in 64 bits") from None
+def _indices(names, prefix):
+    """The int64 indices of ``names``, ``prefix_<digits>`` names in a row."""
+    digits = names.replace(prefix + "_", " ")
+    idx = np.fromstring(digits, dtype=np.int64, sep=" ")
+    if idx.size and idx.max() == np.iinfo(np.int64).max:
+        # fromstring saturates there without a word: read each exactly
+        try:
+            idx = np.array(digits.split(), dtype=np.int64)
+        except (OverflowError, ValueError):
+            raise PropertyFormatError(
+                f"{prefix} variable index does not fit in 64 bits") from None
+    return idx
 
 
-def _declared(digits, prefix):
+def _ranked(idx, repeat):
+    """``idx`` sorted; a repeated index ``i`` is refused as ``repeat + i``."""
+    ranked = np.sort(idx)
+    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+    if repeated.size:
+        raise PropertyFormatError(f"{repeat}{repeated[0]}")
+    return ranked
+
+
+def _declared(names, prefix):
     """Number of declared ``prefix`` variables, which must be ``prefix_0``
     upwards with no gap and no repeat."""
-    idx = np.sort(_indices(digits, prefix))
-    repeated = idx[1:][idx[1:] == idx[:-1]]
-    if repeated.size:
-        raise PropertyFormatError(
-            f"duplicate declaration of {prefix}_{repeated[0]}")
+    idx = _ranked(_indices(names, prefix), f"duplicate declaration of {prefix}_")
     if not np.array_equal(idx, np.arange(idx.size)):
         raise PropertyFormatError(
             f"{prefix} variable indices are not contiguous from 0")
@@ -274,10 +285,7 @@ def _declared(digits, prefix):
 
 def _bound_vector(idx, values, n, side):
     """The ``side`` bound of X_0 .. X_{n-1}, each bounded exactly once."""
-    ranked = np.sort(idx)
-    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
-    if repeated.size:
-        raise PropertyFormatError(f"duplicate bound for X_{repeated[0]}")
+    ranked = _ranked(idx, "duplicate bound for X_")
     if ranked.size and ranked[-1] >= n:
         raise PropertyFormatError(
             f"{side} bound on undeclared X_{ranked[ranked >= n][0]}")
@@ -292,11 +300,8 @@ def _bound_vector(idx, values, n, side):
 
 
 def _output_disjuncts(forms):
-    """The disjuncts of the one output constraint among ``forms``.
-
-    Every well-formed declaration and pixel bound is matched by ``_FORM``,
-    so any other top-level form must be the output constraint.
-    """
+    """The disjuncts of the one output constraint among ``forms``, the
+    top-level forms that no run of declarations or bounds took."""
     disjunction = None
     for form in forms:
         expr = form[1] if len(form) == 2 and form[0] == "assert" else None
@@ -347,47 +352,43 @@ def parse_property(text: str) -> RobustnessProperty:
     missing a bound, bounds on undeclared X variables, NaN or crossed
     bounds, and output disjunctions that are empty or mix target labels.
     """
-    x_decl, y_decl, sides, bound_idx, bound_val, rest = [], [], [], [], [], []
-    depth = 0
-    for var, decl, side, idx, value, tok in _FORM.findall(_COMMENT.sub("", text)):
-        if tok:
-            rest.append(tok)
-            depth += (tok == "(") - (tok == ")")
-        elif depth:
-            # a whole form inside another one: give its tokens back, so the
-            # enclosing form is read (and rejected) as written
-            rest += (["(", "declare-const", f"{var}_{decl}", "Real", ")"] if var
-                     else ["(", "assert", "(", side + "=", f"X_{idx}", value, ")", ")"])
-        elif var == "X":
-            x_decl.append(decl)
-        elif var:
-            y_decl.append(decl)
-        else:
-            sides.append(side)
-            bound_idx.append(idx)
-            bound_val.append(value)
+    text = _COMMENT.sub("", text)
+    decls = {_X_DECLS: [], _Y_DECLS: []}
+    sides, names, values, rest = [], [], [], []
+    pos = depth = 0
+    while m := (not depth and (_X_DECLS.match(text, pos) or _Y_DECLS.match(text, pos)
+                               or _BOUNDS.match(text, pos)) or _TOKEN.search(text, pos)):
+        pos = m.end()
+        if m.re is _TOKEN:
+            # runs start only at depth 0: a form nested in another is read as written
+            rest.append(m.group())
+            depth += (rest[-1] == "(") - (rest[-1] == ")")
+            continue
+        atoms = m.group().translate(_PARENS).split()
+        if m.re is _BOUNDS:  # assert <= X_i v
+            sides.append("".join(atoms[1::4]))
+            names.append("".join(atoms[2::4]))
+            values += atoms[3::4]
+        else:  # declare-const X_i Real
+            decls[m.re].append("".join(atoms[1::3]))
     disjunction = _output_disjuncts(_read_forms(rest, PropertyFormatError))
-    num_inputs = _declared(x_decl, "X")
-    num_outputs = _declared(y_decl, "Y")
+    num_inputs = _declared("".join(decls[_X_DECLS]), "X")
+    num_outputs = _declared("".join(decls[_Y_DECLS]), "Y")
     target = _target_label(disjunction, num_outputs)
 
-    idx = _indices(bound_idx, "X")
+    idx = _indices("".join(names), "X")
     try:
-        values = np.array(list(map(float, bound_val)))
+        values = np.array(values, dtype=np.float64)
     except ValueError:
-        for v in bound_val:
+        for v in values:
             _number(v, PropertyFormatError)
         raise
-    upper = np.frombuffer("".join(sides).encode(), dtype=np.uint8) == ord("<")
+    upper = np.frombuffer("".join(sides).encode(), dtype=np.uint8)[::2] == ord("<")
     lo = _bound_vector(idx[~upper], values[~upper], num_inputs, "lower")
     hi = _bound_vector(idx[upper], values[upper], num_inputs, "upper")
     try:
-        return RobustnessProperty(
-            num_inputs=num_inputs,
-            num_outputs=num_outputs,
-            input_bounds=np.column_stack((lo, hi)),
-            target_label=target,
-        )
+        return RobustnessProperty(num_inputs, num_outputs,
+                                  np.column_stack((lo, hi)), target)
     except ValueError as exc:
         # the counts and the target are checked above, so this is the
         # constructor's bounds check

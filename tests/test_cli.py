@@ -206,6 +206,47 @@ class TestFalsifyPipeline:
         assert wa == wb
 
 
+def hide_behind_lone_cr(path, line):
+    """Follow ``line`` in the file at ``path`` with a comment that ends in a
+    lone carriage return, then ``line`` again.  Only a newline ends a
+    comment, so the repeat is commented out; a reader that turns the
+    carriage return into a newline reads ``line`` twice."""
+    text = Path(path).read_text(encoding="utf-8")
+    assert line in text
+    Path(path).write_bytes(
+        text.replace(line, f"{line} ; caf\u00e9\r{line}", 1).encode("utf-8"))
+
+
+class TestLoneCarriageReturn:
+    """Property and witness files are read as written: a lone ``\\r`` does
+    not end a ``;`` comment, in the library or through any command."""
+
+    def test_verify(self, tmp_path):
+        model, prop = write_toy(tmp_path, epsilon=0)
+        hide_behind_lone_cr(prop, "(assert (>= X_0 1.00000000))")
+        code, out = run_cli("verify", model, prop, "--engine", "brute")
+        assert (code, out.splitlines()[0]) == (0, "unsat")
+
+    def test_run(self, tmp_path):
+        model, prop = write_toy(tmp_path, epsilon=0)
+        hide_behind_lone_cr(prop, "(assert (>= X_0 1.00000000))")
+        csv_path = tmp_path / "instances.csv"
+        csv_path.write_text(f"{model},{prop},30\n")
+        code, out = run_cli("run", str(csv_path), "--engine", "brute",
+                            "--out", str(tmp_path / "results"))
+        assert code == 0
+        assert out.splitlines()[0].startswith("verified=1 ")
+
+    def test_check(self, tmp_path):
+        model, prop = write_toy(tmp_path, epsilon=1)
+        code, out = run_cli("falsify", model, prop, "--out", str(tmp_path))
+        assert code == 1
+        witness = out.splitlines()[1].split(" ", 1)[1]
+        hide_behind_lone_cr(prop, "(assert (>= X_0 0.00000000))")
+        hide_behind_lone_cr(witness, Path(witness).read_text().splitlines()[0])
+        assert run_cli("check", model, prop, witness) == (0, "valid\n")
+
+
 class TestGenerateCommand:
     def test_property_file_round_trips(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -1,14 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bnnverify.arch import random_tiny_network
+from bnnverify.arch import (
+    build_arch_a,
+    build_arch_b,
+    build_arch_xnor,
+    random_tiny_network,
+    with_random_weights,
+)
 from bnnverify.errors import InvalidModelError, ShapeMismatchError
 from bnnverify.layers import BatchNorm, Flatten, QDense, layer_forward
 from bnnverify.network import (
+    BATCH_BYTES,
     Network,
     count_params,
     flatten_image,
     image_from_flat,
+    images_per_batch,
     network_forward,
     network_forward_batch,
     predict,
@@ -130,3 +140,21 @@ def test_flatten_roundtrip_and_order():
     # channel-last row-major: index (row*W + col)*C + channel
     assert flat[(2 * 5 + 3) * 3 + 1] == img[2, 3, 1]
     np.testing.assert_array_equal(image_from_flat(flat, (4, 5, 3)), img)
+
+
+@pytest.mark.parametrize("build, side", [(build_arch_a, 64), (build_arch_b, 48),
+                                         (build_arch_xnor, 30)], ids=["A", "B", "XNOR"])
+def test_forward_at_the_batch_cap_stays_within_the_byte_budget(build, side):
+    net = with_random_weights(build(side, side), np.random.default_rng(11))
+    cap = images_per_batch(net)
+    images = np.random.default_rng(1).integers(
+        0, 256, size=(cap,) + net.input_shape).astype(np.float64)
+    network_forward_batch(net, images[:1])
+    tracemalloc.start()
+    try:
+        network_forward_batch(net, images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the batch itself is live too, allocated before tracing began
+    assert images.nbytes + peak <= BATCH_BYTES

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -297,6 +298,60 @@ class TestParse:
         text = generate_property(np.zeros((1, 1, 1)), 1, 0, num_outputs=2)
         with pytest.raises(PropertyFormatError, match="X_\u00b2"):
             parse_property(text.replace("X_0", "X_\u00b2"))
+
+
+class TestIndexWidth:
+    """Variable indices are read in bulk as int64, and an index past 64
+    bits is refused by name rather than saturated to 2**63 - 1."""
+
+    BASE = generate_property(np.zeros((1, 8, 1)), 1, 0, num_outputs=3)
+    TOO_WIDE = "X variable index does not fit in 64 bits"
+    WIDE = pytest.mark.parametrize("index", [str(2**63), "9" * 20, "9" * 5000],
+                                   ids=["2**63", "20 digits", "5000 digits"])
+
+    def edit(self, old, new):
+        assert old in self.BASE
+        return self.BASE.replace(old, new, 1)
+
+    @WIDE
+    def test_declaration_past_64_bits_refused(self, index):
+        text = self.edit("(declare-const X_1 Real)", f"(declare-const X_{index} Real)")
+        with pytest.raises(PropertyFormatError, match=self.TOO_WIDE):
+            parse_property(text)
+
+    @WIDE
+    @pytest.mark.parametrize("side", ["<=", ">="])
+    def test_bound_past_64_bits_refused(self, side, index):
+        text = self.edit(f"(assert ({side} X_1 ", f"(assert ({side} X_{index} ")
+        with pytest.raises(PropertyFormatError, match=self.TOO_WIDE):
+            parse_property(text)
+
+    def test_declaration_at_64_bits_is_a_gap(self):
+        text = self.edit("(declare-const X_1 Real)", f"(declare-const X_{2**63 - 1} Real)")
+        with pytest.raises(PropertyFormatError, match="not contiguous from 0"):
+            parse_property(text)
+
+    @pytest.mark.parametrize("side, name", [("<=", "upper"), (">=", "lower")])
+    def test_bound_at_64_bits_is_undeclared(self, side, name):
+        text = self.edit(f"(assert ({side} X_1 ", f"(assert ({side} X_{2**63 - 1} ")
+        with pytest.raises(PropertyFormatError,
+                           match=f"{name} bound on undeclared X_{2**63 - 1}"):
+            parse_property(text)
+
+    def test_leading_zeros_name_the_same_variable(self):
+        text = self.BASE.replace("X_7 ", "X_007 ")
+        text = text.replace("X_1 ", "X_" + "0" * 30 + "1 ")
+        assert text.count("X_007") == 3
+        assert parse_property(text) == parse_property(self.BASE)
+
+
+def test_patterns_compile_on_python_3_10():
+    """pyproject allows Python 3.10, whose ``re`` has no possessive
+    quantifiers (``*+``, ``++``, ``?+``, ``{m,n}+``) or atomic groups."""
+    patterns = [v.pattern for v in vars(vnnlib).values() if isinstance(v, re.Pattern)]
+    assert len(patterns) >= 5
+    for pattern in patterns:
+        assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
 
 
 class TestCheckWitness:

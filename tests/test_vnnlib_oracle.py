@@ -350,6 +350,35 @@ def mutate(draw, forms):
     return forms[:k] + [form] + forms[k + 1:]
 
 
+def is_bound(form):
+    return (len(form) > 4 and form[1] == "assert" and form[3] in ("<=", ">=")
+            and form[4].startswith("X_"))
+
+
+@st.composite
+def reordered(draw, forms):
+    """``forms`` in a drawn order that changes kind often: shuffled, bounds
+    before declarations, the other forms (the output constraint) first or
+    between two bounds, or declarations and bounds alternating."""
+    decls = draw(st.permutations([f for f in forms if f[1:2] == ["declare-const"]]))
+    bounds = draw(st.permutations([f for f in forms if is_bound(f)]))
+    rest = [f for f in forms if f[1:2] != ["declare-const"] and not is_bound(f)]
+    scheme = draw(st.sampled_from(
+        ["shuffle", "bounds first", "rest first", "rest among bounds", "alternate"]))
+    if scheme == "shuffle":
+        return draw(st.permutations(forms))
+    if scheme == "bounds first":
+        return bounds + decls + rest
+    if scheme == "rest first":
+        return rest + decls + bounds
+    if scheme == "rest among bounds":
+        k = draw(st.integers(0, len(bounds)))
+        return decls + bounds[:k] + rest + bounds[k:]
+    alternating = [f for pair in zip(decls, bounds) for f in pair]
+    n = min(len(decls), len(bounds))
+    return alternating + decls[n:] + bounds[n:] + rest
+
+
 class TestTokenizer:
     @given(st.text(alphabet="();ab_X0.- \n\t\r\x0b\x1c\xa0\u2003\u2028", max_size=80))
     @settings(max_examples=300)
@@ -376,6 +405,18 @@ class TestDifferential:
         forms = mutate(data.draw, forms)
         text = data.draw(respaced([t for f in forms for t in f]))
         assert outcome(parse_property, text) == oracle_outcome(text)
+
+    @given(properties(), st.booleans(), st.data())
+    @settings(max_examples=300)
+    def test_reordered_property_parses_equal_or_both_reject(self, prop, mutated, data):
+        forms = top_level_forms(oracle_tokenize(render_property(prop)))
+        if mutated:
+            forms = mutate(data.draw, forms)
+        forms = data.draw(reordered(forms))
+        text = data.draw(respaced([t for f in forms for t in f]))
+        got = outcome(parse_property, text)
+        assert got == oracle_outcome(text)
+        assert mutated or got == prop
 
     SMALL = RobustnessProperty(num_inputs=2, num_outputs=3,
                                input_bounds=((1.0, 2.5), (-3.0, 0.0)),
