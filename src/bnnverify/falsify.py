@@ -11,6 +11,14 @@ Sampling starts at one image and doubles its batch up to the byte
 budget of `images_per_batch`, because most witnesses are the first
 sample.  Exhaustive enumeration (`verify.brute`) keeps full batches: an
 `unsat` grid visits every point, so a ramp there only adds calls.
+
+When the first sample is no witness, `random_attack` takes the interval
+trace of its sampling box once and draws every later batch through
+`verify.intervals.phase_forward`, which skips the activation signs that
+the trace fixes.  Its logits equal `network_forward_batch`'s bit for
+bit, so draws, witnesses and verdicts do not change; a trace that fixes
+nothing to skip keeps `network_forward_batch`.  Witness checks and the
+greedy walk keep the full forward.
 """
 
 import time
@@ -27,6 +35,7 @@ from .vnnlib import (
     witness_from_flat,
 )
 from .verify.brute import integer_grid_bounds
+from .verify.intervals import IntervalTensor, ibp_trace, phase_forward
 from .verify.verdict import FALSIFIED, TIMEOUT, UNKNOWN, Verdict
 
 
@@ -65,15 +74,21 @@ def random_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
     batches split one stream of draws, so the witness does not depend on
     their sizes; `deadline` (a time.monotonic() instant) stops the search
     between batches.
+
+    After a witness-free first batch the `ibp_trace` of the sampling box
+    (the integer grid's box in integer-grid mode) is taken once, and
+    later batches run through its `phase_forward` when it has phases to
+    skip.  Its logits equal `network_forward_batch`'s bit for bit.
     """
     check_property_shapes(net, prop)
     lo, hi = prop.bounds_arrays()
     if cfg.integer_grid:
-        g_lo, g_hi = integer_grid_bounds(prop)
-        g_lo, g_end = g_lo.astype(np.int64), g_hi.astype(np.int64) + 1
+        lo, hi = integer_grid_bounds(prop)  # the box the draws fill
+        g_lo, g_end = lo.astype(np.int64), hi.astype(np.int64) + 1
     rng = np.random.default_rng(cfg.seed)
     t = prop.target_label
     cap = images_per_batch(net)
+    forward = None
     drawn = 0
     while drawn < cfg.max_samples:
         if deadline is not None and time.monotonic() >= deadline:
@@ -83,12 +98,19 @@ def random_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
             points = rng.integers(g_lo, g_end, size=(batch, lo.size)).astype(np.float64)
         else:
             points = rng.uniform(lo, hi, size=(batch, lo.size))
-        logits = network_forward_batch(net, points.reshape((-1,) + net.input_shape))
+        images = points.reshape((-1,) + net.input_shape)
+        if forward is None:
+            logits = network_forward_batch(net, images)
+        else:
+            logits = forward(images)
         bad = margin(logits, logits, t) >= 0.0
         if np.any(bad):
             first = int(np.argmax(bad))
             return _checked(net, prop, points[first], logits[first])
         drawn += batch
+        if drawn == 1 and drawn < cfg.max_samples:  # after the one-image first batch
+            box = IntervalTensor(lo.reshape(net.input_shape), hi.reshape(net.input_shape))
+            forward = phase_forward(net, ibp_trace(net, box))
     return None
 
 

@@ -272,6 +272,12 @@ def contract(t, layer):
     the ``2**24`` fan-in limit; float64 ``t`` promotes the weights and
     keeps float64 arithmetic.
     """
+    return _product(t, layer).astype(np.float64, copy=False)
+
+
+def _product(t, layer):
+    """The product of :func:`contract` before its float64 cast: float32
+    for float32 ``t``."""
     w = layer.weights
     if isinstance(layer, QConv):
         kh, kw, c, out = w.shape
@@ -281,7 +287,7 @@ def contract(t, layer):
         w = w.reshape(-1, out)
     lead = t.shape[:-1]
     product = t.reshape(-1, t.shape[-1]) @ w
-    return product.reshape(lead + (w.shape[1],)).astype(np.float64, copy=False)
+    return product.reshape(lead + (w.shape[1],))
 
 
 def layer_forward(t, layer, layer_index=None):

@@ -31,7 +31,7 @@ from ..layers import (
     layer_forward,
 )
 from ..vnnlib import check_property_shapes
-from .intervals import FoldedSign, fold_bn_sign, ibp_trace, property_box
+from .intervals import FoldedSign, fold_bn_sign, ibp_trace, property_box, stable_phases
 
 __all__ = [
     "CnfFormula",
@@ -491,13 +491,4 @@ def stable_phases_from_box(net, prop):
     """
     q = first_quantize_index(net)
     trace = ibp_trace(net, property_box(net, prop))
-    pre = trace[q]
-    out = []
-    for lo, hi in zip(pre.lo.reshape(-1), pre.hi.reshape(-1)):
-        if lo >= 0:
-            out.append(1)
-        elif hi < 0:
-            out.append(-1)
-        else:
-            out.append(None)
-    return out
+    return [p or None for p in stable_phases(trace[q]).reshape(-1).tolist()]

@@ -48,6 +48,11 @@ forward: it recomputes only the changed windows, and its logits equal
 ``network_forward`` on the integer grid, where every sum is exact.  Off
 the grid they may differ in the last bits, since a slice of the first
 layer's float64 sums may round in another order than the full forward.
+
+Phases: :func:`stable_phases` reads off a box the signs it fixes, and
+:func:`phase_forward` runs a batch of points of a traced box with the
+fixed signs of every quantizing layer's input as constants.  Its logits
+equal ``network_forward_batch``'s bit for bit, on the grid and off it.
 """
 
 import time
@@ -57,10 +62,12 @@ import numpy as np
 
 from ..errors import ShapeMismatchError
 from ..layers import (
+    BatchNorm,
     Flatten,
     MaxPool,
     QConv,
     QDense,
+    _product,
     contract,
     conv_windows,
     layer_forward,
@@ -76,6 +83,8 @@ __all__ = [
     "property_box",
     "ibp_trace",
     "ibp_propagate",
+    "stable_phases",
+    "phase_forward",
     "verify_ibp",
     "fold_bn_sign",
 ]
@@ -149,16 +158,21 @@ def _fan_in_sum(t, layer):
     return t.sum(axis=-1, keepdims=True)
 
 
-def _on_grid(lo, hi, fan_in):
-    """True when every bound is a multiple of a power of two ``step`` with
-    fan_in * max|bound| <= 2**51 * step; integer boxes of pixel size always
-    are.  Every partial sum over a fan-in is then exact in float64, so the
-    centre/radius bounds are the exact extremes; rounding is monotone, so
-    they also hold the float forward of every real point in the box,
-    whatever the summation order."""
-    top = max(np.max(np.abs(lo)), np.max(np.abs(hi)))
+def _on_grid(fan_in, *arrays):
+    """True when every entry of ``arrays`` is a multiple of a power of two
+    ``step`` with fan_in * max|entry| <= 2**51 * step; integer boxes and
+    points of pixel size always are.  Every partial sum over a fan-in is
+    then exact in float64, whatever the summation order.  For box bounds
+    the centre/radius bounds are then the exact extremes; rounding is
+    monotone, so they also hold the float forward of every real point in
+    the box."""
+    top = max(max(a.max(), -a.min()) for a in arrays)
     step = np.ldexp(1.0, int(np.frexp(top * fan_in)[1]) - 51)
-    return all(np.array_equal(b / step, np.rint(b / step)) for b in (lo, hi))
+    for a in arrays:
+        q = a / step
+        if not np.array_equal(q, np.rint(q)):
+            return False
+    return True
 
 
 def _rounding_margin(mid, rad, layer, fan_in):
@@ -189,7 +203,7 @@ def _linear_bounds(box, layer):
     spread = _fan_in_sum(rad, layer)
     fan_in = layer.weights.size // layer.weights.shape[-1]
     # after sign quantization the box is +-1, so always on the grid
-    if not (layer.quantize_input or _on_grid(lo, hi, fan_in)):
+    if not (layer.quantize_input or _on_grid(fan_in, lo, hi)):
         spread = spread + _rounding_margin(mid, rad, layer, fan_in)
     return IntervalTensor._frozen(centre - spread, centre + spread)
 
@@ -329,6 +343,160 @@ def _written(ref, rows, cols, patch):
     box_hi = ref.hi[rows, cols].copy()
     box_hi[inside] = hi[:n_r, :n_c]
     return IntervalTensor._frozen(box_lo, box_hi)
+
+
+def stable_phases(box):
+    """The sign that ``box`` fixes at each entry, as int8 of the box's
+    shape: +1 where ``lo >= 0``, -1 where ``hi < 0``, and 0 where the sign
+    is free.  ``sign(0) = +1``, as in :func:`sign_quantize`."""
+    phases = (box.lo >= 0).astype(np.int8)
+    phases -= box.hi < 0
+    return phases
+
+
+def phase_forward(net, trace):
+    """A batched forward, ``(N, H, W, C)`` images to ``(N, classes)``
+    logits, for images inside the box that ``trace`` (an :func:`ibp_trace`)
+    was made from.  None when the trace fixes no phase that it could skip.
+
+    At the input of each quantizing layer, a boundary, the signs that the
+    trace fixes (:func:`stable_phases`) are constants of every image, and
+    only the free entries are computed:
+
+    * a ``QDense`` that reads a boundary adds the +-1 rows of its free
+      inputs to the float32 sum of its fixed ones, computed once;
+    * a linear layer whose output reaches a boundary only through
+      ``BatchNorm`` and ``Flatten`` computes only that boundary's free
+      entries.  A quantized ``QConv`` gathers them from its float32
+      product.  The unquantized ``QConv`` takes one window dot per free
+      entry when :func:`_on_grid` shows that every sum of the batch is
+      exact, and otherwise runs in full and gathers them;
+    * every other layer, a layer behind a ``MaxPool`` for one, runs its
+      ``layer_forward``.
+
+    Every sum is then an exact integer or the full forward's own float64
+    arithmetic, so the logits equal ``network_forward_batch``'s bit for
+    bit.  There is something to skip when a boundary with a fixed phase
+    is read by a ``QDense`` or reached by such a linear layer.
+    """
+    layers = net.layers
+    phases, free = {}, {}
+    for j, layer in enumerate(layers):
+        if isinstance(layer, (QConv, QDense)) and layer.quantize_input:
+            p = stable_phases(trace[j]).reshape(-1)
+            if p.any():
+                phases[j], free[j] = p, np.flatnonzero(p == 0)
+
+    def reached(i):
+        k = i + 1
+        while k < len(layers) and isinstance(layers[k], (BatchNorm, Flatten)):
+            k += 1
+        return k if k in phases else None
+
+    steps = []
+    skips = False
+    into = None  # the boundary whose free entries the batch holds
+    for i, layer in enumerate(layers):
+        if into is not None and i < into:  # a BatchNorm or Flatten on the way
+            if isinstance(layer, BatchNorm):
+                steps.append(_gathered_batch_norm(layer, free[into]))
+            continue
+        j = reached(i) if isinstance(layer, (QConv, QDense)) else None
+        if j is None and into != i and not (i in phases and isinstance(layer, QDense)):
+            steps.append(lambda t, layer=layer, i=i: layer_forward(t, layer, i))
+        else:
+            skips = True
+            steps.append(_phase_linear(layer, i, trace[i].shape, phases.get(i),
+                                       free.get(i), into == i, free.get(j)))
+        into = j
+    if not skips:
+        return None
+
+    def forward(images):
+        t = np.asarray(images, dtype=np.float64)
+        for step in steps:
+            t = step(t)
+        return t
+
+    return forward
+
+
+def _phase_linear(layer, i, shape_in, phases, free, gathered, free_out):
+    """The phase forward's step for the ``QConv`` or ``QDense`` at ``i``.
+
+    ``phases`` holds the fixed signs of the layer's flat input and
+    ``free`` the indices of the others (both None when its input has no
+    fixed sign), and ``gathered`` says that the batch holds only those
+    free entries.  The step returns the entries ``free_out`` of the flat
+    output, or all of it when ``free_out`` is None.
+    """
+    if not layer.quantize_input:  # so free_out is given
+        if isinstance(layer, QConv):
+            return _window_dots(layer, i, shape_in, free_out)
+        return lambda t: _take(layer_forward(t, layer, i), free_out)
+    if isinstance(layer, QDense):
+        w = layer.weights if free_out is None else layer.weights[:, free_out]
+        const = None
+        if phases is not None:
+            const = phases.astype(np.float32) @ w  # integer sums, exact
+            w = w[free]
+
+        def dense(t):
+            if phases is not None and not gathered:
+                t = _take(t, free)
+            out = sign_quantize(t) @ w
+            if const is not None:
+                out += const
+            return out.astype(np.float64)
+        return dense
+
+    def conv(t):
+        if gathered:
+            s = np.empty((len(t), phases.size), dtype=np.float32)
+            s[:] = phases
+            s[:, free] = sign_quantize(t)
+            t = s.reshape((len(t),) + shape_in)
+        else:
+            t = sign_quantize(t)
+        out = _product(t, layer)
+        return (out if free_out is None else _take(out, free_out)).astype(np.float64)
+    return conv
+
+
+def _window_dots(layer, i, shape_in, free_out):
+    """The unquantized ``QConv`` at ``i``, only at the flat output entries
+    ``free_out``: one dot of its window with its weight column each."""
+    kh, kw, c, out = layer.weights.shape
+    w = shape_in[1]
+    unit, channel = np.divmod(free_out, out)
+    row, col = np.divmod(unit, w - kw + 1)
+    # flat input index of each window entry, in the (kh, kw, C) weight order
+    offsets = np.arange(kh)[:, None, None] * w + np.arange(kw)[:, None]
+    offsets = (offsets * c + np.arange(c)).reshape(-1)
+    reads = ((row * w + col) * c)[:, None] + offsets
+    columns = layer.weights.reshape(-1, out)[:, channel].T.astype(np.float64)
+
+    def dots(t):
+        x = t.reshape(len(t), -1)
+        if not _on_grid(columns.shape[1], x):
+            return _take(layer_forward(t, layer, i), free_out)
+        return np.einsum("nuk,uk->nu", np.take(x, reads, axis=1), columns)
+    return dots
+
+
+def _take(t, flat):
+    """The entries ``flat`` of each image of the batch ``t``, flattened."""
+    return np.take(t.reshape(len(t), -1), flat, axis=1)
+
+
+def _gathered_batch_norm(layer, flat):
+    """``layer_forward`` of the ``BatchNorm`` ``layer`` on only the flat
+    entries ``flat`` of each image: a ``BatchNorm`` whose channels are
+    theirs, which computes every entry as ``layer`` does."""
+    c = flat % layer.channels
+    gathered = BatchNorm(layer.gamma[c], layer.beta[c], layer.moving_mean[c],
+                         layer.moving_variance[c], layer.eps)
+    return lambda t: layer_forward(t, gathered)
 
 
 def property_box(net, prop):

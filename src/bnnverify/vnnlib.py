@@ -234,13 +234,20 @@ def _read_forms(tokens, error_cls):
     return forms
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _var_index(token, prefix, error_cls):
     if not isinstance(token, str) or not token.startswith(prefix + "_"):
         raise error_cls(f"expected {prefix} variable, got {token!r}")
     tail = token[len(prefix) + 1:]
     if not (tail.isascii() and tail.isdigit()):
         raise error_cls(f"malformed variable name {token!r}")
-    return int(tail)
+    # the digit count first: int() refuses strings past 4300 digits
+    digits = tail.lstrip("0") or "0"
+    if len(digits) > 19 or int(digits) > _INT64_MAX:
+        raise error_cls(f"{prefix} variable index does not fit in 64 bits")
+    return int(digits)
 
 
 def _number(token, error_cls):
@@ -254,7 +261,7 @@ def _indices(names, prefix):
     """The int64 indices of ``names``, ``prefix_<digits>`` names in a row."""
     digits = names.replace(prefix + "_", " ")
     idx = np.fromstring(digits, dtype=np.int64, sep=" ")
-    if idx.size and idx.max() == np.iinfo(np.int64).max:
+    if idx.size and idx.max() == _INT64_MAX:
         # fromstring saturates there without a word: read each exactly
         try:
             idx = np.array(digits.split(), dtype=np.int64)

@@ -26,6 +26,8 @@ from bnnverify.verify import (
     dpll_satisfiable,
     export_cnf,
     format_varmap,
+    ibp_trace,
+    property_box,
     stable_phases_from_box,
 )
 from bnnverify.verify.cnf import (
@@ -405,7 +407,33 @@ class TestSuffixForward:
             binary_suffix_forward(net, np.zeros(n))
 
 
+def loop_stable_phases(box):
+    """Per-entry restatement of the stable-phase rule."""
+    out = []
+    for lo, hi in zip(box.lo.reshape(-1), box.hi.reshape(-1)):
+        if lo >= 0:
+            out.append(1)
+        elif hi < 0:
+            out.append(-1)
+        else:
+            out.append(None)
+    return out
+
+
 class TestStablePhases:
+    def test_matches_the_per_entry_rule(self):
+        for seed in range(60):
+            rng = np.random.default_rng(700 + seed)
+            net = random_tiny_network(rng, max_side=4)
+            img = rng.integers(0, 9, size=net.input_shape).astype(float)
+            for eps in (0, 0.5, 1, 3):
+                prop = make_property(img, epsilon=eps, label=0,
+                                     num_outputs=net.num_classes)
+                box = ibp_trace(net, property_box(net, prop))[first_quantize_index(net)]
+                phases = stable_phases_from_box(net, prop)
+                assert phases == loop_stable_phases(box)
+                assert all(p is None or type(p) is int for p in phases)
+
     def test_point_box_pins_every_phase(self):
         for seed in range(6):
             rng = np.random.default_rng(80 + seed)

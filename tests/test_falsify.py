@@ -24,6 +24,7 @@ from bnnverify.network import (
 )
 from bnnverify.vnnlib import RobustnessProperty, check_witness, make_property
 from bnnverify.verify import brute_force_verify, integer_grid_bounds
+from bnnverify.verify.intervals import phase_forward
 
 
 # 4-pixel toy that flips its argmax inside the eps=1 ball (rediscovered
@@ -319,16 +320,32 @@ def reference_first_witness(net, prop, cfg):
 
 
 def forward_recorder(monkeypatch, module, cap):
-    """Wrap ``module.network_forward_batch``; a call of more than ``cap``
+    """Wrap ``module.network_forward_batch`` and, where ``module`` builds
+    them, the forwards of ``phase_forward``; a call of more than ``cap``
     images fails before it allocates anything."""
     sizes = []
 
-    def recording(net, images):
+    def record(images):
         sizes.append(len(images))
         assert len(images) <= cap, f"one forward of {len(images)} images, cap {cap}"
+
+    def recording(net, images):
+        record(images)
         return network_forward_batch(net, images)
 
+    def recording_phase_forward(net, trace):
+        forward = phase_forward(net, trace)
+        if forward is None:
+            return None
+
+        def recorded(images):
+            record(images)
+            return forward(images)
+        return recorded
+
     monkeypatch.setattr(f"{module}.network_forward_batch", recording)
+    if module == "bnnverify.falsify":
+        monkeypatch.setattr(f"{module}.phase_forward", recording_phase_forward)
     return sizes
 
 
@@ -456,3 +473,30 @@ class TestBatchRamp:
         # readings 1, 2, 3 come before batches one, two, three
         assert random_attack(net, prop, AttackConfig(max_samples=1024), deadline=3.0) is None
         assert sizes == [1, 2]
+
+    def test_batches_after_a_witness_free_first_sample_skip_fixed_phases(
+            self, xnor_free, monkeypatch):
+        net, prop = xnor_free
+        calls = []
+
+        def full(net, images):
+            calls.append(("full", len(images)))
+            return network_forward_batch(net, images)
+
+        def built(net, trace):
+            forward = phase_forward(net, trace)
+            assert forward is not None  # the XNOR ball fixes most phases
+
+            def phased(images):
+                calls.append(("phase", len(images)))
+                return forward(images)
+            return phased
+
+        monkeypatch.setattr("bnnverify.falsify.network_forward_batch", full)
+        monkeypatch.setattr("bnnverify.falsify.phase_forward", built)
+        assert random_attack(net, prop, AttackConfig(max_samples=64, seed=0)) is None
+        assert calls == [("full", 1)] + [("phase", n) for n in (2, 4, 8, 16, 32, 1)]
+        calls.clear()
+        # a one-sample budget never takes the trace
+        assert random_attack(net, prop, AttackConfig(max_samples=1, seed=0)) is None
+        assert calls == [("full", 1)]

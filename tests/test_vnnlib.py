@@ -338,6 +338,31 @@ class TestIndexWidth:
                            match=f"{name} bound on undeclared X_{2**63 - 1}"):
             parse_property(text)
 
+    @WIDE
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_output_index_past_64_bits_refused(self, side, index):
+        new = f"(>= Y_{index} Y_0)" if side == "left" else f"(>= Y_1 Y_{index})"
+        text = self.edit("(>= Y_1 Y_0)", new)
+        with pytest.raises(PropertyFormatError,
+                           match="Y variable index does not fit in 64 bits"):
+            parse_property(text)
+
+    @WIDE
+    @pytest.mark.parametrize("prefix", ["X", "Y"])
+    def test_witness_index_past_64_bits_refused(self, prefix, index):
+        text = f"(X_0 1.0)\n({prefix}_{index} 1.0)"
+        with pytest.raises(WitnessFormatError,
+                           match=f"{prefix} variable index does not fit in 64 bits"):
+            parse_witness(text)
+
+    def test_witness_index_at_64_bits_is_a_gap(self):
+        with pytest.raises(WitnessFormatError, match="not contiguous from 0"):
+            parse_witness(f"(X_0 1.0)\n(X_{2**63 - 1} 1.0)")
+
+    def test_witness_leading_zeros_name_the_same_variable(self):
+        text = "(X_0 1.0)\n(X_" + "0" * 5000 + "1 2.0)"
+        assert parse_witness(text).input_values == (1.0, 2.0)
+
     def test_leading_zeros_name_the_same_variable(self):
         text = self.BASE.replace("X_7 ", "X_007 ")
         text = text.replace("X_1 ", "X_" + "0" * 30 + "1 ")
