@@ -13,10 +13,13 @@ from .ppm import load_ppm, save_ppm
 from .runner import (
     ENGINES,
     VerdictRecord,
+    load_model,
+    load_property,
     render_results_csv,
     run_instances,
     run_one,
     summarize_records,
+    write_witness,
 )
 from .scoring import ScoreRow, format_score_table, render_score_csv, score_results
 
@@ -29,7 +32,9 @@ __all__ = [
     "VerdictRecord",
     "format_score_table",
     "generate_benchmark",
+    "load_model",
     "load_ppm",
+    "load_property",
     "read_instances",
     "render_instances_csv",
     "render_results_csv",
@@ -40,4 +45,5 @@ __all__ = [
     "score_results",
     "summarize_records",
     "synthetic_benchmark",
+    "write_witness",
 ]

@@ -21,6 +21,12 @@ from ..vnnlib import generate_property, property_filename
 
 log = logging.getLogger("bnnverify.bench")
 
+# The instance and results CSVs are UTF-8 under any locale.  A path in
+# them names the file with those bytes: ``_file_name`` maps it to the name
+# that ``open`` takes, and a name that is not UTF-8 travels both ways as
+# surrogate escapes.
+CSV_TEXT = {"encoding": "utf-8", "errors": "surrogateescape", "newline": ""}
+
 DEFAULT_EPSILONS = (1, 3, 5, 10, 15)
 DEFAULT_TIMEOUT = 480.0
 IMAGES_PER_MODEL = 3
@@ -58,7 +64,7 @@ def read_instances(csv_path) -> list:
     """Parse an instance CSV; relative paths resolve against the CSV's dir."""
     base = os.path.dirname(os.path.abspath(csv_path))
     instances = []
-    with open(csv_path, newline="") as fh:
+    with open(csv_path, **CSV_TEXT) as fh:
         for row in csv.reader(fh):
             if not row or all(not field.strip() for field in row):
                 continue
@@ -69,12 +75,18 @@ def read_instances(csv_path) -> list:
             model, prop, timeout = (field.strip() for field in row)
             instances.append(
                 BenchmarkInstance(
-                    model_path=os.path.join(base, model),
-                    property_path=os.path.join(base, prop),
+                    model_path=os.path.join(base, _file_name(model)),
+                    property_path=os.path.join(base, _file_name(prop)),
                     timeout_seconds=float(timeout),
                 )
             )
     return instances
+
+
+def _file_name(text):
+    """The file name whose bytes are ``text`` in UTF-8, in the form that
+    ``open`` takes under the locale's file-name encoding."""
+    return os.fsdecode(text.encode("utf-8", "surrogateescape"))
 
 
 def _select_images(net, pool, rng, count):
@@ -148,7 +160,7 @@ def generate_benchmark(models, images, epsilons=DEFAULT_EPSILONS, out_dir=".",
                 instances.append(
                     BenchmarkInstance(model_file, prop_file, float(timeout))
                 )
-    with open(os.path.join(out_dir, "instances.csv"), "w", newline="\n") as fh:
+    with open(os.path.join(out_dir, "instances.csv"), "w", **CSV_TEXT) as fh:
         fh.write(render_instances_csv(instances))
     return instances
 

@@ -57,9 +57,25 @@ class VerdictRecord:
             raise ValueError(f"verdict {self.verdict!r} not in {RESULT_VOCAB}")
 
 
-def _load_model(path):
+def load_model(path):
     with open(path, "rb") as fh:
         return parse_model(fh.read())
+
+
+def load_property(path):
+    """Read a property file as UTF-8 text, with no newline translation."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return parse_property(fh.read())
+
+
+def write_witness(out_dir, instance, text) -> str:
+    """Write ``text`` as <instance-stem>.witness.txt under ``out_dir``;
+    return its path."""
+    stem = os.path.splitext(os.path.basename(instance))[0]
+    path = os.path.join(out_dir, f"{stem}.witness.txt")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path
 
 
 def run_one(inst, engine, seed=0, attack=None) -> VerdictRecord:
@@ -68,18 +84,17 @@ def run_one(inst, engine, seed=0, attack=None) -> VerdictRecord:
     `attack` overrides the falsify engine's sample/pass budget, for runs
     where the default desk-scale budget is wrong for the model size.
     """
-    return _run_one(inst, engine, seed, attack, _load_model)
+    return _run_one(inst, engine, seed, attack, load_model)
 
 
-def _run_one(inst, engine, seed, attack, load_model):
+def _run_one(inst, engine, seed, attack, load):
     name = inst.property_path
     if attack is None:
         attack = AttackConfig(seed=seed)
     start = time.monotonic()
     try:
-        net = load_model(inst.model_path)
-        with open(inst.property_path, encoding="utf-8", newline="") as fh:
-            prop = parse_property(fh.read())
+        net = load(inst.model_path)
+        prop = load_property(inst.property_path)
         verdict = ENGINES[engine](net, prop, inst.timeout_seconds, attack)
     except EngineDeclinedError as exc:
         # an engine that cannot search the instance (an oversized or
@@ -130,30 +145,22 @@ def run_instances(csv_path, engine="falsify", parallelism=1, seed=0,
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     instances = read_instances(csv_path)
     # lru_cache keeps no exception, so a failed load is retried per instance
-    load_model = functools.lru_cache(maxsize=None)(_load_model)
+    cached_load = functools.lru_cache(maxsize=None)(load_model)
     if parallelism == 1:
-        records = [_run_one(inst, engine, seed, attack, load_model)
+        records = [_run_one(inst, engine, seed, attack, cached_load)
                    for inst in instances]
     else:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             futures = [pool.submit(_run_one, inst, engine, seed, attack,
-                                   load_model)
+                                   cached_load)
                        for inst in instances]
             records = [f.result() for f in futures]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        records = [_write_witness(r, out_dir) for r in records]
+        records = [replace(r, witness_path=write_witness(out_dir, r.instance,
+                                                         r.detail), detail="")
+                   if r.verdict == "sat" else r for r in records]
     return records
-
-
-def _write_witness(record, out_dir):
-    if record.verdict != "sat":
-        return record
-    stem = os.path.splitext(os.path.basename(record.instance))[0]
-    path = os.path.join(out_dir, f"{stem}.witness.txt")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(record.detail)
-    return replace(record, witness_path=path, detail="")
 
 
 def render_results_csv(records) -> str:

@@ -18,23 +18,25 @@ from .bench import (
     ENGINES,
     format_score_table,
     generate_benchmark,
+    load_model,
     load_ppm,
+    load_property,
     render_results_csv,
     run_instances,
     score_results,
     summarize_records,
     synthetic_benchmark,
+    write_witness,
 )
+from .bench.generate import CSV_TEXT
 from .errors import BnnVerifyError, EngineDeclinedError
 from .falsify import AttackConfig
 from .layers import BatchNorm, Flatten, MaxPool, QConv, QDense
 from .network import count_params, predict
-from .onnx_io import parse_model
 from .vnnlib import (
     format_witness,
     check_witness,
     generate_property,
-    parse_property,
     parse_witness,
     property_filename,
 )
@@ -68,16 +70,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(int(ExitStatus.USAGE))
 
 
-def _read_model(path):
-    with open(path, "rb") as fh:
-        return parse_model(fh.read())
-
-
-def _read_property(path):
-    with open(path, encoding="utf-8", newline="") as fh:
-        return parse_property(fh.read())
-
-
 def _read_image(path):
     with open(path, "rb") as fh:
         return load_ppm(fh.read())
@@ -101,7 +93,7 @@ def _describe(layer):
 
 
 def cmd_inspect(args):
-    net = _read_model(args.model)
+    net = load_model(args.model)
     shapes = net.layer_shapes()
     print(f"input {shapes[0]}")
     for i, layer in enumerate(net.layers):
@@ -112,7 +104,7 @@ def cmd_inspect(args):
 
 
 def cmd_generate(args):
-    net = _read_model(args.model)
+    net = load_model(args.model)
     image = _read_image(args.image)
     label = args.label if args.label is not None else predict(net, image)
     text = generate_property(image, args.epsilon, label, clip=args.clip,
@@ -160,7 +152,7 @@ def cmd_bench(args):
         if not names:
             raise BnnVerifyError(f"no .onnx models under {args.models}")
         models = [(os.path.splitext(n)[0],
-                   _read_model(os.path.join(args.models, n))) for n in names]
+                   load_model(os.path.join(args.models, n))) for n in names]
         pool = _image_pool(args.images)
         instances = generate_benchmark(models, pool, epsilons=args.epsilons,
                                        out_dir=args.out, seed=args.seed,
@@ -174,17 +166,14 @@ def _report_verdict(verdict, prop_path, out_dir):
     print(verdict.result_string())
     if verdict.is_falsified:
         os.makedirs(out_dir, exist_ok=True)
-        stem = os.path.splitext(os.path.basename(prop_path))[0]
-        path = os.path.join(out_dir, f"{stem}.witness.txt")
-        with open(path, "w", newline="\n") as fh:
-            fh.write(format_witness(verdict.witness))
+        path = write_witness(out_dir, prop_path, format_witness(verdict.witness))
         print(f"witness {path}")
     return _VERDICT_EXIT[verdict.result_string()]
 
 
 def cmd_verify(args):
-    net = _read_model(args.model)
-    prop = _read_property(args.property)
+    net = load_model(args.model)
+    prop = load_property(args.property)
     try:
         verdict = ENGINES[args.engine](net, prop, args.timeout,
                                        AttackConfig(seed=args.seed))
@@ -201,8 +190,8 @@ def cmd_verify(args):
 
 
 def cmd_check(args):
-    net = _read_model(args.model)
-    prop = _read_property(args.property)
+    net = load_model(args.model)
+    prop = load_property(args.property)
     with open(args.witness, encoding="utf-8", newline="") as fh:
         witness = parse_witness(fh.read())
     if check_witness(net, prop, witness):
@@ -218,7 +207,7 @@ def cmd_run(args):
                             out_dir=args.out)
     os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.csv")
-    with open(results_path, "w", newline="\n") as fh:
+    with open(results_path, "w", **CSV_TEXT) as fh:
         fh.write(render_results_csv(records))
     counts = summarize_records(records)
     print(" ".join(f"{k}={v}" for k, v in counts.items()))

@@ -16,14 +16,18 @@ its own indexing needs it: batch-norm vector lengths, and the dense input
 length before the flatten row permutation.
 
 ``OPERATORS`` states the accepted operators, with their input counts and
-attributes, and every node is checked against it.  Exactly one
+attributes, and every node is checked against it.  ``FIELDS`` states
+every protobuf field that is read or written, and the decoder and the
+serializer both take their field numbers from it.  Exactly one
 operator-set version is accepted; anything else is rejected with a
-structured error rather than guessed at.  See docs/onnx-subset.md for
-the wire-level field map.
+structured error rather than guessed at.  docs/onnx-subset.md restates
+both tables: its operator table restates ``OPERATORS`` and its field-map
+block restates ``FIELDS``, and tests check that each matches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,7 +49,6 @@ from ..layers import (
 )
 from ..network import Network
 from . import wire
-from .wire import WireReader, to_signed64
 
 ONNX_OPSET = 13
 IR_VERSION = 7
@@ -57,6 +60,53 @@ ATTR_FLOAT = 1
 ATTR_INT = 2
 ATTR_STRING = 3
 ATTR_INTS = 7
+
+
+# Every protobuf field the codec reads or writes: message -> field name ->
+# (wire number, kind), with the kinds of ``wire.KINDS``.  A "bytes" field
+# is kept as a window and never decoded.  The field map in
+# docs/onnx-subset.md restates this table.
+FIELDS = {
+    "ModelProto": {
+        "ir_version": (1, "int"), "producer_name": (2, "bytes"),
+        "producer_version": (3, "bytes"), "graph": (7, "message"),
+        "opset_import": (8, "message")},
+    "OperatorSetIdProto": {"domain": (1, "string"), "version": (2, "int")},
+    "GraphProto": {
+        "node": (1, "message"), "name": (2, "string"),
+        "initializer": (5, "message"), "input": (11, "message"),
+        "output": (12, "message"), "sparse_initializer": (15, "message")},
+    "NodeProto": {
+        "input": (1, "string"), "output": (2, "string"), "name": (3, "string"),
+        "op_type": (4, "string"), "attribute": (5, "message"),
+        "domain": (7, "string")},
+    "AttributeProto": {
+        "name": (1, "string"), "f": (2, "float"), "i": (3, "int"),
+        "s": (4, "string"), "ints": (8, "ints"), "type": (20, "int")},
+    "TensorProto": {
+        "dims": (1, "ints"), "data_type": (2, "int"),
+        "float_data": (4, "floats"), "int64_data": (7, "ints"),
+        "name": (8, "string"), "raw_data": (9, "bytes"),
+        "external_data": (13, "message"), "data_location": (14, "int")},
+    "ValueInfoProto": {"name": (1, "string"), "type": (2, "message")},
+    "TypeProto": {"tensor_type": (1, "message")},
+    "TypeProto.Tensor": {"elem_type": (1, "int"), "shape": (2, "message")},
+    "TensorShapeProto": {"dim": (1, "message")},
+    "TensorShapeProto.Dimension": {"dim_value": (1, "int"),
+                                   "dim_param": (2, "bytes")},
+}
+_NUMBERS = {
+    message: {number: (name, wire.KINDS[kind])
+              for name, (number, kind) in fields.items()}
+    for message, fields in FIELDS.items()
+}
+
+
+def _read(data, window, message):
+    """The fields of ``message`` in ``data[window]``, each a list of values
+    in wire order; a singular field holds the last one,
+    ``f.get(name, [default])[-1]``."""
+    return wire.read_fields(data, *window, _NUMBERS[message])
 
 
 # ---------------------------------------------------------------------------
@@ -115,261 +165,119 @@ class ModelRecord:
 # wire -> records
 
 
-def _read_packed_int64s(data, start, end):
-    values = []
-    reader = WireReader(data, start, end)
-    while not reader.at_end():
-        values.append(to_signed64(reader.read_varint()))
-    return values
+def _parse_attr(data, window):
+    f = _read(data, window, "AttributeProto")
+    return AttrRecord(name=f.get("name", [""])[-1], f=f.get("f", [None])[-1],
+                      i=f.get("i", [None])[-1], s=f.get("s", [None])[-1],
+                      ints=f.get("ints"))
 
 
-def _parse_opset(data, start, end):
-    domain = ""
-    version = None
-    reader = WireReader(data, start, end)
-    while not reader.at_end():
-        fnum, wtype = reader.read_tag()
-        if fnum == 1 and wtype == wire.WIRE_LEN:
-            domain = reader.read_string()
-        elif fnum == 2 and wtype == wire.WIRE_VARINT:
-            version = to_signed64(reader.read_varint())
-        else:
-            reader.skip(wtype)
-    return domain, version
-
-
-def _parse_attr(data, start, end):
-    attr = AttrRecord()
-    reader = WireReader(data, start, end)
-    while not reader.at_end():
-        fnum, wtype = reader.read_tag()
-        if fnum == 1 and wtype == wire.WIRE_LEN:
-            attr.name = reader.read_string()
-        elif fnum == 2 and wtype == wire.WIRE_FIXED32:
-            attr.f = float(reader.read_float32())
-        elif fnum == 3 and wtype == wire.WIRE_VARINT:
-            attr.i = to_signed64(reader.read_varint())
-        elif fnum == 4 and wtype == wire.WIRE_LEN:
-            raw = reader.read_bytes()
-            try:
-                attr.s = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ModelFormatError(
-                    "attribute string is not valid UTF-8",
-                    byte_offset=reader.offset,
-                ) from None
-        elif fnum == 8 and wtype == wire.WIRE_LEN:
-            sub = reader.read_len_window()
-            attr.ints = (attr.ints or []) + _read_packed_int64s(data, *sub)
-        elif fnum == 8 and wtype == wire.WIRE_VARINT:
-            attr.ints = (attr.ints or []) + [to_signed64(reader.read_varint())]
-        else:
-            reader.skip(wtype)
-    return attr
-
-
-def _parse_node(data, start, end):
-    node = NodeRecord()
-    inputs = []
-    outputs = []
-    domain = ""
-    reader = WireReader(data, start, end)
-    while not reader.at_end():
-        fnum, wtype = reader.read_tag()
-        if fnum == 1 and wtype == wire.WIRE_LEN:
-            inputs.append(reader.read_string())
-        elif fnum == 2 and wtype == wire.WIRE_LEN:
-            outputs.append(reader.read_string())
-        elif fnum == 3 and wtype == wire.WIRE_LEN:
-            node.name = reader.read_string()
-        elif fnum == 4 and wtype == wire.WIRE_LEN:
-            node.op_type = reader.read_string()
-        elif fnum == 5 and wtype == wire.WIRE_LEN:
-            attr = _parse_attr(data, *reader.read_len_window())
-            if attr.name in node.attrs:
-                raise ModelFormatError(
-                    f"duplicate attribute '{attr.name}' on node '{node.name}'"
-                )
-            node.attrs[attr.name] = attr
-        elif fnum == 7 and wtype == wire.WIRE_LEN:
-            domain = reader.read_string()
-        else:
-            reader.skip(wtype)
+def _parse_node(data, window):
+    f = _read(data, window, "NodeProto")
+    node = NodeRecord(op_type=f.get("op_type", [""])[-1],
+                      name=f.get("name", [""])[-1],
+                      inputs=tuple(f.get("input", ())),
+                      outputs=tuple(f.get("output", ())))
+    for attr_window in f.get("attribute", ()):
+        attr = _parse_attr(data, attr_window)
+        if attr.name in node.attrs:
+            raise ModelFormatError(
+                f"duplicate attribute '{attr.name}' on node '{node.name}'"
+            )
+        node.attrs[attr.name] = attr
+    domain = f.get("domain", [""])[-1]
     if domain not in ("", "ai.onnx"):
         raise UnsupportedOpError(f"{domain}::{node.op_type or '?'}")
-    node.inputs = tuple(inputs)
-    node.outputs = tuple(outputs)
     return node
 
 
-def _parse_tensor(data, start, end):
-    dims = []
-    data_type = None
-    name = ""
-    raw = None
-    floats = None
-    int64s = None
-    reader = WireReader(data, start, end)
-    while not reader.at_end():
-        fnum, wtype = reader.read_tag()
-        if fnum == 1 and wtype == wire.WIRE_VARINT:
-            dims.append(to_signed64(reader.read_varint()))
-        elif fnum == 1 and wtype == wire.WIRE_LEN:
-            dims.extend(_read_packed_int64s(data, *reader.read_len_window()))
-        elif fnum == 2 and wtype == wire.WIRE_VARINT:
-            data_type = reader.read_varint()
-        elif fnum == 4 and wtype == wire.WIRE_LEN:
-            payload = reader.read_bytes()
-            if len(payload) % 4:
-                raise ModelFormatError(
-                    f"packed float data of tensor '{name}' has odd length",
-                    byte_offset=reader.offset,
-                )
-            chunk = np.frombuffer(payload, dtype="<f4")
-            floats = chunk if floats is None else np.concatenate([floats, chunk])
-        elif fnum == 4 and wtype == wire.WIRE_FIXED32:
-            value = np.frombuffer(reader.read_fixed32(), dtype="<f4")
-            floats = value if floats is None else np.concatenate([floats, value])
-        elif fnum == 7 and wtype == wire.WIRE_LEN:
-            got = _read_packed_int64s(data, *reader.read_len_window())
-            int64s = (int64s or []) + got
-        elif fnum == 7 and wtype == wire.WIRE_VARINT:
-            int64s = (int64s or []) + [to_signed64(reader.read_varint())]
-        elif fnum == 8 and wtype == wire.WIRE_LEN:
-            name = reader.read_string()
-        elif fnum == 9 and wtype == wire.WIRE_LEN:
-            start, stop = reader.read_len_window()
-            raw = memoryview(data)[start:stop]
-        elif fnum == 13 and wtype == wire.WIRE_LEN:
-            raise ModelFormatError(
-                f"tensor '{name}' uses external data, which is not supported",
-                byte_offset=reader.offset,
-            )
-        elif fnum == 14 and wtype == wire.WIRE_VARINT:
-            if reader.read_varint() != 0:
-                raise ModelFormatError(
-                    f"tensor '{name}' is stored outside the model file"
-                )
-        else:
-            reader.skip(wtype)
-
+def _parse_tensor(data, window):
+    f = _read(data, window, "TensorProto")
+    name = f.get("name", [""])[-1]
+    if "external_data" in f:
+        raise ModelFormatError(
+            f"tensor '{name}' uses external data, which is not supported",
+            byte_offset=f["external_data"][0][0],
+        )
+    if any(f.get("data_location", ())):
+        raise ModelFormatError(f"tensor '{name}' is stored outside the model file")
+    if any(len(chunk) % 4 for chunk in f.get("float_data", ())):
+        raise ModelFormatError(
+            f"packed float data of tensor '{name}' has odd length"
+        )
+    dims = tuple(f.get("dims", ()))
     for d in dims:
         if d < 0:
             raise ModelFormatError(f"tensor '{name}' has negative dimension {d}")
-    count = 1
-    for d in dims:
-        count *= d
 
+    data_type = f.get("data_type", [None])[-1]
     if data_type == TENSOR_FLOAT:
-        if raw is not None:
-            if len(raw) % 4:
-                raise ModelFormatError(
-                    f"raw data of float tensor '{name}' has odd length"
-                )
-            values = np.frombuffer(raw, dtype="<f4")
-        elif floats is not None:
-            values = floats
-        else:
-            raise ModelFormatError(f"float tensor '{name}' carries no data")
-        kind = "float"
+        kind, dtype, size, listed = "float", "<f4", 4, "float_data"
     elif data_type == TENSOR_INT64:
-        if raw is not None:
-            if len(raw) % 8:
-                raise ModelFormatError(
-                    f"raw data of int64 tensor '{name}' has odd length"
-                )
-            values = np.frombuffer(raw, dtype="<i8").astype(np.int64)
-        elif int64s is not None:
-            values = np.asarray(int64s, dtype=np.int64)
-        else:
-            raise ModelFormatError(f"int64 tensor '{name}' carries no data")
-        kind = "int64"
+        kind, dtype, size, listed = "int64", "<i8", 8, "int64_data"
     else:
         raise ModelFormatError(
             f"tensor '{name}' has unsupported data type {data_type}"
         )
-
-    if values.size != count:
-        raise ModelFormatError(
-            f"tensor '{name}' declares {count} elements but carries {values.size}"
-        )
-    return TensorRecord(name=name, dims=tuple(dims), kind=kind,
-                        data=values.reshape(tuple(dims)))
-
-
-def _parse_dim(data, start, end):
-    value = None
-    reader = WireReader(data, start, end)
-    while not reader.at_end():
-        fnum, wtype = reader.read_tag()
-        if fnum == 1 and wtype == wire.WIRE_VARINT:
-            value = to_signed64(reader.read_varint())
-        elif fnum == 2 and wtype == wire.WIRE_LEN:
-            reader.read_bytes()  # symbolic dimension name
-            value = None
-        else:
-            reader.skip(wtype)
-    return value
-
-
-def _len_windows(data, start, end, number):
-    """The (start, end) windows of every length-delimited field ``number``."""
-    windows = []
-    reader = WireReader(data, start, end)
-    while not reader.at_end():
-        fnum, wtype = reader.read_tag()
-        if fnum == number and wtype == wire.WIRE_LEN:
-            windows.append(reader.read_len_window())
-        else:
-            reader.skip(wtype)
-    return windows
-
-
-def _parse_value_info(data, start, end):
-    name = ""
-    for s, e in _len_windows(data, start, end, 1):
-        try:
-            name = data[s:e].decode("utf-8")
-        except UnicodeDecodeError:
+    if "raw_data" in f:
+        start, stop = f["raw_data"][-1]
+        if (stop - start) % size:
             raise ModelFormatError(
-                "value name is not valid UTF-8", byte_offset=s
-            ) from None
-    dims = None
-    for type_window in _len_windows(data, start, end, 2):
-        for tensor_window in _len_windows(data, *type_window, 1):  # tensor_type
-            for shape_window in _len_windows(data, *tensor_window, 2):  # shape
-                dims = [_parse_dim(data, *window)
-                        for window in _len_windows(data, *shape_window, 1)]
-    return ValueInfoRecord(name=name, dims=None if dims is None else tuple(dims))
-
-
-def _parse_graph(data, start, end):
-    graph = GraphRecord()
-    reader = WireReader(data, start, end)
-    while not reader.at_end():
-        fnum, wtype = reader.read_tag()
-        if fnum == 1 and wtype == wire.WIRE_LEN:
-            graph.nodes.append(_parse_node(data, *reader.read_len_window()))
-        elif fnum == 2 and wtype == wire.WIRE_LEN:
-            graph.name = reader.read_string()
-        elif fnum == 5 and wtype == wire.WIRE_LEN:
-            tensor = _parse_tensor(data, *reader.read_len_window())
-            if tensor.name in graph.initializers:
-                raise InvalidModelError(
-                    f"duplicate initializer '{tensor.name}'"
-                )
-            graph.initializers[tensor.name] = tensor
-        elif fnum == 11 and wtype == wire.WIRE_LEN:
-            graph.inputs.append(_parse_value_info(data, *reader.read_len_window()))
-        elif fnum == 12 and wtype == wire.WIRE_LEN:
-            graph.outputs.append(_parse_value_info(data, *reader.read_len_window()))
-        elif fnum == 15 and wtype == wire.WIRE_LEN:
-            raise ModelFormatError(
-                "sparse initializers are not supported",
-                byte_offset=reader.offset,
+                f"raw data of {kind} tensor '{name}' has odd length"
             )
-        else:
-            reader.skip(wtype)
+        values = np.frombuffer(memoryview(data)[start:stop], dtype=dtype)
+    elif listed not in f:
+        raise ModelFormatError(f"{kind} tensor '{name}' carries no data")
+    elif kind == "float":
+        values = np.frombuffer(b"".join(f[listed]), dtype=dtype)
+    else:
+        values = np.asarray(f[listed], dtype=np.int64)
+
+    if values.size != math.prod(dims):
+        raise ModelFormatError(f"tensor '{name}' declares {math.prod(dims)} "
+                               f"elements but carries {values.size}")
+    return TensorRecord(name=name, dims=dims, kind=kind,
+                        data=values.reshape(dims))
+
+
+def _parse_dim(data, window):
+    f = _read(data, window, "TensorShapeProto.Dimension")
+    # dim_value and dim_param are a oneof: the one read last holds, and a
+    # symbolic dimension is unknown
+    return f["dim_value"][-1] if list(f)[-1:] == ["dim_value"] else None
+
+
+def _parse_value_info(data, window):
+    f = _read(data, window, "ValueInfoProto")
+    dims = None
+    for type_window in f.get("type", ()):
+        for tensor in _read(data, type_window, "TypeProto").get("tensor_type", ()):
+            for shape in _read(data, tensor, "TypeProto.Tensor").get("shape", ()):
+                dims = tuple(
+                    _parse_dim(data, dim)
+                    for dim in _read(data, shape, "TensorShapeProto").get("dim", ())
+                )
+    return ValueInfoRecord(name=f.get("name", [""])[-1], dims=dims)
+
+
+def _parse_graph(data, window):
+    f = _read(data, window, "GraphProto")
+    graph = GraphRecord(
+        name=f.get("name", [""])[-1],
+        nodes=[_parse_node(data, w) for w in f.get("node", ())],
+    )
+    for tensor_window in f.get("initializer", ()):
+        tensor = _parse_tensor(data, tensor_window)
+        if tensor.name in graph.initializers:
+            raise InvalidModelError(f"duplicate initializer '{tensor.name}'")
+        graph.initializers[tensor.name] = tensor
+    graph.inputs = [_parse_value_info(data, w) for w in f.get("input", ())]
+    graph.outputs = [_parse_value_info(data, w) for w in f.get("output", ())]
+    if "sparse_initializer" in f:
+        raise ModelFormatError(
+            "sparse initializers are not supported",
+            byte_offset=f["sparse_initializer"][0][0],
+        )
     return graph
 
 
@@ -380,47 +288,35 @@ def decode_model(data: bytes) -> ModelRecord:
     by ``network_from_records``.
     """
     data = bytes(data)
-    ir_version = None
-    opsets = []
-    graph_window = None
-    reader = WireReader(data)
-    while not reader.at_end():
-        fnum, wtype = reader.read_tag()
-        if fnum == 1 and wtype == wire.WIRE_VARINT:
-            ir_version = to_signed64(reader.read_varint())
-        elif fnum == 7 and wtype == wire.WIRE_LEN:
-            if graph_window is not None:
-                raise ModelFormatError(
-                    "more than one graph in the model", byte_offset=reader.offset
-                )
-            graph_window = reader.read_len_window()
-        elif fnum == 8 and wtype == wire.WIRE_LEN:
-            opsets.append(_parse_opset(data, *reader.read_len_window()))
-        else:
-            reader.skip(wtype)
-
-    if graph_window is None:
+    f = _read(data, (0, len(data)), "ModelProto")
+    graphs = f.get("graph", ())
+    if len(graphs) > 1:
+        raise ModelFormatError(
+            "more than one graph in the model", byte_offset=graphs[1][0]
+        )
+    opsets = [_read(data, w, "OperatorSetIdProto")
+              for w in f.get("opset_import", ())]
+    if not graphs:
         raise ModelFormatError("model carries no graph")
+    ir_version = f.get("ir_version", [None])[-1]
     if ir_version is not None and ir_version < 3:
         raise ModelFormatError(f"unsupported ir_version {ir_version}")
 
     opset_version = None
-    for domain, version in opsets:
-        if domain in ("", "ai.onnx"):
-            opset_version = version
-        else:
+    for opset in opsets:
+        domain = opset.get("domain", [""])[-1]
+        if domain not in ("", "ai.onnx"):
             raise ModelFormatError(
                 f"operator set domain '{domain}' is not supported"
             )
+        opset_version = opset.get("version", [None])[-1]
     if opset_version != ONNX_OPSET:
         raise ModelFormatError(
             f"operator set version {opset_version} is not supported; "
             f"this codec handles opset {ONNX_OPSET} only"
         )
-
-    graph = _parse_graph(data, *graph_window)
     return ModelRecord(ir_version=ir_version, opset_version=opset_version,
-                       graph=graph)
+                       graph=_parse_graph(data, graphs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -807,50 +703,47 @@ def parse_model(data: bytes) -> Network:
 # Network -> wire
 
 
+def _encode(message, **values):
+    """The fields ``values`` of ``message``, in the order given.  An
+    "ints" field is written packed; a list under any other field writes
+    one field per item."""
+    out = []
+    for name, value in values.items():
+        number, kind = FIELDS[message][name]
+        items = value if isinstance(value, list) and kind != "ints" else [value]
+        out.extend(wire.WRITERS[kind](number, item) for item in items)
+    return b"".join(out)
+
+
 def _attr_float_bytes(name, value):
-    return (wire.field_string(1, name)
-            + wire.field_float32(2, value)
-            + wire.field_varint(20, ATTR_FLOAT))
+    return _encode("AttributeProto", name=name, f=value, type=ATTR_FLOAT)
 
 
 def _attr_int_bytes(name, value):
-    return (wire.field_string(1, name)
-            + wire.field_varint(3, value)
-            + wire.field_varint(20, ATTR_INT))
+    return _encode("AttributeProto", name=name, i=value, type=ATTR_INT)
 
 
 def _attr_ints_bytes(name, values):
-    return (wire.field_string(1, name)
-            + wire.packed_varints(8, values)
-            + wire.field_varint(20, ATTR_INTS))
+    return _encode("AttributeProto", name=name, ints=values, type=ATTR_INTS)
 
 
 def _node_bytes(op_type, name, inputs, outputs, attrs=()):
-    body = b"".join(wire.field_string(1, t) for t in inputs)
-    body += b"".join(wire.field_string(2, t) for t in outputs)
-    body += wire.field_string(3, name)
-    body += wire.field_string(4, op_type)
-    body += b"".join(wire.field_len(5, a) for a in attrs)
-    return body
+    return _encode("NodeProto", input=list(inputs), output=list(outputs),
+                   name=name, op_type=op_type, attribute=list(attrs))
 
 
 def _float_tensor_bytes(name, array):
     array = np.ascontiguousarray(array, dtype="<f4")
-    body = wire.packed_varints(1, array.shape)
-    body += wire.field_varint(2, TENSOR_FLOAT)
-    body += wire.field_string(8, name)
-    body += wire.field_len(9, array.tobytes())
-    return body
+    return _encode("TensorProto", dims=array.shape, data_type=TENSOR_FLOAT,
+                   name=name, raw_data=array.tobytes())
 
 
 def _value_info_bytes(name, dims):
-    dim_blobs = b"".join(
-        wire.field_len(1, wire.field_varint(1, d)) for d in dims
-    )
-    shape = wire.field_len(2, dim_blobs)
-    tensor_type = wire.field_varint(1, TENSOR_FLOAT) + shape
-    type_proto = wire.field_len(1, tensor_type)
-    return wire.field_string(1, name) + wire.field_len(2, type_proto)
+    dim_list = [_encode("TensorShapeProto.Dimension", dim_value=d) for d in dims]
+    tensor_type = _encode("TypeProto.Tensor", elem_type=TENSOR_FLOAT,
+                          shape=_encode("TensorShapeProto", dim=dim_list))
+    return _encode("ValueInfoProto", name=name,
+                   type=_encode("TypeProto", tensor_type=tensor_type))
 
 
 def serialize_model(net: Network, *, graph_name: str = "bnn") -> bytes:
@@ -951,17 +844,13 @@ def serialize_model(net: Network, *, graph_name: str = "bnn") -> bytes:
                 f"cannot serialize layer of type {type(layer).__name__}"
             )
 
-    graph = b"".join(wire.field_len(1, n) for n in nodes)
-    graph += wire.field_string(2, graph_name)
-    graph += b"".join(wire.field_len(5, t) for t in inits)
-    graph += wire.field_len(11, _value_info_bytes("input", (1, c, h, w)))
-    graph += wire.field_len(12, _value_info_bytes(current,
-                                                  (1, net.num_classes)))
-
-    opset = wire.field_varint(2, ONNX_OPSET)
-    model = wire.field_varint(1, IR_VERSION)
-    model += wire.field_string(2, "bnnverify")
-    model += wire.field_string(3, __version__)
-    model += wire.field_len(7, graph)
-    model += wire.field_len(8, opset)
-    return model
+    graph = _encode("GraphProto", node=nodes, name=graph_name,
+                    initializer=inits,
+                    input=_value_info_bytes("input", (1, c, h, w)),
+                    output=_value_info_bytes(current, (1, net.num_classes)))
+    return _encode("ModelProto", ir_version=IR_VERSION,
+                   producer_name=b"bnnverify",
+                   producer_version=__version__.encode(),
+                   graph=graph,
+                   opset_import=_encode("OperatorSetIdProto",
+                                        version=ONNX_OPSET))

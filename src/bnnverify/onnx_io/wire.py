@@ -64,97 +64,101 @@ def to_signed64(value: int) -> int:
     return value - (1 << 64) if value >= (1 << 63) else value
 
 
-class WireReader:
-    """Sequential field reader over a window of ``data``.
+# How each field kind reads a payload of each wire type it accepts.  A
+# varint payload is its value and any other payload a (start, end) window
+# of ``data``; each reading returns the list of values the field holds.
+def _int64(data, value):
+    return [to_signed64(value)]
 
-    Nested messages reuse the same buffer with a narrower window, so
-    reported offsets are always absolute file positions.
+
+def _packed_int64s(data, window):
+    values = []
+    pos, end = window
+    while pos < end:
+        value, pos = decode_varint(data, pos, end)
+        values.append(to_signed64(value))
+    return values
+
+
+def _float32(data, window):
+    return [struct.unpack_from("<f", data, window[0])[0]]
+
+
+def _raw_bytes(data, window):
+    return [data[window[0]:window[1]]]
+
+
+def _utf8(data, window):
+    try:
+        return [str(data[window[0]:window[1]], "utf-8")]
+    except UnicodeDecodeError:
+        raise ModelFormatError(
+            "string field is not valid UTF-8", byte_offset=window[1]
+        ) from None
+
+
+def _window(data, window):
+    return [window]
+
+
+KINDS = {
+    "int": {WIRE_VARINT: _int64},
+    "ints": {WIRE_VARINT: _int64, WIRE_LEN: _packed_int64s},
+    "float": {WIRE_FIXED32: _float32},
+    "floats": {WIRE_FIXED32: _raw_bytes, WIRE_LEN: _raw_bytes},
+    "string": {WIRE_LEN: _utf8},
+    "bytes": {WIRE_LEN: _window},
+    "message": {WIRE_LEN: _window},
+}
+_FIXED_SIZES = {WIRE_FIXED64: 8, WIRE_FIXED32: 4}
+
+
+def read_fields(data, start, end, numbers) -> dict:
+    """The known fields of the message in ``data[start:end]``, by name.
+
+    ``numbers`` maps a field number to its name and ``KINDS`` entry.  Each
+    field read maps to the list of its values in wire order, and the dict
+    holds the fields in the order of their last occurrence, so of a oneof
+    the member read last comes last.  A field whose number is unknown, or
+    whose wire type its kind does not accept, is skipped.
     """
-
-    def __init__(self, data: bytes, start: int = 0, end: int = None):
-        self._data = data
-        self._pos = start
-        self._end = len(data) if end is None else end
-
-    @property
-    def offset(self) -> int:
-        return self._pos
-
-    def at_end(self) -> bool:
-        return self._pos >= self._end
-
-    def read_varint(self) -> int:
-        value, self._pos = decode_varint(self._data, self._pos, self._end)
-        return value
-
-    def read_tag(self) -> tuple:
-        tag = self.read_varint()
-        field_number = tag >> 3
-        wire_type = tag & 0x7
-        if field_number < 1:
+    fields = {}
+    pos = start
+    while pos < end:
+        tag, pos = decode_varint(data, pos, end)
+        number, wire_type = tag >> 3, tag & 0x7
+        if number < 1:
             raise ModelFormatError(
-                f"invalid field number {field_number}", byte_offset=self._pos
+                f"invalid field number {number}", byte_offset=pos
             )
-        return field_number, wire_type
-
-    def read_len_window(self) -> tuple:
-        """Length-delimited payload as a (start, end) window."""
-        length = self.read_varint()
-        start = self._pos
-        stop = start + length
-        if stop > self._end:
-            raise ModelFormatError(
-                f"declared length {length} runs past the buffer",
-                byte_offset=start,
-            )
-        self._pos = stop
-        return start, stop
-
-    def read_bytes(self) -> bytes:
-        start, stop = self.read_len_window()
-        return self._data[start:stop]
-
-    def read_string(self) -> str:
-        raw = self.read_bytes()
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ModelFormatError(
-                "string field is not valid UTF-8", byte_offset=self._pos
-            ) from None
-
-    def read_fixed32(self) -> bytes:
-        stop = self._pos + 4
-        if stop > self._end:
-            raise ModelFormatError("truncated fixed32", byte_offset=self._pos)
-        raw = self._data[self._pos:stop]
-        self._pos = stop
-        return raw
-
-    def read_fixed64(self) -> bytes:
-        stop = self._pos + 8
-        if stop > self._end:
-            raise ModelFormatError("truncated fixed64", byte_offset=self._pos)
-        raw = self._data[self._pos:stop]
-        self._pos = stop
-        return raw
-
-    def read_float32(self) -> float:
-        return struct.unpack("<f", self.read_fixed32())[0]
-
-    def skip(self, wire_type: int) -> None:
         if wire_type == WIRE_VARINT:
-            self.read_varint()
-        elif wire_type == WIRE_FIXED64:
-            self.read_fixed64()
+            payload, pos = decode_varint(data, pos, end)
         elif wire_type == WIRE_LEN:
-            self.read_len_window()
-        elif wire_type == WIRE_FIXED32:
-            self.read_fixed32()
+            length, pos = decode_varint(data, pos, end)
+            if pos + length > end:
+                raise ModelFormatError(
+                    f"declared length {length} runs past the buffer",
+                    byte_offset=pos,
+                )
+            payload, pos = (pos, pos + length), pos + length
+        elif wire_type in _FIXED_SIZES:
+            size = _FIXED_SIZES[wire_type]
+            if pos + size > end:
+                raise ModelFormatError(
+                    f"truncated fixed{8 * size}", byte_offset=pos
+                )
+            payload, pos = (pos, pos + size), pos + size
         else:
             raise ModelFormatError(
-                f"unsupported wire type {wire_type}", byte_offset=self._pos
+                f"unsupported wire type {wire_type}", byte_offset=pos
             )
+        name, readings = numbers.get(number, (None, {}))
+        read = readings.get(wire_type)
+        if read is not None:
+            values = fields.pop(name, [])
+            values += read(data, payload)
+            fields[name] = values
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -187,3 +191,14 @@ def field_float32(field_number: int, value: float) -> bytes:
 def packed_varints(field_number: int, values) -> bytes:
     payload = b"".join(encode_varint(v) for v in values)
     return field_len(field_number, payload)
+
+
+# How each field kind writes one value; "ints" writes a packed run.
+WRITERS = {
+    "int": field_varint,
+    "ints": packed_varints,
+    "float": field_float32,
+    "string": field_string,
+    "bytes": field_len,
+    "message": field_len,
+}

@@ -3,14 +3,18 @@
 import io
 import logging
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bnnverify
 from bnnverify.arch import build_arch_a, build_arch_b, random_tiny_network, \
     with_random_weights
+from bnnverify.bench import runner as runner_mod
 from bnnverify.bench import save_ppm
 from bnnverify.cli import main, _configure_logging
 from bnnverify.layers import BatchNorm, Flatten, QConv, QDense
@@ -163,6 +167,18 @@ class TestFalsifyPipeline:
         code, out = run_cli("check", model, prop, witness_path)
         assert out.splitlines()[0] == "valid"
         assert code == 0
+
+    def test_commands_read_through_the_runner_loaders(self, tmp_path,
+                                                      monkeypatch):
+        read = []
+        for name in ("parse_model", "parse_property"):
+            real = getattr(runner_mod, name)
+            monkeypatch.setattr(runner_mod, name, lambda data, real=real, name=name:
+                                read.append(name) or real(data))
+        model, prop = write_toy(tmp_path, epsilon=1)
+        code, out = run_cli("falsify", model, prop, "--out", str(tmp_path))
+        assert (code, read) == (1, ["parse_model", "parse_property"])
+        assert out.splitlines()[1] == f"witness {tmp_path / 'toy.witness.txt'}"
 
     def test_check_rejects_out_of_ball_witness(self, tmp_path):
         model, prop = write_toy(tmp_path, epsilon=1)
@@ -353,6 +369,36 @@ class TestBenchAndRun:
         assert code == 65
 
 
+class TestCsvEncoding:
+    """The instance and results CSVs are UTF-8 under any locale, and a
+    path in them names the file with those bytes."""
+
+    def run_in_c_locale(self, *argv, cwd):
+        src = str(Path(bnnverify.__file__).resolve().parent.parent)
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+        done = subprocess.run([sys.executable, "-m", "bnnverify.cli", *argv],
+                              cwd=cwd, env=env, capture_output=True)
+        return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+    def test_run_in_the_c_locale(self, tmp_path):
+        model, prop = write_toy(tmp_path, epsilon=1)
+        os.rename(model, tmp_path / "mod\u00e8le.onnx")
+        os.rename(prop, tmp_path / "propri\u00e9t\u00e9.vnnlib")
+        (tmp_path / "instances.csv").write_bytes(
+            "mod\u00e8le.onnx,propri\u00e9t\u00e9.vnnlib,30\n".encode("utf-8"))
+        code, out, err = self.run_in_c_locale(
+            "run", "instances.csv", "--out", "results", cwd=tmp_path)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].startswith("verified=0 falsified=1 ")
+        rows = (tmp_path / "results" / "results.csv").read_bytes()
+        witness = "results/propri\u00e9t\u00e9.witness.txt"
+        assert rows.decode("utf-8").splitlines()[1].split(",")[::3] == [
+            "propri\u00e9t\u00e9.vnnlib", witness]
+        assert (tmp_path / witness).exists()
+
+
 class TestBadOptionValues:
     """Option values the parser rejects: a usage error, and nothing written."""
 
@@ -482,7 +528,7 @@ class TestOffGridCounterexample:
 
     # Known defect: bab and brute search only the integer points of the box,
     # so their unsat does not cover X_0 = 0.5.  Which semantics the CLI
-    # should give is open (ROADMAP item 6); until then this fails.
+    # should give is open (ROADMAP item 8); until then this fails.
     @pytest.mark.xfail(strict=True, reason="bab and brute decide the integer grid only")
     @pytest.mark.parametrize("engine", ["bab", "brute"])
     def test_complete_engines_do_not_prove_a_falsifiable_box(self, tmp_path, engine):

@@ -891,3 +891,22 @@ def test_doc_operator_table_matches_the_codec():
     for op, (_, _, attrs) in codec.OPERATORS.items():
         for name in attrs:
             assert f"`{name}`" in rows[op], (op, name)
+
+
+def test_doc_field_map_matches_the_codec():
+    doc = (Path(__file__).resolve().parent.parent / "docs"
+           / "onnx-subset.md").read_text()
+    section = doc.split("## Wire-level field map")[1].split("\n## ")[0]
+    block = section.split("```\n")[1]
+    fields = {}
+    for line in block.splitlines():
+        header = re.fullmatch(r"[\w.]+", line)
+        entry = re.match(r" +(\d+) (\w+) +(\w+)( +\S.*)?$", line)
+        assert header or entry, line
+        if header:
+            message = fields.setdefault(line, {})
+        else:
+            number, name, kind = entry.group(1, 2, 3)
+            assert name not in message, line
+            message[name] = (int(number), kind)
+    assert fields == codec.FIELDS
