@@ -137,8 +137,12 @@ def generate_benchmark(models, images, epsilons=DEFAULT_EPSILONS, out_dir=".",
     seen_pairs = set()
     for name, net in models:
         model_file = f"{name}.onnx"
+        # encoded before the file opens, so a failure leaves no file; the
+        # graph name is the file name's UTF-8 text, since a name read under
+        # a non-UTF-8 locale carries surrogate escapes
+        model = serialize_model(net, graph_name=os.fsencode(name).decode("utf-8", "replace"))
         with open(os.path.join(out_dir, model_file), "wb") as fh:
-            fh.write(serialize_model(net, graph_name=name))
+            fh.write(model)
         size = net.input_shape[0]
         for image, index, label in _select_images(net, images, rng,
                                                   images_per_model):

@@ -36,22 +36,19 @@ def integer_grid_bounds(prop):
     return g_lo, g_hi
 
 
-def brute_force_verify(
-    net, prop, budget=DEFAULT_ENUMERATION_BUDGET, batch_size=None, timeout=None
-):
+def brute_force_verify(net, prop, budget=DEFAULT_ENUMERATION_BUDGET, timeout=None):
     """Enumerate every integer point of the box in lexicographic order.
 
     Falsified with the first counterexample in that order, else Verified.
     Boxes larger than ``budget`` points raise EnumerationBudgetError: a
     refusal, deliberately distinct from an Unknown verdict.  Points are
-    forwarded ``batch_size`` at a time, by default ``images_per_batch(net)``.
+    forwarded ``images_per_batch(net)`` at a time.
     ``timeout`` is in wall-clock seconds, checked before each batch: once
     it has passed the answer is Timeout, with ``nodes`` the points done.
     """
     start = time.perf_counter()
     check_property_shapes(net, prop)
-    if batch_size is None:
-        batch_size = images_per_batch(net)
+    batch_size = images_per_batch(net)
     g_lo, g_hi = integer_grid_bounds(prop)
     counts = (g_hi - g_lo + 1.0).astype(np.int64)
     total = 1

@@ -6,6 +6,11 @@ logit (``Y_0`` .. ``Y_{L-1}``), bounds every pixel inside the epsilon
 ball, and asserts the negation of "the classifier answers the target
 label": a disjunction of ``(>= Y_j Y_target)`` over all other labels.
 A satisfying assignment is therefore a counterexample to robustness.
+
+Property and witness files are read by one reader, ``_read_runs``.  It
+matches runs of forms of one fixed shape (declarations, bounds, the
+output constraint, witness entries) and reads their indices and numbers
+in bulk; a form of any other shape is refused.
 """
 
 from __future__ import annotations
@@ -195,69 +200,86 @@ def property_filename(size: int, image_index: int, epsilon: float) -> str:
 
 _COMMENT = re.compile(r";[^\n]*")
 _TOKEN = re.compile(r"[()]|[^\s();]+")
-# A property file is almost entirely declarations and pixel bounds, read in
-# runs of one kind and split at a fixed stride.  The regex engine keeps a
-# record per repeat until a match ends: a run stops at 1024 forms to bound it.
-_X_DECLS, _Y_DECLS, _BOUNDS = (re.compile(r"(?:\s*%s){1,1024}" % form) for form in (
-    r"\(\s*declare-const\s+X_[0-9]+\s+Real\s*\)",
-    r"\(\s*declare-const\s+Y_[0-9]+\s+Real\s*\)",
-    r"\(\s*assert\s*\(\s*[<>]=\s+X_[0-9]+\s+[^\s();]+\s*\)\s*\)"))
+_VARIABLE = re.compile(r"[XY]_[0-9]+")
 _PARENS = str.maketrans("()", "  ")
 
 
-def _tokenize(text):
-    """Parens and atoms of ``text``, with ``;`` comments dropped."""
-    return _TOKEN.findall(_COMMENT.sub("", text))
+def _run(form):
+    """The pattern of a run of ``form``, which must hold no capturing
+    group.  The regex engine keeps a record per repeat until a match
+    ends: a run stops at 1024 forms to bound it."""
+    return re.compile(r"(?:\s*%s){1,1024}" % form)
 
 
-def _read_forms(tokens, error_cls):
-    """Nest a flat token stream into lists, one per top-level expression."""
-    forms = []
-    stack = []
-    for tok in tokens:
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if not stack:
-                raise error_cls("unbalanced ')'")
-            done = stack.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                forms.append(done)
-        else:
-            if not stack:
-                raise error_cls(f"atom {tok!r} outside any expression")
-            stack[-1].append(tok)
-    if stack:
-        raise error_cls("unbalanced '('")
-    return forms
+# Both file kinds are almost entirely forms of a few fixed shapes, each
+# read in runs of one shape and split into atoms at a fixed stride.
+_DISJUNCT = r"\(\s*>=\s+Y_[0-9]+\s+Y_[0-9]+\s*\)"
+_X_DECLS, _Y_DECLS = (_run(r"\(\s*declare-const\s+%s_[0-9]+\s+Real\s*\)" % prefix)
+                      for prefix in "XY")
+_BOUNDS = _run(r"\(\s*assert\s*\(\s*[<>]=\s+X_[0-9]+\s+[^\s();]+\s*\)\s*\)")
+_OUTPUT = _run(r"\(\s*assert\s*(?:\(\s*or(?:\s*%s)*\s*\)|%s)\s*\)"
+               % (_DISJUNCT, _DISJUNCT))
+_X_ENTRIES, _Y_ENTRIES = (_run(r"\(\s*%s_[0-9]+\s+[^\s();]+\s*\)" % prefix)
+                          for prefix in "XY")
+_WRAPPED = re.compile(r"\s*\((\s*\(.*\)\s*)\)\s*", re.S)
+
+# Per run pattern: the atoms in one form, the positions of the atoms kept
+# as text, and the position of the number, if the form holds one.
+_SHAPES = {
+    _X_DECLS: (3, (1,), None),  # declare-const X_i Real
+    _Y_DECLS: (3, (1,), None),
+    _BOUNDS: (4, (1, 2), 3),  # assert <= X_i v
+    _OUTPUT: (1, (0,), None),  # assert [or] >= Y_j Y_t ...
+    _X_ENTRIES: (2, (0,), 1),  # X_i v
+    _Y_ENTRIES: (2, (0,), 1),
+}
+
+
+def _read_runs(text, runs, error_cls):
+    """Read comment-free ``text`` as runs of the forms that the patterns
+    ``runs`` match, split as ``_SHAPES`` says.
+
+    Returns, per pattern, its text columns and its numbers.  A text column
+    holds the atoms at one kept position of every form the pattern
+    matched, in text order, as one string joined by spaces.  The numbers
+    are one float64 array, empty for forms that hold none.  Runs start
+    only at depth 0, so a form nested in another is read as written, a
+    token at a time.  Any form that no run takes is refused with
+    ``error_cls``, which names it.
+    """
+    columns = {run: ([[] for _ in _SHAPES[run][1]], [np.empty(0)]) for run in runs}
+    rest = []
+    pos = depth = 0
+    while m := (not depth and next(filter(None, (run.match(text, pos) for run in runs)), None)
+                or _TOKEN.search(text, pos)):
+        pos = m.end()
+        if m.re is _TOKEN:
+            rest.append(m.group())
+            depth += (rest[-1] == "(") - (rest[-1] == ")")
+            continue
+        atoms = m.group().translate(_PARENS).split()
+        stride, kept, number = _SHAPES[m.re]
+        texts, numbers = columns[m.re]
+        for j, column in zip(kept, texts):
+            column.append(" ".join(atoms[j::stride]))
+        if number is not None:
+            numbers.append(_float_array(atoms[number::stride], error_cls))
+    if rest:
+        depths = np.cumsum([(t == "(") - (t == ")") for t in rest])
+        if depths.min() < 0 or depths[-1]:
+            raise error_cls("unbalanced parentheses")
+        bad = [t for t in rest if t[:2] in ("X_", "Y_") and not _VARIABLE.fullmatch(t)]
+        if bad:
+            raise error_cls(f"malformed variable name {bad[0]!r}")
+        raise error_cls(f"unsupported form {' '.join(rest[:np.argmin(depths) + 1])!r}")
+    return [([" ".join(column) for column in columns[run][0]], np.concatenate(columns[run][1]))
+            for run in runs]
 
 
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _var_index(token, prefix, error_cls):
-    if not isinstance(token, str) or not token.startswith(prefix + "_"):
-        raise error_cls(f"expected {prefix} variable, got {token!r}")
-    tail = token[len(prefix) + 1:]
-    if not (tail.isascii() and tail.isdigit()):
-        raise error_cls(f"malformed variable name {token!r}")
-    # the digit count first: int() refuses strings past 4300 digits
-    digits = tail.lstrip("0") or "0"
-    if len(digits) > 19 or int(digits) > _INT64_MAX:
-        raise error_cls(f"{prefix} variable index does not fit in 64 bits")
-    return int(digits)
-
-
-def _number(token, error_cls):
-    try:
-        return float(token)
-    except (TypeError, ValueError):
-        raise error_cls(f"expected a numeric constant, got {token!r}") from None
-
-
-def _indices(names, prefix):
+def _indices(names, prefix, error_cls):
     """The int64 indices of ``names``, ``prefix_<digits>`` names in a row."""
     digits = names.replace(prefix + "_", " ")
     idx = np.fromstring(digits, dtype=np.int64, sep=" ")
@@ -266,33 +288,46 @@ def _indices(names, prefix):
         try:
             idx = np.array(digits.split(), dtype=np.int64)
         except (OverflowError, ValueError):
-            raise PropertyFormatError(
+            raise error_cls(
                 f"{prefix} variable index does not fit in 64 bits") from None
     return idx
 
 
-def _ranked(idx, repeat):
+def _float_array(atoms, error_cls):
+    """``atoms`` as float64, each read as ``float()`` reads it."""
+    try:
+        return np.array(atoms, dtype=np.float64)
+    except ValueError:
+        for atom in atoms:  # only to name the atom that is not a number
+            try:
+                float(atom)
+            except ValueError:
+                raise error_cls(
+                    f"expected a numeric constant, got {atom!r}") from None
+        raise
+
+
+def _ranked(idx, repeat, error_cls):
     """``idx`` sorted; a repeated index ``i`` is refused as ``repeat + i``."""
     ranked = np.sort(idx)
     repeated = ranked[1:][ranked[1:] == ranked[:-1]]
     if repeated.size:
-        raise PropertyFormatError(f"{repeat}{repeated[0]}")
+        raise error_cls(f"{repeat}{repeated[0]}")
     return ranked
 
 
-def _declared(names, prefix):
-    """Number of declared ``prefix`` variables, which must be ``prefix_0``
-    upwards with no gap and no repeat."""
-    idx = _ranked(_indices(names, prefix), f"duplicate declaration of {prefix}_")
-    if not np.array_equal(idx, np.arange(idx.size)):
-        raise PropertyFormatError(
-            f"{prefix} variable indices are not contiguous from 0")
-    return idx.size
+def _contiguous(names, prefix, repeat, error_cls):
+    """The indices of ``names``, ``prefix_<digits>`` names in a row, which
+    must be 0 upwards with no gap; a repeat is refused as in ``_ranked``."""
+    idx = _indices(names, prefix, error_cls)
+    if not np.array_equal(_ranked(idx, repeat, error_cls), np.arange(idx.size)):
+        raise error_cls(f"{prefix} variable indices are not contiguous from 0")
+    return idx
 
 
 def _bound_vector(idx, values, n, side):
     """The ``side`` bound of X_0 .. X_{n-1}, each bounded exactly once."""
-    ranked = _ranked(idx, "duplicate bound for X_")
+    ranked = _ranked(idx, "duplicate bound for X_", PropertyFormatError)
     if ranked.size and ranked[-1] >= n:
         raise PropertyFormatError(
             f"{side} bound on undeclared X_{ranked[ranked >= n][0]}")
@@ -306,49 +341,26 @@ def _bound_vector(idx, values, n, side):
     return vec
 
 
-def _output_disjuncts(forms):
-    """The disjuncts of the one output constraint among ``forms``, the
-    top-level forms that no run of declarations or bounds took."""
-    disjunction = None
-    for form in forms:
-        expr = form[1] if len(form) == 2 and form[0] == "assert" else None
-        if not (isinstance(expr, list) and expr and (
-                expr[0] == "or" or (expr[0] == ">=" and len(expr) == 3
-                                    and isinstance(expr[1], str)
-                                    and expr[1].startswith("Y_")))):
-            raise PropertyFormatError(f"unsupported form {form!r}")
-        if disjunction is not None:
-            raise PropertyFormatError("more than one output constraint")
-        disjunction = expr[1:] if expr[0] == "or" else [expr]
-    if disjunction is None:
-        raise PropertyFormatError("no output constraint found")
-    if not disjunction:
-        raise PropertyFormatError("empty output disjunction")
-    return disjunction
-
-
-def _target_label(disjunction, num_outputs):
-    target = None
-    seen_left = set()
-    for d in disjunction:
-        if not (isinstance(d, list) and len(d) == 3 and d[0] == ">="):
-            raise PropertyFormatError(f"unsupported disjunct {d!r}")
-        j = _var_index(d[1], "Y", PropertyFormatError)
-        t = _var_index(d[2], "Y", PropertyFormatError)
-        if target is None:
-            target = t
-        elif t != target:
-            raise PropertyFormatError(
-                f"mixed targets in disjunction: Y_{target} and Y_{t}"
-            )
-        if j == t:
-            raise PropertyFormatError(f"disjunct compares Y_{j} with itself")
-        if j in seen_left:
-            raise PropertyFormatError(f"duplicate disjunct for Y_{j}")
-        if j >= num_outputs or t >= num_outputs:
-            raise PropertyFormatError("disjunct references an undeclared Y variable")
-        seen_left.add(j)
-    return target
+def _target_label(output, num_outputs):
+    """The target ``t`` of the one output constraint, whose atoms are
+    ``output``: ``assert``, maybe ``or``, then ``>= Y_j Y_t`` per disjunct."""
+    E = PropertyFormatError
+    if output.count("assert") != 1:
+        raise E(f"expected one output constraint, found {output.count('assert')}")
+    disjuncts = output[2:] if output[1] == "or" else output[1:]
+    if not disjuncts:
+        raise E("empty output disjunction")
+    rivals = _indices("".join(disjuncts[1::3]), "Y", E)
+    targets = _indices("".join(disjuncts[2::3]), "Y", E)
+    t = targets[0]
+    if (targets != t).any():
+        raise E(f"mixed targets in disjunction: Y_{t} and Y_{targets[targets != t][0]}")
+    if (rivals == t).any():
+        raise E(f"disjunct compares Y_{t} with itself")
+    _ranked(rivals, "duplicate disjunct for Y_", E)
+    if max(rivals.max(), t) >= num_outputs:
+        raise E("disjunct references an undeclared Y variable")
+    return int(t)
 
 
 def parse_property(text: str) -> RobustnessProperty:
@@ -359,38 +371,15 @@ def parse_property(text: str) -> RobustnessProperty:
     missing a bound, bounds on undeclared X variables, NaN or crossed
     bounds, and output disjunctions that are empty or mix target labels.
     """
-    text = _COMMENT.sub("", text)
-    decls = {_X_DECLS: [], _Y_DECLS: []}
-    sides, names, values, rest = [], [], [], []
-    pos = depth = 0
-    while m := (not depth and (_X_DECLS.match(text, pos) or _Y_DECLS.match(text, pos)
-                               or _BOUNDS.match(text, pos)) or _TOKEN.search(text, pos)):
-        pos = m.end()
-        if m.re is _TOKEN:
-            # runs start only at depth 0: a form nested in another is read as written
-            rest.append(m.group())
-            depth += (rest[-1] == "(") - (rest[-1] == ")")
-            continue
-        atoms = m.group().translate(_PARENS).split()
-        if m.re is _BOUNDS:  # assert <= X_i v
-            sides.append("".join(atoms[1::4]))
-            names.append("".join(atoms[2::4]))
-            values += atoms[3::4]
-        else:  # declare-const X_i Real
-            decls[m.re].append("".join(atoms[1::3]))
-    disjunction = _output_disjuncts(_read_forms(rest, PropertyFormatError))
-    num_inputs = _declared("".join(decls[_X_DECLS]), "X")
-    num_outputs = _declared("".join(decls[_Y_DECLS]), "Y")
-    target = _target_label(disjunction, num_outputs)
+    E = PropertyFormatError
+    ((xs,), _), ((ys,), _), ((sides, names), values), ((output,), _) = _read_runs(
+        _COMMENT.sub("", text), (_X_DECLS, _Y_DECLS, _BOUNDS, _OUTPUT), E)
+    num_inputs = _contiguous(xs, "X", "duplicate declaration of X_", E).size
+    num_outputs = _contiguous(ys, "Y", "duplicate declaration of Y_", E).size
+    target = _target_label(output.split(), num_outputs)
 
-    idx = _indices("".join(names), "X")
-    try:
-        values = np.array(values, dtype=np.float64)
-    except ValueError:
-        for v in values:
-            _number(v, PropertyFormatError)
-        raise
-    upper = np.frombuffer("".join(sides).encode(), dtype=np.uint8)[::2] == ord("<")
+    idx = _indices(names, "X", E)
+    upper = np.frombuffer(sides.encode(), dtype=np.uint8)[::3] == ord("<")
     lo = _bound_vector(idx[~upper], values[~upper], num_inputs, "lower")
     hi = _bound_vector(idx[upper], values[upper], num_inputs, "upper")
     try:
@@ -443,42 +432,26 @@ def format_witness(w: Witness) -> str:
 
 
 def parse_witness(text: str) -> Witness:
-    forms = _read_forms(_tokenize(text), WitnessFormatError)
-    # tolerate the single-expression convention ((X_0 v) (X_1 v) ...)
-    if len(forms) == 1 and forms[0] and all(isinstance(f, list) for f in forms[0]):
-        forms = forms[0]
-    xs = {}
-    ys = {}
-    for form in forms:
-        if not (isinstance(form, list) and len(form) == 2):
-            raise WitnessFormatError(f"malformed witness entry {form!r}")
-        name, raw = form
-        value = _number(raw, WitnessFormatError)
-        if isinstance(name, str) and name.startswith("X_"):
-            idx = _var_index(name, "X", WitnessFormatError)
-            if idx in xs:
-                raise WitnessFormatError(f"duplicate entry for X_{idx}")
-            xs[idx] = value
-        elif isinstance(name, str) and name.startswith("Y_"):
-            idx = _var_index(name, "Y", WitnessFormatError)
-            if idx in ys:
-                raise WitnessFormatError(f"duplicate entry for Y_{idx}")
-            ys[idx] = value
-        else:
-            raise WitnessFormatError(f"unknown witness variable {name!r}")
-    if not xs:
+    """Read a witness file: ``(X_i v)`` and ``(Y_j v)`` entries in any
+    order, optionally all wrapped in one pair of parens."""
+    text = _COMMENT.sub("", text)
+    if wrapped := _WRAPPED.fullmatch(text):
+        text = wrapped.group(1)
+    ((x_names,), xs), ((y_names,), ys) = _read_runs(
+        text, (_X_ENTRIES, _Y_ENTRIES), WitnessFormatError)
+    if not xs.size:
         raise WitnessFormatError("witness has no input values")
-    if set(xs) != set(range(len(xs))):
-        raise WitnessFormatError("X indices are not contiguous from 0")
-    outputs = None
-    if ys:
-        if set(ys) != set(range(len(ys))):
-            raise WitnessFormatError("Y indices are not contiguous from 0")
-        outputs = tuple(ys[j] for j in range(len(ys)))
-    return Witness(
-        input_values=tuple(xs[i] for i in range(len(xs))),
-        output_values=outputs,
-    )
+    return Witness(input_values=_in_index_order(x_names, xs, "X"),
+                   output_values=_in_index_order(y_names, ys, "Y") if ys.size else None)
+
+
+def _in_index_order(names, values, prefix):
+    """``values`` as a tuple in the order of the indices of ``names``,
+    ``prefix_<digits>`` names in a row, one per value."""
+    idx = _contiguous(names, prefix, f"duplicate entry for {prefix}_", WitnessFormatError)
+    ordered = np.empty(idx.size)
+    ordered[idx] = values
+    return tuple(ordered.tolist())
 
 
 def witness_from_flat(values: Sequence[float], logits=None) -> Witness:

@@ -204,6 +204,18 @@ class TestGenerate:
             generate_benchmark([("m", net)], pool, epsilons=(0,),
                                out_dir=str(tmp_path), images_per_model=2)
 
+    def test_model_that_cannot_be_encoded_leaves_no_file(self, tmp_path, monkeypatch):
+        def refuse(net, graph_name):
+            raise UnicodeEncodeError("utf-8", graph_name, 0, 1, "refused")
+        monkeypatch.setattr("bnnverify.bench.generate.serialize_model", refuse)
+        rng = np.random.default_rng(2)
+        net = tiny_with_side(2, rng)
+        img = rng.integers(0, 9, size=net.input_shape).astype(float)
+        with pytest.raises(UnicodeEncodeError):
+            generate_benchmark([("m", net)], [(img, 0, predict(net, img))],
+                               epsilons=(0,), out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     def test_no_shape_match_raises(self, tmp_path):
         rng = np.random.default_rng(2)
         net = tiny_with_side(2, rng)

@@ -398,6 +398,19 @@ class TestCsvEncoding:
             "propri\u00e9t\u00e9.vnnlib", witness]
         assert (tmp_path / witness).exists()
 
+    def test_bench_models_in_the_c_locale(self, tmp_path):
+        # the model's file name reaches the generator as surrogate escapes
+        models_dir, _ = rgb_benchmark_dirs(tmp_path)
+        os.rename(models_dir / "tiny.onnx", models_dir / "mod\u00e8le.onnx")
+        code, out, err = self.run_in_c_locale(
+            "bench", "--models", "models", "--images", "images",
+            "--epsilons", "1", "--out", "bench", cwd=tmp_path)
+        assert (code, err) == (0, "")
+        model = (tmp_path / "bench" / "mod\u00e8le.onnx").read_bytes()
+        assert "mod\u00e8le".encode("utf-8") in model  # the graph name
+        rows = (tmp_path / "bench" / "instances.csv").read_bytes().decode("utf-8")
+        assert rows.startswith("mod\u00e8le.onnx,")
+
 
 class TestBadOptionValues:
     """Option values the parser rejects: a usage error, and nothing written."""

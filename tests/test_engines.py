@@ -148,11 +148,13 @@ class TestBruteForce:
             checked += 1
         assert checked == 20
 
-    def test_batched_chunks_agree(self):
+    def test_batched_chunks_agree(self, monkeypatch):
         net = toy(BRITTLE_W)
         prop = toy_prop(BRITTLE_IMG, BRITTLE_LABEL, 1)
         for batch in (1, 7, 81, 1000):
-            v = brute_force_verify(net, prop, batch_size=batch)
+            monkeypatch.setattr("bnnverify.verify.brute.images_per_batch",
+                                lambda net: batch)
+            v = brute_force_verify(net, prop)
             assert v.status == "falsified"
             assert v.witness.input_values == BRITTLE_FIRST_WITNESS
             assert v.nodes == BRITTLE_WITNESS_ORDINAL
@@ -164,7 +166,8 @@ class TestBruteForce:
         monkeypatch.setattr(brute.time, "perf_counter", lambda: float(next(ticks)))
         net = toy(SAFE_W)
         prop = toy_prop(SAFE_IMG, SAFE_LABEL, 1)
-        v = brute_force_verify(net, prop, batch_size=10, timeout=2.5)
+        monkeypatch.setattr("bnnverify.verify.brute.images_per_batch", lambda net: 10)
+        v = brute_force_verify(net, prop, timeout=2.5)
         assert v.status == "timeout"
         assert v.nodes == 20  # two batches ran before the third reading
         assert brute_force_verify(net, prop, timeout=0).nodes == 0

@@ -6,6 +6,8 @@ mutated text the package must return an equal property (or witness), or
 both must reject the text with the format error.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from bnnverify.errors import PropertyFormatError, WitnessFormatError
 from bnnverify.vnnlib import (
     RobustnessProperty,
     Witness,
-    _tokenize,
+    _COMMENT,
+    _TOKEN,
     format_witness,
     make_property,
     parse_property,
@@ -243,14 +246,19 @@ def oracle_bounded_x(text):
 
 
 def oracle_outcome(text):
-    """``outcome`` of the old reader, with its two known faults mapped to
+    """``outcome`` of the old reader, with its three known faults mapped to
     the rejection the reader gives: it let a NaN bound through to
-    ``RobustnessProperty``, which rejected it with ValueError, and it
-    ignored a bound on an undeclared X variable."""
+    ``RobustnessProperty``, which rejected it with ValueError, it let an
+    empty disjunction through with no target, which the same constructor
+    failed on with TypeError, and it ignored a bound on an undeclared X
+    variable."""
     try:
         got = outcome(oracle_parse_property, text)
     except ValueError as exc:
         assert "nan" in str(exc)
+        return PropertyFormatError
+    except TypeError:
+        assert re.search(r"\(\s*or\s*\)", text)
         return PropertyFormatError
     if got is not PropertyFormatError and any(
             i >= got.num_inputs for i in oracle_bounded_x(text)):
@@ -379,15 +387,20 @@ def reordered(draw, forms):
     return alternating + decls[n:] + bounds[n:] + rest
 
 
+def reader_tokens(text):
+    """The tokens the reader reads ``text`` as, by its comment and token rules."""
+    return _TOKEN.findall(_COMMENT.sub("", text))
+
+
 class TestTokenizer:
     @given(st.text(alphabet="();ab_X0.- \n\t\r\x0b\x1c\xa0\u2003\u2028", max_size=80))
     @settings(max_examples=300)
     def test_equal_to_char_loop(self, text):
-        assert _tokenize(text) == oracle_tokenize(text)
+        assert reader_tokens(text) == oracle_tokenize(text)
 
     def test_comment_ends_only_at_newline(self):
         text = "(a ; b ) \r c\n d)"
-        assert _tokenize(text) == oracle_tokenize(text) == ["(", "a", "d", ")"]
+        assert reader_tokens(text) == oracle_tokenize(text) == ["(", "a", "d", ")"]
 
 
 class TestDifferential:
@@ -467,6 +480,37 @@ class TestDifferential:
         assert parse_witness(text) == oracle_parse_witness(text)
         assert parse_witness(text).input_values == w.input_values
 
+    @pytest.mark.parametrize("output", [
+        "(assert (or (>= Y_1 Y_0)))",
+        "(assert (>= Y_1 Y_0))",
+        "(assert (or))",
+        "(assert (or (>= Y_1 Y_0) ; a comment\n(>= Y_2 Y_0)))",
+        "(assert (or\n\n(>= Y_2 Y_0)\n  (>= Y_1 Y_0)\n))",
+        "(assert(or(>= Y_1 Y_2)(>= Y_0 Y_2)))",
+        "( assert ( >= Y_2 Y_1 ) )",
+        "(assert (or (>= Y_1 Y_0)))(assert (>= Y_2 Y_0))",
+        "(assert (or (>= Y_1 Y_0) (>= Y_1 Y_0)))",
+        "(assert (or (>= Y_1 Y_0) (>= Y_2 Y_1)))",
+        "(assert (>= Y_0 Y_0))",
+        "(assert (>= Y_3 Y_0))",
+        "(assert (or (>= Y_1 X_0)))",
+        "(assert (>= Y_1 1.0))",
+        "(assert (or (<= Y_1 Y_0)))",
+        "(assert (and (>= Y_1 Y_0)))",
+        "(assert (or (>= Y_1 Y_0 Y_2)))",
+        "(assert (or ((>= Y_1 Y_0))))",
+        "(assert ((>= Y_1 Y_0)))",
+        "(assert (>= Y_1 Y_0) (>= Y_2 Y_0))",
+        "(assert (or (>= Y_1 Y_0)) (>= Y_2 Y_0))",
+        "(assert (or (>= Y_a Y_0)))",
+        "(assert (or (>= Y_1 Y_0)",
+        "",
+    ])
+    def test_output_constraint_spellings(self, output):
+        text = render_property(self.SMALL)
+        text = text[:text.index("(assert (or")] + output
+        assert outcome(parse_property, text) == oracle_outcome(text), text
+
     @pytest.mark.parametrize("text", [
         "(X_0 1.0) (X_1 2.0)",
         "((X_0 1.0) (Y_0 -3.0))",
@@ -480,3 +524,74 @@ class TestDifferential:
     def test_witness_texts(self, text):
         assert outcome(parse_witness, text, WitnessFormatError) == \
             outcome(oracle_parse_witness, text, WitnessFormatError)
+
+
+# --------------------------------------------------------------------------
+# witnesses
+
+
+def same_witness_outcome(text):
+    """The package and the oracle give equal witnesses, compared by repr so
+    that NaN and -0.0 values count, or both reject ``text``."""
+    got = outcome(parse_witness, text, WitnessFormatError)
+    want = outcome(oracle_parse_witness, text, WitnessFormatError)
+    assert repr(got) == repr(want), text
+    return got
+
+
+@st.composite
+def witnesses(draw):
+    n = draw(st.integers(1, 5))
+    outputs = draw(st.none() | st.lists(VALUES, min_size=1, max_size=4))
+    return Witness(tuple(draw(st.lists(VALUES, min_size=n, max_size=n))),
+                   None if outputs is None else tuple(outputs))
+
+
+class TestWitnessDifferential:
+    @given(witnesses(), st.booleans(), st.data())
+    @settings(max_examples=200)
+    def test_respaced_witness_parses_equal(self, w, wrapped, data):
+        # X and Y entries interleaved in a drawn order
+        forms = data.draw(st.permutations(
+            top_level_forms(oracle_tokenize(format_witness(w)))))
+        tokens = [t for f in forms for t in f]
+        if wrapped:
+            tokens = ["("] + tokens + [")"]
+        text = data.draw(respaced(tokens))
+        assert same_witness_outcome(text) == w
+
+    @given(witnesses(), st.booleans(), st.data())
+    @settings(max_examples=400)
+    def test_mutated_witness_parses_equal_or_both_reject(self, w, wrapped, data):
+        forms = top_level_forms(oracle_tokenize(format_witness(w)))
+        forms = mutate(data.draw, data.draw(st.permutations(forms)))
+        tokens = [t for f in forms for t in f]
+        if wrapped:
+            tokens = ["("] + tokens + [")"]
+        same_witness_outcome(data.draw(respaced(tokens)))
+
+    @given(st.lists(st.sampled_from(["(", ")", "((", "))", "X_0 1", "Y_0 2",
+                                     "X_1 -3", "(X_0 1)", "(Y_0 2)", "(X_1 -3)",
+                                     "X_1", "4", "Y_1 nan"]), max_size=10),
+           st.data())
+    @settings(max_examples=300)
+    def test_drawn_pieces_parse_equal_or_both_reject(self, pieces, data):
+        same_witness_outcome(data.draw(respaced(pieces)))
+
+    SMALL = Witness((1.0, -2.5), (3.0,))
+
+    def test_every_single_token_edit(self):
+        tokens = oracle_tokenize(format_witness(self.SMALL))
+        edits = ["x", "0", "1", "_", "(", ")", "", "X_a", "X_", "Y_", "Z_0",
+                 "X_1", "Y_0", "Y_1", "nan", "1e", "-0.0", "inf", "Real",
+                 "X_99999999999999999999", "(X_0 1.0)"]
+        accepted = 0
+        for i, tok in enumerate(tokens):
+            texts = [" ".join(tokens[:i] + [new] + tokens[i + 1:])
+                     for edit in edits for new in (tok + edit, edit)]
+            texts.append(" ".join(tokens[:i] + [tok + "".join(tokens[i + 1:i + 2])]
+                                  + tokens[i + 2:]))
+            for text in texts:
+                for wrapped in (text, f"({text})"):
+                    accepted += same_witness_outcome(wrapped) is not WitnessFormatError
+        assert accepted > 2 * len(tokens)  # the unchanged token is among the edits
