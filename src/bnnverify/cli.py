@@ -9,6 +9,7 @@ of "unsat", "sat", "unknown", "timeout".
 import argparse
 import enum
 import logging
+import math
 import os
 import sys
 
@@ -254,6 +255,15 @@ def _positive(kind):
     return parse
 
 
+def _timeout(text):
+    """An engine ``--timeout``: any float but NaN, which no elapsed time
+    reaches; 0 or less times out at once."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"{text!r}: expected a number of seconds")
+    return value
+
+
 def cmd_score(args):
     rows = score_results(args.counts)
     sys.stdout.write(format_score_table(rows))
@@ -300,7 +310,7 @@ def build_parser():
     p.add_argument("model")
     p.add_argument("property")
     p.add_argument("--engine", choices=tuple(ENGINES), default="bab")
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--timeout", type=_timeout, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".",
                    help="directory for the witness file on sat")
@@ -310,7 +320,7 @@ def build_parser():
     p.add_argument("model")
     p.add_argument("property")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument("--timeout", type=_timeout, default=None)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_verify, engine="falsify")
 

@@ -36,7 +36,7 @@ from .vnnlib import (
 )
 from .verify.brute import integer_grid_bounds
 from .verify.intervals import IntervalTensor, ibp_trace, phase_forward
-from .verify.verdict import FALSIFIED, TIMEOUT, UNKNOWN, Verdict
+from .verify.verdict import FALSIFIED, TIMEOUT, UNKNOWN, Verdict, check_timeout
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,10 @@ def falsify(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfig(),
     """Greedy then random search, reported in the engine verdict vocabulary.
 
     Found witness -> falsified.  Budgets exhausted -> unknown, never
-    verified.  An elapsed timeout -> timeout.
+    verified.  An elapsed timeout -> timeout; a NaN timeout is a
+    ValueError.
     """
+    check_timeout(timeout)
     start = time.monotonic()
     deadline = None if timeout is None else start + timeout
     if deadline is not None and timeout <= 0:

@@ -10,7 +10,11 @@ complete; verdicts then coincide with brute-force enumeration.
 The root is bounded with a full interval trace, kept for the whole call;
 every later node is bounded relative to it (``ibp_propagate`` with
 ``base``), so a node pays only for the layer regions its split pixels
-reach.  On integer boxes those bounds are bit-identical to a full trace.
+reach.  A split bounds both children in one such call, as a batch of
+two boxes, and the call stops at the first layer that reads only signs
+when neither child changes a sign there.  Each child counts as one
+node, and the lower child is pushed first.  On integer boxes those
+bounds are bit-identical to a full trace of each child.
 
 Probes work the same way on points.  A point box carries one array, and
 its trace is the forward.  The first probe, at the root's centre, is
@@ -39,7 +43,7 @@ from ..network import image_from_flat, margin, network_forward
 from ..vnnlib import check_property_shapes, check_witness, witness_from_flat
 from .brute import integer_grid_bounds
 from .intervals import IntervalTensor, ibp_propagate, ibp_trace
-from .verdict import FALSIFIED, TIMEOUT, UNKNOWN, VERIFIED, Verdict
+from .verdict import FALSIFIED, TIMEOUT, UNKNOWN, VERIFIED, Verdict, check_timeout
 
 __all__ = ["bab_verify"]
 
@@ -48,13 +52,15 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
     """Branch-and-bound verification.
 
     timeout      wall-clock seconds; checked between nodes, so a node in
-                 flight always completes (0 means give up immediately)
+                 flight always completes (0 means give up immediately,
+                 NaN is a ValueError)
     max_nodes    bound on boxes bounded before answering Unknown
     integer_grid restrict the search to integer inputs (benchmark mode);
                  continuous mode splits at real midpoints and may answer
                  Unknown when boxes stop shrinking
     """
     start = time.perf_counter()
+    check_timeout(timeout)
     check_property_shapes(net, prop)
     if timeout is not None and timeout <= 0:
         return Verdict(TIMEOUT, nodes=0, seconds=time.perf_counter() - start)
@@ -68,13 +74,16 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
     nodes = 0
 
     def box(lo, hi):
-        return IntervalTensor(image_from_flat(lo, shape), image_from_flat(hi, shape))
+        # flat bounds, with any leading batch dims, as image bounds
+        return IntervalTensor(lo.reshape(lo.shape[:-1] + shape),
+                              hi.reshape(hi.shape[:-1] + shape))
 
-    def node_margin(out):
-        # IBP margin of one bounded box, counted as a node; < 0 proves it
+    def node_margins(out, count):
+        # IBP margins of ``count`` bounded boxes, each counted as a node;
+        # < 0 proves a box
         nonlocal nodes
-        nodes += 1
-        return float(margin(out.hi, out.lo, target))
+        nodes += count
+        return margin(out.hi, out.lo, target)
 
     def done(status, witness=None):
         return Verdict(
@@ -82,7 +91,7 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
         )
 
     root_trace = ibp_trace(net, box(root_lo, root_hi))
-    root_margin = node_margin(root_trace[-1])
+    root_margin = float(node_margins(root_trace[-1], 1))
     if root_margin < 0:
         return done(VERIFIED)
 
@@ -124,22 +133,27 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
             continue  # single point, and its probe just passed: proven
         if integer_grid:
             mid = np.floor((lo[d] + hi[d]) * 0.5)
-            pairs = ((lo[d], mid), (mid + 1.0, hi[d]))
+            upper_lo = mid + 1.0
         else:
             mid = (lo[d] + hi[d]) * 0.5
             if not (lo[d] < mid < hi[d]):
                 stuck = True  # float resolution exhausted; box not a point
                 continue
-            pairs = ((lo[d], mid), (mid, hi[d]))
-        for child_lo_d, child_hi_d in pairs:
-            child_lo = lo.copy()
-            child_hi = hi.copy()
-            child_lo[d] = child_lo_d
-            child_hi[d] = child_hi_d
-            m = node_margin(
-                ibp_propagate(net, box(child_lo, child_hi), base=root_trace)
-            )
+            upper_lo = mid
+        # the children [lo, mid] and [upper_lo, hi] along d, bounded as one
+        # batch of two; bounds are never written after a split, so each
+        # child shares the parent's array that it does not change
+        split_hi = hi.copy()
+        split_hi[d] = mid
+        split_lo = lo.copy()
+        split_lo[d] = upper_lo
+        children = ((lo, split_hi), (split_lo, hi))
+        out = ibp_propagate(net, box(np.stack((lo, split_lo)), np.stack((split_hi, hi))),
+                            base=root_trace)
+        # a change that dies out for both gives the root's unbatched logits
+        margins = np.broadcast_to(node_margins(out, 2), 2)
+        for m, (child_lo, child_hi) in zip(margins, children):
             if m >= 0:
-                heapq.heappush(heap, (-m, next(tiebreak), child_lo, child_hi))
+                heapq.heappush(heap, (-float(m), next(tiebreak), child_lo, child_hi))
 
     return done(UNKNOWN if stuck else VERIFIED)

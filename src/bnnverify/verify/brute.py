@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import EngineDeclinedError, EnumerationBudgetError
 from ..network import images_per_batch, margin, network_forward_batch
 from ..vnnlib import check_property_shapes, check_witness, witness_from_flat
-from .verdict import FALSIFIED, TIMEOUT, VERIFIED, Verdict
+from .verdict import FALSIFIED, TIMEOUT, VERIFIED, Verdict, check_timeout
 
 __all__ = ["DEFAULT_ENUMERATION_BUDGET", "integer_grid_bounds", "brute_force_verify"]
 
@@ -44,9 +44,11 @@ def brute_force_verify(net, prop, budget=DEFAULT_ENUMERATION_BUDGET, timeout=Non
     refusal, deliberately distinct from an Unknown verdict.  Points are
     forwarded ``images_per_batch(net)`` at a time.
     ``timeout`` is in wall-clock seconds, checked before each batch: once
-    it has passed the answer is Timeout, with ``nodes`` the points done.
+    it has passed the answer is Timeout, with ``nodes`` the points done;
+    a NaN timeout is a ValueError.
     """
     start = time.perf_counter()
+    check_timeout(timeout)
     check_property_shapes(net, prop)
     batch_size = images_per_batch(net)
     g_lo, g_hi = integer_grid_bounds(prop)

@@ -21,23 +21,33 @@ batch-norm, sign and flatten are monotone in float64, so they need no
 widening: their bounds are the exact forward (``layer_forward``) of the
 two corners, ordered entrywise.
 
+Batches: a box may carry leading batch dims in front of the network's
+input shape, and every layer bounds each item as it would bound that
+item alone, bit for bit on the grid, where every sum is exact.  The
+rounding margin below is decided per item, so an off-grid item does not
+widen its on-grid siblings.
+
 Bounding relative to a reference trace: ``ibp_propagate(net, box,
 base=trace)`` recomputes only what ``box`` changes against the box
-``trace`` was made from.  Through the image layers it tracks the
-rectangle (rows x cols, all channels) where the layer input differs from
+``trace`` was made from; the trace is of one box, with no batch dims.
+Through the image layers it tracks the rectangle (rows x cols, all
+channels, the union over the batch) where the layer input differs from
 the reference: a ``QConv`` widens it by its kernel, ``MaxPool`` halves
-it, an image ``BatchNorm`` keeps it.  Each layer runs the same
-:func:`_layer_bounds` on the input slice those outputs read, taken from
-the reference with the changed entries written in, and the rectangle
-then shrinks to where the result differs from the reference output.
-Every output entry depends only on its own window, so on integer boxes
-the bounds are bit-identical to :func:`ibp_trace`.  A slice of an
-on-grid box is on the grid, so no entry is widened that the full trace
-would not widen; off the grid the slice may skip a widening, and its
-bounds are then tighter and still sound.  At ``Flatten`` the rectangle
-is written into the reference image once, and every vector layer from
-there on recomputes in full.  A change that dies out before ``Flatten``
-returns the reference logits as they are.
+it, an image ``BatchNorm`` keeps it.  A ``QConv`` that sign-quantizes
+its input reads only the signs of both corners, so there the rectangle
+first shrinks to where the sign of ``lo`` or ``hi`` differs from the
+reference's; when no sign differs, the change has died out.  Each layer
+runs the same :func:`_layer_bounds` on the input slice those outputs
+read, taken from the reference with the changed entries written in, and
+the rectangle then shrinks to where the result differs from the
+reference output.  Every output entry depends only on its own window,
+so on integer boxes the bounds are bit-identical to :func:`ibp_trace`.
+A slice of an on-grid box is on the grid, so no entry is widened that
+the full trace would not widen; off the grid the slice may skip a
+widening, and its bounds are then tighter and still sound.  At
+``Flatten`` the rectangle is written into the reference image once, and
+every vector layer from there on recomputes in full.  A change that
+dies out before ``Flatten`` returns the reference logits as they are.
 
 Points: ``IntervalTensor.point`` holds one read-only array as both
 ``lo`` and ``hi``.  Every layer then computes the point once, by its
@@ -190,6 +200,15 @@ def _rounding_margin(mid, rad, layer, fan_in):
     return 4.0 * gamma * _fan_in_sum(np.abs(mid) + rad, layer)
 
 
+def _off_grid(fan_in, lo, hi, item_ndim):
+    """Per item of the leading batch dims of ``lo`` and ``hi``, each item
+    their trailing ``item_ndim`` axes: True where :func:`_on_grid` fails."""
+    item = lo.shape[lo.ndim - item_ndim:]
+    pairs = zip(lo.reshape((-1,) + item), hi.reshape((-1,) + item))
+    off = [not _on_grid(fan_in, a, b) for a, b in pairs]
+    return np.array(off).reshape(lo.shape[:lo.ndim - item_ndim] + (1,) * item_ndim)
+
+
 def _linear_bounds(box, layer):
     lo, hi = box.lo, box.hi
     if layer.quantize_input:
@@ -202,9 +221,13 @@ def _linear_bounds(box, layer):
     centre = contract(mid, layer)
     spread = _fan_in_sum(rad, layer)
     fan_in = layer.weights.size // layer.weights.shape[-1]
-    # after sign quantization the box is +-1, so always on the grid
-    if not (layer.quantize_input or _on_grid(fan_in, lo, hi)):
-        spread = spread + _rounding_margin(mid, rad, layer, fan_in)
+    # after sign quantization the box is +-1, so always on the grid; off
+    # it, each batch item is widened on its own, not for its siblings
+    if not layer.quantize_input:
+        off = _off_grid(fan_in, lo, hi, 3 if isinstance(layer, QConv) else 1)
+        if off.any():
+            margin = _rounding_margin(mid, rad, layer, fan_in)
+            spread = np.where(off, spread + margin, spread)
     return IntervalTensor._frozen(centre - spread, centre + spread)
 
 
@@ -223,7 +246,7 @@ def _layer_bounds(box, layer, layer_index):
 
 
 def _check_input(net, box):
-    if box.shape != net.input_shape:
+    if box.shape[-3:] != net.input_shape:
         raise ShapeMismatchError(
             "box shape does not match network input",
             expected=net.input_shape,
@@ -232,7 +255,12 @@ def _check_input(net, box):
 
 
 def ibp_trace(net, box):
-    """Boxes before each layer plus the final logit box (len(layers)+1)."""
+    """Boxes before each layer plus the final logit box (len(layers)+1).
+
+    ``box`` may carry leading batch dims in front of ``net.input_shape``;
+    each item of the trace is then that item's own trace, bit for bit on
+    the grid (off it a product may round apart with the batch's size).
+    """
     _check_input(net, box)
     trace = [box]
     for i, layer in enumerate(net.layers):
@@ -244,23 +272,25 @@ def ibp_propagate(net, box, base=None):
     """Sound logit bounds for every concrete input inside ``box``, with
     one exception: a point against a point trace.
 
-    ``base``, when given, is the :func:`ibp_trace` of a box of the same
-    shape.  Only the region of each image layer whose inputs differ from
-    ``base``'s is then recomputed, and every vector layer from ``Flatten``
-    on recomputes in full; when the change dies out before ``Flatten``,
-    the result is ``base[-1]``.  A point against a point trace is a delta
-    forward, not an enclosure: on the integer grid it is
-    ``network_forward`` bit for bit, but off it the first layer's sums
-    over a slice may round apart from the full forward's, and the result
-    carries no rounding margin.
+    ``box`` may carry leading batch dims, as in :func:`ibp_trace`.
+    ``base``, when given, is the :func:`ibp_trace` of one box of the
+    network's input shape, with no batch dims.  Only the region of each
+    image layer where some item's inputs differ from ``base``'s is then
+    recomputed, and every vector layer from ``Flatten`` on recomputes in
+    full; when the change dies out before ``Flatten`` for every item, the
+    result is ``base[-1]`` itself, with no batch dims.  A point against a
+    point trace is a delta forward, not an enclosure: on the integer grid
+    it is ``network_forward`` bit for bit, but off it the first layer's
+    sums over a slice may round apart from the full forward's, and the
+    result carries no rounding margin.
     """
     if base is None:
         return ibp_trace(net, box)[-1]
     _check_input(net, box)
-    if base[0].shape != box.shape:
+    if base[0].shape != box.shape[-3:]:
         raise ShapeMismatchError(
             "base trace is of another input shape",
-            expected=box.shape,
+            expected=box.shape[-3:],
             actual=base[0].shape,
         )
     patch = _changed(box.lo, box.hi, base[0], 0, 0)
@@ -278,23 +308,31 @@ def ibp_propagate(net, box, base=None):
     return box
 
 
-def _changed(lo, hi, ref, r0, c0):
-    """The patch ``(r0, c0, lo, hi)``, image bounds placed at row ``r0`` and
-    column ``c0`` of ``ref``, cropped to the rows and columns where it
-    differs from ``ref``; None when it differs nowhere."""
-    rows = slice(r0, r0 + lo.shape[0])
-    cols = slice(c0, c0 + lo.shape[1])
-    diff = lo != ref.lo[rows, cols]
+def _changed(lo, hi, ref, r0, c0, signs=False):
+    """The patch ``(r0, c0, lo, hi)``, image bounds with any leading batch
+    dims placed at row ``r0`` and column ``c0`` of ``ref``, cropped to the
+    rows and columns where some item differs from ``ref``, or with
+    ``signs`` where the sign (``>= 0``) of one of its corners does; None
+    when no item differs anywhere."""
+    def differs(a, b):
+        return (a >= 0) != (b >= 0) if signs else a != b
+
+    h, w, c = lo.shape[-3:]
+    rows, cols = slice(r0, r0 + h), slice(c0, c0 + w)
+    diff = differs(lo, ref.lo[rows, cols])
     if not (lo is hi and ref.lo is ref.hi):
-        diff |= hi != ref.hi[rows, cols]
-    diff = diff.any(axis=-1)
+        diff |= differs(hi, ref.hi[rows, cols])
+    # one (H, W*C) map for every item: columns come from the first and
+    # last changed entry, with no reduction over the channel axis
+    diff = diff.reshape(-1, h, w * c)
+    diff = diff[0] if len(diff) == 1 else diff.any(axis=0)
     r = np.flatnonzero(diff.any(axis=1))
     if r.size == 0:
         return None
-    c = np.flatnonzero(diff.any(axis=0))
-    keep = (slice(r[0], r[-1] + 1), slice(c[0], c[-1] + 1))
+    e = np.flatnonzero(diff[r[0]:r[-1] + 1].any(axis=0))
+    keep = (..., slice(r[0], r[-1] + 1), slice(e[0] // c, e[-1] // c + 1), slice(None))
     lo_kept = lo[keep]
-    return r0 + r[0], c0 + c[0], lo_kept, lo_kept if hi is lo else hi[keep]
+    return r0 + r[0], c0 + e[0] // c, lo_kept, lo_kept if hi is lo else hi[keep]
 
 
 def _reach(layer, axis, a0, a1, size):
@@ -315,10 +353,18 @@ def _reach(layer, axis, a0, a1, size):
 
 def _patch_bounds(ref_in, ref_out, patch, layer, layer_index):
     """Bounds of image ``layer`` on ``ref_in`` with ``patch`` written in,
-    as a patch against the layer's reference output ``ref_out``."""
+    as a patch against the layer's reference output ``ref_out``; None when
+    the output does not change."""
+    if isinstance(layer, QConv) and layer.quantize_input:
+        # the layer reads only the signs of both corners: what changes no
+        # sign is cut off here, and a change that flips none has died out
+        r0, c0, lo, hi = patch
+        patch = _changed(lo, hi, ref_in, r0, c0, signs=True)
+        if patch is None:
+            return None
     r0, c0, lo, hi = patch
     (o_r0, o_r1, i_r0, i_r1), (o_c0, o_c1, i_c0, i_c1) = (
-        _reach(layer, axis, a0, a0 + lo.shape[axis], ref_in.shape[axis])
+        _reach(layer, axis, a0, a0 + lo.shape[axis - 3], ref_in.shape[axis])
         for axis, a0 in ((0, r0), (1, c0))
     )
     if o_r0 >= o_r1 or o_c0 >= o_c1:
@@ -330,19 +376,26 @@ def _patch_bounds(ref_in, ref_out, patch, layer, layer_index):
 
 def _written(ref, rows, cols, patch):
     """The box ``ref[rows, cols]`` with ``patch``, which starts inside it,
-    written in; a pool's input slice may end before the patch does."""
+    written in, with the patch's leading batch dims; a pool's input slice
+    may end before the patch does."""
     r0, c0, lo, hi = patch
-    n_r = min(lo.shape[0], rows.stop - r0)
-    n_c = min(lo.shape[1], cols.stop - c0)
-    inside = (slice(r0 - rows.start, r0 - rows.start + n_r),
-              slice(c0 - cols.start, c0 - cols.start + n_c))
-    box_lo = ref.lo[rows, cols].copy()
-    box_lo[inside] = lo[:n_r, :n_c]
+    n_r = min(lo.shape[-3], rows.stop - r0)
+    n_c = min(lo.shape[-2], cols.stop - c0)
+    inside = (..., slice(r0 - rows.start, r0 - rows.start + n_r),
+              slice(c0 - cols.start, c0 - cols.start + n_c), slice(None))
+    kept = (..., slice(n_r), slice(n_c), slice(None))
+
+    def write(ref_bounds, bounds):
+        part = ref_bounds[rows, cols]
+        out = np.empty(bounds.shape[:-3] + part.shape)
+        out[...] = part
+        out[inside] = bounds[kept]
+        return out
+
+    box_lo = write(ref.lo, lo)
     if lo is hi and ref.lo is ref.hi:
         return IntervalTensor._frozen(box_lo, box_lo)
-    box_hi = ref.hi[rows, cols].copy()
-    box_hi[inside] = hi[:n_r, :n_c]
-    return IntervalTensor._frozen(box_lo, box_hi)
+    return IntervalTensor._frozen(box_lo, write(ref.hi, hi))
 
 
 def stable_phases(box):

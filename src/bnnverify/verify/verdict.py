@@ -1,11 +1,12 @@
 """Engine outcome type shared by every verification backend."""
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from ..vnnlib import Witness
 
-__all__ = ["VERIFIED", "FALSIFIED", "UNKNOWN", "TIMEOUT", "Verdict"]
+__all__ = ["VERIFIED", "FALSIFIED", "UNKNOWN", "TIMEOUT", "Verdict", "check_timeout"]
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -21,6 +22,13 @@ _RESULT_STRINGS = {
     UNKNOWN: "unknown",
     TIMEOUT: "timeout",
 }
+
+
+def check_timeout(timeout):
+    """Refuse a NaN engine timeout: no elapsed time compares ``>=`` to NaN,
+    so its deadline would never pass.  None means no deadline."""
+    if timeout is not None and math.isnan(timeout):
+        raise ValueError("timeout is NaN; pass None for no deadline")
 
 
 @dataclass(frozen=True)

@@ -431,6 +431,14 @@ class TestBadOptionValues:
         assert (code, out) == (64, "")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "falsify"])
+    def test_nan_timeout_is_usage_error(self, tmp_path, command):
+        model, prop = write_toy(tmp_path, epsilon=1)
+        code, out = run_cli(command, model, prop, "--timeout", "nan",
+                            "--out", str(tmp_path / "witness"))
+        assert (code, out) == (64, "")
+        assert not (tmp_path / "witness").exists()
+
     def test_bench_timeout_zero_is_usage_error(self, tmp_path):
         out_dir = tmp_path / "bench"
         code, out = run_cli("bench", "--timeout", "0", "--out", str(out_dir))

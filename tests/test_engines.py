@@ -173,6 +173,11 @@ class TestBruteForce:
         assert brute_force_verify(net, prop, timeout=0).nodes == 0
         assert brute_force_verify(net, prop, timeout=1e9).status == "verified"
 
+    def test_nan_timeout_is_refused(self):
+        with pytest.raises(ValueError, match="timeout"):
+            brute_force_verify(toy(SAFE_W), toy_prop(SAFE_IMG, SAFE_LABEL, 1),
+                               timeout=float("nan"))
+
 
 class TestBranchAndBound:
     def test_agrees_with_brute_on_random_instances(self):
@@ -209,6 +214,11 @@ class TestBranchAndBound:
         v = bab_verify(toy(SAFE_W), toy_prop(SAFE_IMG, SAFE_LABEL, 1), timeout=0)
         assert v.status == "timeout"
         assert v.nodes == 0
+
+    def test_nan_timeout_is_refused(self):
+        # elapsed >= nan is never true, so a NaN deadline would never fire
+        with pytest.raises(ValueError, match="timeout"):
+            bab_verify(toy(SAFE_W), toy_prop(SAFE_IMG, SAFE_LABEL, 1), timeout=float("nan"))
 
     def test_max_nodes_exhaustion_is_unknown(self):
         v = bab_verify(

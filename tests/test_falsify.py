@@ -289,6 +289,12 @@ class TestFalsifyVerdicts:
         assert v.status == "timeout"
         assert v.result_string() == "timeout"
 
+    def test_nan_timeout_is_refused(self):
+        net = toy(BRITTLE_W)
+        prop = toy_prop(BRITTLE_W, BRITTLE_IMG, 1, BRITTLE_LABEL)
+        with pytest.raises(ValueError, match="timeout"):
+            falsify(net, prop, AttackConfig(), timeout=float("nan"))
+
     def test_deterministic_wrapper(self):
         net = toy(BRITTLE_W)
         prop = toy_prop(BRITTLE_W, BRITTLE_IMG, 1, BRITTLE_LABEL)

@@ -184,6 +184,149 @@ class TestIntegerBoxes:
                           base=base)
 
 
+def batch_of(items):
+    """One box with a leading batch dim from boxes of one kind: a point
+    batch (one array) from points, else a two-array box."""
+    if all(b.lo is b.hi for b in items):
+        return IntervalTensor.point(np.stack([b.lo for b in items]))
+    return IntervalTensor(np.stack([b.lo for b in items]), np.stack([b.hi for b in items]))
+
+
+def item_bounds(out, n, k):
+    """Item ``k`` of the logit bounds of a batch of ``n``: a batch whose
+    change died out returns the base's unbatched logit box for every item."""
+    shape = (n,) + out.lo.shape[-1:]
+    return np.broadcast_to(out.lo, shape)[k], np.broadcast_to(out.hi, shape)[k]
+
+
+def assert_items_equal_own_calls(net, base, items):
+    """Each item of a batched call equals its own unbatched call, bit for
+    bit; the batch returns ``base[-1]`` itself exactly when every item
+    does.  Returns the batched result."""
+    got = ibp_propagate(net, batch_of(items), base=base)
+    own = [ibp_propagate(net, item, base=base) for item in items]
+    assert (got is base[-1]) == all(o is base[-1] for o in own)
+    for k, o in enumerate(own):
+        lo, hi = item_bounds(got, len(items), k)
+        assert_same_bits(lo, o.lo)
+        assert_same_bits(hi, o.hi)
+    return got
+
+
+def assert_items_equal_own_traces(net, items):
+    batch = batch_of(items)
+    trace = ibp_trace(net, batch)
+    assert (batch.lo is batch.hi) == all(t.lo is t.hi for t in trace)
+    for k, item in enumerate(items):
+        for t, own in zip(trace, ibp_trace(net, item), strict=True):
+            assert_same_bits(t.lo[k], own.lo)
+            assert_same_bits(t.hi[k], own.hi)
+
+
+def grid_items(rng, base_box, n, points, where, how):
+    """``n`` integer children of ``base_box``, or ``n`` integer points
+    near its lower corner."""
+    if points:
+        items = []
+        for _ in range(n):
+            y = base_box.lo.reshape(-1).copy()
+            y[changed_entries(rng, base_box.shape, int(rng.integers(1, 5)), where)] += (
+                rng.choice([-1.0, 1.0]))
+            items.append(IntervalTensor.point(y.reshape(base_box.shape)))
+        return items
+    return [child_box(rng, base_box, int(rng.integers(1, 5)), where, how)
+            for _ in range(n)]
+
+
+class TestBatchedCalls:
+    """Boxes with a leading batch dim: each item's bounds are its own
+    call's, bit for bit, on the integer grid, where every sum is exact.
+    BaB bounds both children of a split as one such batch."""
+
+    @settings(max_examples=200)
+    @given(net_seed=SEEDS, channels=st.integers(1, 3), max_side=st.integers(2, 7),
+           box_seed=SEEDS, n=st.integers(1, 3), points=st.booleans(), where=WHERE,
+           how=HOW)
+    def test_tiny_networks(self, net_seed, channels, max_side, box_seed, n, points,
+                           where, how):
+        net = random_tiny_network(np.random.default_rng(net_seed), max_side=max_side,
+                                  channels=channels)
+        rng = np.random.default_rng(box_seed)
+        start = integer_box(rng, net.input_shape, 8)
+        if points:
+            start = IntervalTensor.point(start.lo)
+        items = grid_items(rng, start, n, points, where, how)
+        assert_items_equal_own_traces(net, items)
+        assert_items_equal_own_calls(net, ibp_trace(net, start), items)
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_archs(self, arch_nets, arch):
+        net = arch_nets[arch]
+        rng = np.random.default_rng(12)
+        box_base = ibp_trace(net, integer_box(rng, net.input_shape, 255))
+        point_base = ibp_trace(net, IntervalTensor.point(box_base[0].lo))
+        died = 0
+        for m in range(12):
+            where = ("corner", "border", "far", "random")[m % 4]
+            how = ("narrow", "shift", "widen", "point")[m % 4]
+            n = 1 + m % 3
+            for base, points in ((box_base, False), (point_base, True)):
+                items = grid_items(rng, base[0], n, points, where, how)
+                died += assert_items_equal_own_calls(net, base, items) is base[-1]
+            if m < 3:
+                assert_items_equal_own_traces(net, items)
+        # narrowed corner pixels of BaB's splits mostly flip no sign of the
+        # first quantizing layer: a batch that dies out there
+        for _ in range(6):
+            items = [child_box(rng, box_base[0], 1, "corner", "narrow") for _ in range(2)]
+            died += assert_items_equal_own_calls(net, box_base, items) is box_base[-1]
+        assert died > 0
+
+    @settings(max_examples=80)
+    @given(net_seed=SEEDS, channels=st.integers(1, 3), box_seed=SEEDS,
+           n=st.integers(2, 3), where=WHERE)
+    def test_off_grid_item_leaves_its_siblings_alone(self, net_seed, channels, box_seed,
+                                                     n, where):
+        # the rounding margin is decided per item: grid items beside an
+        # off-grid one keep their own bounds, and the off-grid one is sound
+        net = random_tiny_network(np.random.default_rng(net_seed), max_side=6,
+                                  channels=channels)
+        rng = np.random.default_rng(box_seed)
+        start = integer_box(rng, net.input_shape, 8)
+        base = ibp_trace(net, start)
+        off = off_grid_child(rng, start, int(rng.integers(1, 4)), where)
+        grid = [child_box(rng, start, 2, where, "narrow") for _ in range(n - 1)]
+        items = [off] + grid
+        got = ibp_propagate(net, batch_of(items), base=base)
+        trace = ibp_trace(net, batch_of(items))[-1]
+        for k, item in enumerate(items[1:], start=1):
+            own = ibp_trace(net, item)[-1]
+            for bounds in (got, trace):
+                lo, hi = item_bounds(bounds, n, k)
+                assert_same_bits(lo, own.lo)
+                assert_same_bits(hi, own.hi)
+        inner = rng.uniform(off.lo, off.hi, size=(64,) + off.shape)
+        points = np.concatenate([off.lo[None], off.hi[None], np.clip(inner, off.lo, off.hi)])
+        logits = network_forward_batch(net, points)
+        for bounds in (got, trace):
+            lo, hi = item_bounds(bounds, n, 0)
+            assert np.all(lo <= logits) and np.all(logits <= hi)
+
+    def test_batched_base_and_wrong_item_shape_rejected(self):
+        rng = np.random.default_rng(0)
+        net = random_tiny_network(rng, channels=2)
+        box = integer_box(rng, net.input_shape, 8)
+        batch = batch_of([box, box])
+        with pytest.raises(ShapeMismatchError):
+            ibp_propagate(net, box, base=ibp_trace(net, batch))
+        wrong = IntervalTensor(np.zeros((2, 1, 1, 1)), np.ones((2, 1, 1, 1)))
+        with pytest.raises(ShapeMismatchError):
+            ibp_trace(net, wrong)
+        with pytest.raises(ShapeMismatchError):
+            ibp_propagate(net, wrong, base=ibp_trace(net, box))
+
+
+
 def off_grid_child(rng, box, k, where):
     """``box`` with ``k`` entries given new non-integer bounds."""
     lo = box.lo.reshape(-1).copy()
@@ -233,8 +376,9 @@ def bab_runs(monkeypatch, net, prop, max_nodes):
     """(status, nodes, witness) of bab_verify as it is and with every node
     and every probe bounded by a full trace.  Also checks the base of each
     relative call: every non-root node is bounded against the root's trace,
-    and every probe after the first against the first probe's trace, which
-    is the exact forward's layer outputs."""
+    in batches whose sizes sum to the non-root nodes, and every probe after
+    the first against the first probe's trace, which is the exact
+    forward's layer outputs."""
     relative = ibp_propagate
     forward = bab_module.network_forward
     traces = []  # full traces: the root's only
@@ -276,8 +420,10 @@ def bab_runs(monkeypatch, net, prop, max_nodes):
 
     assert len(traces) == 1
     root = traces[0]
-    node_calls = [base for _, base in calls if base is root]
-    assert len(node_calls) == got[1] - 1  # the root is bounded by its own trace
+    node_calls = [box for box, base in calls if base is root]
+    # the root is bounded by its own trace; each split's children by one call
+    assert all(box.lo.ndim == 4 for box in node_calls)
+    assert sum(len(box.lo) for box in node_calls) == got[1] - 1
     probe_calls = [(box, base) for box, base in calls if base is not root]
     if forwards:
         (image, outputs), = forwards

@@ -3,7 +3,9 @@
 ``perfbench/run.py --trace 1`` replaces package attributes in place
 (``traced.instrument``).  A refactor that drops or renames one of them
 breaks only that traced run, so installing the hooks here, and running one
-tiny CNF query through them, keeps the surface under tier-1.
+tiny CNF query and one tiny BaB query through them, keeps the surface
+under tier-1.  A BaB that stops calling through those names would leave
+the traced ``ibp.*`` metrics empty.
 """
 
 import os
@@ -53,6 +55,24 @@ def test_cnf_query_records_the_traced_spans(tracer):
     assert {"ibp", "cnf.export", "cnf.dpll"} <= set(names)
     export = tracer.spans[names.index("cnf.export")]
     assert export[5]["clauses"] == len(formula.clauses)
+
+
+def test_bab_query_records_ibp_and_forward_under_bab(tracer):
+    rng = np.random.default_rng(35)  # verified after 15 nodes
+    net = random_tiny_network(rng, max_side=3)
+    img = rng.integers(0, 9, size=net.input_shape).astype(float)
+    label = int(np.argmax(network_forward(net, img)))
+    prop = make_property(img, epsilon=1, label=label, num_outputs=net.num_classes)
+
+    v = verify.bab_verify(net, prop)
+    assert (v.status, v.nodes) == ("verified", 15)
+
+    names = [span[0] for span in tracer.spans]
+    bab = names.index("bab")
+    assert tracer.spans[bab][5]["nodes"] == 15
+    under = [span[0] for span in tracer.spans if span[3] == bab]
+    assert under.count("network.forward") == 1  # the first probe
+    assert under.count("ibp") >= 7  # one per split, and the later probes
 
 
 def test_hooks_are_removed_after_the_run(tracer):
