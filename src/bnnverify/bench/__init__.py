@@ -13,11 +13,11 @@ from .ppm import load_ppm, save_ppm
 from .runner import (
     ENGINES,
     VerdictRecord,
+    answer,
     load_model,
     load_property,
     render_results_csv,
     run_instances,
-    run_one,
     summarize_records,
     write_witness,
 )
@@ -30,6 +30,7 @@ __all__ = [
     "BenchmarkInstance",
     "ScoreRow",
     "VerdictRecord",
+    "answer",
     "format_score_table",
     "generate_benchmark",
     "load_model",
@@ -40,7 +41,6 @@ __all__ = [
     "render_results_csv",
     "render_score_csv",
     "run_instances",
-    "run_one",
     "save_ppm",
     "score_results",
     "summarize_records",

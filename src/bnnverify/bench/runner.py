@@ -1,12 +1,13 @@
 """Instance runner: engines over an instance CSV with per-instance budgets.
 
-Every falsified answer is re-checked against the network before it is
-recorded; a witness that fails its own check is downgraded to an error
-row and counted as a penalty, so the harness can never claim "sat"
-without a valid counterexample in hand.  An engine that raises its own
+``answer`` is the one engine-call path: ``run`` reaches it through
+``run_instances``, and ``verify`` and ``falsify`` call it directly.  It
+re-checks every falsified answer against the network, so a witness that
+fails its own check becomes an error row with a penalty, and no caller can
+claim "sat" without a valid counterexample in hand.  An engine's
 internal-error ``RuntimeError`` gets the same penalty row; any other
-exception becomes a plain error row.  Either way the run goes on with the
-next instance.
+exception becomes a plain error row, and a declined instance is
+``unknown`` with the reason.  A run goes on with the next instance.
 """
 
 import csv
@@ -41,6 +42,7 @@ ENGINES = {
                                                                    timeout=timeout),
 }
 RESULT_VOCAB = ("unsat", "sat", "unknown", "timeout", "error")
+RECHECK_FAILED = "witness failed re-check"
 
 
 @dataclass(frozen=True)
@@ -78,54 +80,60 @@ def write_witness(out_dir, instance, text) -> str:
     return path
 
 
-def run_one(inst, engine, seed=0, attack=None) -> VerdictRecord:
-    """Run a single instance; never raises, records a failure instead.
+def answer(net, prop, engine, timeout, attack) -> VerdictRecord:
+    """Run ``ENGINES[engine]`` on a loaded instance; never raises, records
+    a failure instead.  The record names no instance; its seconds run to
+    the engine's return or raise, and its detail holds a sat witness's text
+    or the reason for no answer."""
+    start = time.monotonic()
+    try:
+        verdict = ENGINES[engine](net, prop, timeout, attack)
+    except EngineDeclinedError as exc:
+        # the engine cannot search the instance (an oversized or empty
+        # grid): no answer, not a crash
+        return VerdictRecord("", "unknown", time.monotonic() - start, detail=str(exc))
+    except Exception as exc:
+        # a RuntimeError is an engine's failed self-check (e.g. a witness it
+        # built did not re-check), so the row carries a penalty; anything
+        # else, bad input or a MemoryError, claims nothing wrong
+        log.debug("engine %s raised", engine, exc_info=True)
+        return VerdictRecord("", "error", time.monotonic() - start,
+                             penalty=isinstance(exc, RuntimeError),
+                             detail=str(exc) or repr(exc))
+    seconds = time.monotonic() - start
+    if not verdict.is_falsified:
+        return VerdictRecord("", verdict.result_string(), seconds)
+    if not check_witness(net, prop, verdict.witness):
+        return VerdictRecord("", "error", seconds, penalty=True, detail=RECHECK_FAILED)
+    return VerdictRecord("", "sat", seconds, detail=format_witness(verdict.witness))
 
-    `attack` overrides the falsify engine's sample/pass budget, for runs
-    where the default desk-scale budget is wrong for the model size.
-    """
-    return _run_one(inst, engine, seed, attack, load_model)
 
-
-def _run_one(inst, engine, seed, attack, load):
+def _run_one(inst, engine, attack, load):
+    """Load one instance and answer it; never raises."""
     name = inst.property_path
-    if attack is None:
-        attack = AttackConfig(seed=seed)
     start = time.monotonic()
     try:
         net = load(inst.model_path)
         prop = load_property(inst.property_path)
-        verdict = ENGINES[engine](net, prop, inst.timeout_seconds, attack)
-    except EngineDeclinedError as exc:
-        # an engine that cannot search the instance (an oversized or
-        # empty grid) declines it: no answer, not a crash
-        return VerdictRecord(name, "unknown", time.monotonic() - start,
-                             detail=str(exc))
-    except RuntimeError as exc:
-        # an engine's self-check failed (e.g. a witness it built did not
-        # re-check): the engine is at fault, so the row carries a penalty
-        log.error("internal error on %s: %s", name, exc)
-        return VerdictRecord(name, "error", time.monotonic() - start,
-                             penalty=True, detail=str(exc))
     except Exception as exc:
-        # bad input, or a failure such as MemoryError that claims nothing
-        # wrong: no answer and no penalty, and the run goes on
         log.warning("error on %s: %r", name, exc, exc_info=True)
         return VerdictRecord(name, "error", time.monotonic() - start,
-                             detail=str(exc))
-    elapsed = time.monotonic() - start
-    if elapsed > inst.timeout_seconds:
+                             detail=str(exc) or repr(exc))
+    loaded = time.monotonic()
+    record = answer(net, prop, engine, inst.timeout_seconds, attack)
+    elapsed = loaded - start + record.seconds  # not the witness re-check
+    # a decline or a raise, whose row always gives a reason, is no answer
+    # and keeps its row
+    raised = (record.verdict in ("unknown", "error")
+              and record.detail not in ("", RECHECK_FAILED))
+    if elapsed > inst.timeout_seconds and not raised:
         # budget discipline: a late answer scores as a timeout even when
         # the engine lacks its own deadline support
         return VerdictRecord(name, "timeout", elapsed)
-    if verdict.is_falsified:
-        if not check_witness(net, prop, verdict.witness):
-            log.error("witness for %s failed re-checking", name)
-            return VerdictRecord(name, "error", elapsed, penalty=True,
-                                 detail="witness failed re-check")
-        return VerdictRecord(name, "sat", elapsed,
-                             detail=format_witness(verdict.witness))
-    return VerdictRecord(name, verdict.result_string(), elapsed)
+    if record.verdict == "error":
+        log.log(logging.ERROR if record.penalty else logging.WARNING,
+                "error on %s: %s", name, record.detail)
+    return replace(record, instance=name, seconds=elapsed)
 
 
 def run_instances(csv_path, engine="falsify", parallelism=1, seed=0,
@@ -134,25 +142,27 @@ def run_instances(csv_path, engine="falsify", parallelism=1, seed=0,
 
     Each model file is parsed once per call (a ``Network`` is immutable,
     so its instances share it); a file that fails to load gives an error
-    row for every instance that names it.  With out_dir set, each valid
-    witness is written there as <instance-stem>.witness.txt and
-    referenced from its record.
+    row for every instance that names it.  ``attack`` overrides the
+    falsify engine's sample/pass budget (default ``AttackConfig(seed=seed)``).
+    With out_dir set, each valid witness is written there as
+    <instance-stem>.witness.txt and referenced from its record.
     """
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {tuple(ENGINES)}")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    if attack is None:
+        attack = AttackConfig(seed=seed)
     instances = read_instances(csv_path)
     # lru_cache keeps no exception, so a failed load is retried per instance
     cached_load = functools.lru_cache(maxsize=None)(load_model)
     if parallelism == 1:
-        records = [_run_one(inst, engine, seed, attack, cached_load)
+        records = [_run_one(inst, engine, attack, cached_load)
                    for inst in instances]
     else:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(_run_one, inst, engine, seed, attack,
-                                   cached_load)
+            futures = [pool.submit(_run_one, inst, engine, attack, cached_load)
                        for inst in instances]
             records = [f.result() for f in futures]
     if out_dir is not None:

@@ -13,10 +13,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .bench import (
     ENGINES,
+    answer,
     format_score_table,
     generate_benchmark,
     load_model,
@@ -30,18 +29,17 @@ from .bench import (
     write_witness,
 )
 from .bench.generate import CSV_TEXT
-from .errors import BnnVerifyError, EngineDeclinedError
+from .errors import BnnVerifyError
 from .falsify import AttackConfig
 from .layers import BatchNorm, Flatten, MaxPool, QConv, QDense
 from .network import count_params, predict
 from .vnnlib import (
-    format_witness,
+    check_property_shapes,
     check_witness,
     generate_property,
     parse_witness,
     property_filename,
 )
-from .verify import UNKNOWN, Verdict
 
 log = logging.getLogger("bnnverify.cli")
 
@@ -163,31 +161,21 @@ def cmd_bench(args):
     return ExitStatus.OK
 
 
-def _report_verdict(verdict, prop_path, out_dir):
-    print(verdict.result_string())
-    if verdict.is_falsified:
-        os.makedirs(out_dir, exist_ok=True)
-        path = write_witness(out_dir, prop_path, format_witness(verdict.witness))
-        print(f"witness {path}")
-    return _VERDICT_EXIT[verdict.result_string()]
-
-
 def cmd_verify(args):
     net = load_model(args.model)
     prop = load_property(args.property)
-    try:
-        verdict = ENGINES[args.engine](net, prop, args.timeout,
-                                       AttackConfig(seed=args.seed))
-    except EngineDeclinedError as exc:
-        # the engine declined the instance, say an oversized or empty grid
-        sys.stderr.write(f"bnnverify: {exc}\n")
-        verdict = Verdict(UNKNOWN)
-    except RuntimeError as exc:
-        # an engine's self-check failed: no answer, and not "falsified"
-        reason = str(exc).removeprefix("internal error: ")
-        sys.stderr.write(f"bnnverify: internal error: {reason}\n")
-        verdict = Verdict(UNKNOWN)
-    return _report_verdict(verdict, args.property, args.out)
+    check_property_shapes(net, prop)  # a mismatched pair is bad input
+    record = answer(net, prop, args.engine, args.timeout,
+                    AttackConfig(seed=args.seed))
+    if record.verdict in ("unknown", "error") and record.detail:
+        # a declined instance or a failed engine: no answer, and the reason
+        sys.stderr.write(f"bnnverify: {record.detail}\n")
+    verdict = "unknown" if record.verdict == "error" else record.verdict
+    print(verdict)
+    if verdict == "sat":
+        os.makedirs(args.out, exist_ok=True)
+        print(f"witness {write_witness(args.out, args.property, record.detail)}")
+    return _VERDICT_EXIT[verdict]
 
 
 def cmd_check(args):
@@ -230,38 +218,35 @@ def _counts_spec(text):
         ) from None
 
 
-def _epsilon_list(text):
-    try:
-        epsilons = tuple(float(e) if "." in e else int(e) for e in text.split(","))
-        if all(e >= 0 for e in epsilons):
-            return epsilons
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"{text!r}: expected comma-separated non-negative numbers")
-
-
-def _positive(kind):
-    """An argparse ``type=`` that parses ``kind`` and refuses values <= 0."""
+def _number(kind, accept, expected):
+    """An argparse ``type=`` that parses ``kind`` and refuses a value that
+    ``accept`` rejects, as a usage error that says what was ``expected``."""
     def parse(text):
         try:
             value = kind(text)
-            if value > 0:
+            if accept(value):
                 return value
-        except ValueError:
+        except (ValueError, OverflowError):
             pass
-        raise argparse.ArgumentTypeError(
-            f"{text!r}: expected a positive {kind.__name__}")
+        raise argparse.ArgumentTypeError(f"{text!r}: expected {expected}")
     return parse
 
 
-def _timeout(text):
-    """An engine ``--timeout``: any float but NaN, which no elapsed time
-    reaches; 0 or less times out at once."""
-    value = float(text)
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError(f"{text!r}: expected a number of seconds")
-    return value
+def _finite_non_negative(value):
+    return value >= 0 and math.isfinite(value)  # an int past float raises OverflowError
+
+
+_positive_int = _number(int, lambda v: v > 0, "a positive int")
+_positive_float = _number(float, lambda v: v > 0, "a positive float")
+_seed = _number(int, lambda v: v >= 0, "a non-negative int")
+_epsilon = _number(float, _finite_non_negative, "a finite non-negative number")
+_epsilon_list = _number(
+    lambda text: tuple(float(e) if "." in e else int(e) for e in text.split(",")),
+    lambda eps: all(map(_finite_non_negative, eps)),
+    "comma-separated finite non-negative numbers")
+# an engine --timeout: any float but NaN, which no elapsed time reaches;
+# 0 or less times out at once
+_timeout = _number(float, lambda v: not math.isnan(v), "a number of seconds")
 
 
 def cmd_score(args):
@@ -285,7 +270,7 @@ def build_parser():
                        "one image")
     p.add_argument("model")
     p.add_argument("image", help="PPM (P6) image file")
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--label", type=int, default=None,
                    help="target label (default: the model's prediction)")
     p.add_argument("--index", type=int, default=0,
@@ -300,9 +285,9 @@ def build_parser():
     p.add_argument("--models", default=None, help="directory of .onnx models")
     p.add_argument("--images", default=None,
                    help="directory of <label>_*.ppm images")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--epsilons", type=_epsilon_list, default="1,3,5,10,15")
-    p.add_argument("--timeout", type=_positive(float), default=480.0)
+    p.add_argument("--timeout", type=_positive_float, default=480.0)
     p.add_argument("--out", default="benchmark")
     p.set_defaults(func=cmd_bench)
 
@@ -311,7 +296,7 @@ def build_parser():
     p.add_argument("property")
     p.add_argument("--engine", choices=tuple(ENGINES), default="bab")
     p.add_argument("--timeout", type=_timeout, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=".",
                    help="directory for the witness file on sat")
     p.set_defaults(func=cmd_verify)
@@ -319,7 +304,7 @@ def build_parser():
     p = sub.add_parser("falsify", help="search for a counterexample")
     p.add_argument("model")
     p.add_argument("property")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--timeout", type=_timeout, default=None)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_verify, engine="falsify")
@@ -333,8 +318,8 @@ def build_parser():
     p = sub.add_parser("run", help="run an engine over an instance CSV")
     p.add_argument("csv")
     p.add_argument("--engine", choices=tuple(ENGINES), default="falsify")
-    p.add_argument("--jobs", type=_positive(int), default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="results")
     p.set_defaults(func=cmd_run)
 

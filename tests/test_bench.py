@@ -21,7 +21,6 @@ from bnnverify.bench import (
     render_results_csv,
     render_score_csv,
     run_instances,
-    run_one,
     save_ppm,
     score_results,
     summarize_records,

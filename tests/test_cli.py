@@ -149,6 +149,18 @@ class TestVerifyCommand:
         assert out == ""
         assert "empty output disjunction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["ibp", "bab", "falsify", "brute"])
+    def test_mismatched_property_exits_65_without_a_verdict(self, tmp_path,
+                                                            capsys, engine):
+        model, _ = write_toy(tmp_path)
+        prop = tmp_path / "three.vnnlib"  # three inputs for a 4-input model
+        prop.write_text(generate_property(np.ones((1, 3, 1)), 1, 0, num_outputs=3))
+        code, out = run_cli("verify", model, str(prop), "--engine", engine,
+                            "--out", str(tmp_path / "witness"))
+        assert (code, out) == (65, "")
+        assert "disagree on dimensions" in capsys.readouterr().err
+        assert not (tmp_path / "witness").exists()
+
     def test_usage_error_is_64(self):
         code, _ = run_cli("verify")
         assert code == 64
@@ -442,6 +454,55 @@ class TestBadOptionValues:
     def test_bench_timeout_zero_is_usage_error(self, tmp_path):
         out_dir = tmp_path / "bench"
         code, out = run_cli("bench", "--timeout", "0", "--out", str(out_dir))
+        assert (code, out) == (64, "")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("verify", ("--engine", "bab")),  # bab takes no seed, yet it is checked
+        ("verify", ("--engine", "falsify")),
+        ("falsify", ()),
+    ])
+    def test_negative_seed_is_usage_error(self, tmp_path, command, options):
+        model, prop = write_toy(tmp_path, epsilon=1)
+        code, out = run_cli(command, model, prop, *options, "--seed", "-1",
+                            "--out", str(tmp_path / "witness"))
+        assert (code, out) == (64, "")
+        assert not (tmp_path / "witness").exists()
+
+    def test_run_negative_seed_is_usage_error(self, tmp_path):
+        model, prop = write_toy(tmp_path)
+        csv_path = tmp_path / "instances.csv"
+        csv_path.write_text(f"{model},{prop},60\n")
+        out_dir = tmp_path / "results"
+        code, out = run_cli("run", str(csv_path), "--seed", "-1", "--out", str(out_dir))
+        assert (code, out) == (64, "")
+        assert not out_dir.exists()
+
+    def test_bench_negative_seed_is_usage_error(self, tmp_path):
+        out_dir = tmp_path / "bench"
+        code, out = run_cli("bench", "--seed", "-1", "--out", str(out_dir))
+        assert (code, out) == (64, "")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("epsilons", ["1.0e400", "1,3,1" + "0" * 400],
+                             ids=["inf", "int-past-float"])
+    def test_bench_epsilon_past_float_is_usage_error(self, tmp_path, epsilons):
+        # an infinite epsilon, or an integer that no float holds
+        out_dir = tmp_path / "bench"
+        code, out = run_cli("bench", "--epsilons", epsilons, "--out", str(out_dir))
+        assert (code, out) == (64, "")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1", "1e400"])
+    def test_generate_bad_epsilon_is_usage_error(self, tmp_path, epsilon):
+        net = Network((1, 2, 3), (Flatten(), QDense(2, np.ones((6, 2)))), 2)
+        model = tmp_path / "net.onnx"
+        model.write_bytes(serialize_model(net))
+        ppm = tmp_path / "img.ppm"
+        ppm.write_bytes(save_ppm(np.zeros((1, 2, 3))))
+        out_dir = tmp_path / "props"
+        code, out = run_cli("generate", str(model), str(ppm), "--epsilon", epsilon,
+                            "--out", str(out_dir))
         assert (code, out) == (64, "")
         assert not out_dir.exists()
 

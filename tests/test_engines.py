@@ -9,7 +9,7 @@ from bnnverify.arch import random_tiny_network
 from bnnverify.errors import EnumerationBudgetError
 from bnnverify.layers import Flatten, QDense
 from bnnverify.network import Network, network_forward
-from bnnverify.vnnlib import check_witness, make_property
+from bnnverify.vnnlib import RobustnessProperty, check_witness, make_property
 from bnnverify.verify import bab_verify, brute, brute_force_verify, verify_ibp
 
 # Frozen regression vectors.  Both toys have four inputs, so epsilon 1
@@ -269,6 +269,22 @@ class TestBranchAndBound:
         v = bab_verify(net, prop, integer_grid=False, max_nodes=3000)
         assert v.status == "unknown"
         assert bab_verify(net, prop).status == "falsified"
+
+    def test_continuous_mode_stops_at_float_resolution(self):
+        # X_1 spans one ulp just above X_0 = 1, so class 0 wins at both of
+        # the box's points; the off-grid rounding margin keeps the root
+        # box open, and no float lies strictly between X_1's ends to split
+        # it at: an open box that cannot shrink is unknown, not verified
+        net = Network((1, 2, 1), (Flatten(), QDense(
+            2, np.array([[-1.0, 1.0], [1.0, -1.0]]), quantize_input=False)), 2)
+        above = float(np.nextafter(1.0, 2.0))
+        x1 = (above, float(np.nextafter(above, 2.0)))
+        prop = RobustnessProperty(2, 2, ((1.0, 1.0), x1), 0)
+        for x in x1:
+            logits = network_forward(net, np.array([1.0, x]).reshape(1, 2, 1))
+            assert logits[0] > logits[1]
+        v = bab_verify(net, prop, integer_grid=False)
+        assert (v.status, v.nodes) == ("unknown", 1)
 
     def test_integer_witnesses_on_grid(self):
         net = toy(BRITTLE_W)

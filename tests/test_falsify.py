@@ -246,6 +246,16 @@ class TestGreedyAttack:
                 break
         assert verified >= 5
 
+    def test_deadline_stops_a_sweep_between_pixels(self, monkeypatch):
+        net = toy(VERTEX_W)
+        prop = toy_prop(VERTEX_W, VERTEX_IMG, 1, 0)
+        assert greedy_attack(net, prop, AttackConfig()) is not None
+        sizes = forward_recorder(monkeypatch, "bnnverify.falsify", 2)
+        monkeypatch.setattr("bnnverify.falsify.time", _TickingClock())
+        # reading 1 lets the first pixel's trial run; reading 2 is the deadline
+        assert greedy_attack(net, prop, AttackConfig(), deadline=2.0) is None
+        assert sizes == [2]
+
     def test_centre_tie_is_an_immediate_witness(self):
         w = np.ones((4, 2))
         net = toy(w)
@@ -294,6 +304,20 @@ class TestFalsifyVerdicts:
         prop = toy_prop(BRITTLE_W, BRITTLE_IMG, 1, BRITTLE_LABEL)
         with pytest.raises(ValueError, match="timeout"):
             falsify(net, prop, AttackConfig(), timeout=float("nan"))
+
+    def test_deadline_passed_after_both_attacks_is_timeout(self, monkeypatch):
+        # a point ball keeps its label, so both attacks end without a
+        # witness: greedy with no pass, sampling after its one sample
+        net = toy(BRITTLE_W)
+        prop = toy_prop(BRITTLE_W, BRITTLE_IMG, 0, BRITTLE_LABEL)
+        cfg = AttackConfig(max_samples=1, greedy_passes=0)
+        # readings: 1 the start, 2 before the sample, 3 the elapsed time,
+        # 4 the deadline test
+        monkeypatch.setattr("bnnverify.falsify.time", _TickingClock())
+        v = falsify(net, prop, cfg, timeout=2.5)
+        assert (v.status, v.seconds) == ("timeout", 2.0)
+        monkeypatch.setattr("bnnverify.falsify.time", _TickingClock())
+        assert falsify(net, prop, cfg, timeout=3.5).status == "unknown"
 
     def test_deterministic_wrapper(self):
         net = toy(BRITTLE_W)

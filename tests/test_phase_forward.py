@@ -194,6 +194,39 @@ def test_network_whose_qdense_reads_raw_values(kind):
     assert used >= 10
 
 
+
+def dense_boundary_network(rng):
+    """A raw first QDense whose output reaches a boundary: a BatchNorm
+    folds it to the signs that a quantized QDense reads.  The batch norm's
+    thresholds lie in and around the raw sums' range, so some phases are
+    fixed over a box and some free."""
+    hidden = 8
+    gamma = rng.choice([-1.0, 1.0], size=hidden) * rng.uniform(0.5, 2.0, size=hidden)
+    layers = (
+        Flatten(),
+        QDense(hidden, rng.choice([-1.0, 1.0], size=(9, hidden)), quantize_input=False),
+        BatchNorm(gamma=gamma, beta=rng.uniform(-1.0, 1.0, size=hidden),
+                  moving_mean=rng.integers(-8, 9, size=hidden).astype(np.float64),
+                  moving_variance=rng.uniform(0.5, 4.0, size=hidden)),
+        QDense(3, rng.choice([-1.0, 1.0], size=(hidden, 3)), quantize_input=True),
+    )
+    return Network(input_shape=(3, 3, 1), layers=layers, num_classes=3)
+
+
+@pytest.mark.parametrize("kind", ["grid", "uniform"])
+def test_network_whose_raw_qdense_reaches_a_boundary(kind):
+    used = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        net = dense_boundary_network(rng)
+        image = rng.integers(0, 5, size=net.input_shape).astype(np.float64)
+        box, images = draws(net, *box_bounds(image, 1, None), kind, 16, rng)
+        forward = phase_forward(net, ibp_trace(net, box))
+        if forward is not None:
+            assert_bit_identical(net, forward, images)
+            used += 1
+    assert used >= 75
+
 def test_a_network_without_a_boundary_has_nothing_to_skip():
     w = np.random.default_rng(0).choice([-1.0, 1.0], size=(4, 3))
     net = Network((2, 2, 1), (Flatten(), QDense(3, w, quantize_input=False)), 3)

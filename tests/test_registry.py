@@ -13,10 +13,12 @@ import pytest
 from bnnverify.bench import ENGINES, generate_benchmark, run_instances
 from bnnverify.bench import runner as runner_mod
 from bnnverify.cli import build_parser, main
+from bnnverify.errors import EngineDeclinedError
 from bnnverify.falsify import AttackConfig
 from bnnverify.layers import Flatten, QDense
 from bnnverify.network import Network, margin, predict
 from bnnverify.onnx_io import serialize_model
+from bnnverify.verify import FALSIFIED, VERIFIED, Verdict
 from bnnverify.vnnlib import Witness, check_witness, generate_property, \
     make_property
 
@@ -141,6 +143,90 @@ class TestCliNoAnswer:
         assert code == 2
         assert out.splitlines() == ["unknown"]
         assert "budget" in err
+
+
+# The function each registry entry calls, by its name in the runner module.
+ENGINE_FUNCTIONS = {"ibp": "verify_ibp", "bab": "bab_verify",
+                    "falsify": "falsify", "brute": "brute_force_verify"}
+
+
+def bad_witness(*args, **kwargs):
+    # the image itself keeps its label, so this "counterexample" is wrong
+    return Verdict(FALSIFIED, witness=Witness(tuple(BRITTLE_IMG)))
+
+
+def raising(exc):
+    def engine(*args, **kwargs):
+        raise exc
+    return engine
+
+
+# failure -> (engine stand-in, run's (verdict, penalty, detail))
+FAILURES = {
+    "declined": (raising(EngineDeclinedError("grid past the test's budget")),
+                 ("unknown", False, "grid past the test's budget")),
+    "internal": (raising(RuntimeError("internal error: self-check failed")),
+                 ("error", True, "internal error: self-check failed")),
+    "unexpected": (raising(MemoryError("batch too large")),
+                   ("error", False, "batch too large")),
+    "bad-witness": (bad_witness, ("error", True, "witness failed re-check")),
+}
+
+
+class TestEngineContract:
+    """Whatever an engine does wrong, ``verify`` answers ``unknown`` with
+    exit 2 and the reason on stderr, and ``run`` records the matching row:
+    both go through one engine-call path."""
+
+    def test_every_engine_is_swept(self):
+        assert set(ENGINE_FUNCTIONS) == set(ENGINES)
+
+    @pytest.mark.parametrize("failure", list(FAILURES))
+    @pytest.mark.parametrize("engine", list(ENGINE_FUNCTIONS))
+    def test_failure_is_no_answer(self, tmp_path, monkeypatch, engine, failure):
+        stand_in, row = FAILURES[failure]
+        monkeypatch.setattr(runner_mod, ENGINE_FUNCTIONS[engine], stand_in)
+        model, prop = write_instance(tmp_path, brittle_net(), BRITTLE_IMG, 1,
+                                     BRITTLE_LABEL)
+        out_dir = tmp_path / "witness"
+        code, out, err = run_cli("verify", model, prop, "--engine", engine,
+                                 "--out", str(out_dir))
+        assert (code, out) == (2, "unknown\n")
+        assert err == f"bnnverify: {row[2]}\n"
+        assert not out_dir.exists()
+
+        csv_path = tmp_path / "instances.csv"
+        csv_path.write_text(f"{model},{prop},60\n")
+        [record] = run_instances(str(csv_path), engine=engine)
+        assert (record.verdict, record.penalty, record.detail) == row
+
+    @pytest.mark.parametrize("failure", [None] + list(FAILURES))
+    def test_only_a_late_answer_becomes_a_timeout(self, tmp_path, monkeypatch,
+                                                  failure):
+        """``run`` scores an answer past the instance's budget as a timeout,
+        a wrong witness included; a decline or a raise keeps its row."""
+        class TickingClock:  # each reading one second after the last
+            now = 0.0
+
+            def monotonic(self):
+                self.now += 1.0
+                return self.now
+
+        if failure is None:
+            stand_in, row = (lambda *args, **kwargs: Verdict(VERIFIED)), None
+        else:
+            stand_in, row = FAILURES[failure]
+        if failure in (None, "bad-witness"):
+            row = ("timeout", False, "")
+        monkeypatch.setattr(runner_mod, "bab_verify", stand_in)
+        monkeypatch.setattr(runner_mod, "time", TickingClock())
+        model, prop = write_instance(tmp_path, brittle_net(), BRITTLE_IMG, 1,
+                                     BRITTLE_LABEL)
+        csv_path = tmp_path / "instances.csv"
+        csv_path.write_text(f"{model},{prop},0.5\n")
+        [record] = run_instances(str(csv_path), engine="bab")
+        assert (record.verdict, record.penalty, record.detail) == row
+        assert record.seconds >= 1.0
 
 
 def two_model_suite(tmp_path):
