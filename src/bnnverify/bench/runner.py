@@ -15,7 +15,6 @@ import functools
 import io
 import logging
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -24,22 +23,19 @@ from ..errors import EngineDeclinedError
 from ..falsify import AttackConfig, falsify
 from ..onnx_io import parse_model
 from ..vnnlib import check_witness, format_witness, parse_property
-from ..verify import bab_verify, brute_force_verify, verify_ibp
+from ..verify import Deadline, bab_verify, brute_force_verify, verify_ibp
 from .generate import read_instances
 
 log = logging.getLogger("bnnverify.bench")
 
-# The engine registry: name -> run(net, prop, timeout, attack) -> Verdict.
+# The engine registry: name -> run(net, prop, deadline, attack) -> Verdict.
 # Each entry names its engine function at call time, so replacing that
 # function in this module's namespace reaches every caller.
 ENGINES = {
-    "ibp": lambda net, prop, timeout, attack: verify_ibp(net, prop),
-    "bab": lambda net, prop, timeout, attack: bab_verify(net, prop,
-                                                         timeout=timeout),
-    "falsify": lambda net, prop, timeout, attack: falsify(net, prop, attack,
-                                                          timeout=timeout),
-    "brute": lambda net, prop, timeout, attack: brute_force_verify(net, prop,
-                                                                   timeout=timeout),
+    "ibp": lambda net, prop, deadline, attack: verify_ibp(net, prop, deadline),
+    "bab": lambda net, prop, deadline, attack: bab_verify(net, prop, deadline),
+    "falsify": lambda net, prop, deadline, attack: falsify(net, prop, attack, deadline),
+    "brute": lambda net, prop, deadline, attack: brute_force_verify(net, prop, deadline),
 }
 RESULT_VOCAB = ("unsat", "sat", "unknown", "timeout", "error")
 RECHECK_FAILED = "witness failed re-check"
@@ -80,27 +76,26 @@ def write_witness(out_dir, instance, text) -> str:
     return path
 
 
-def answer(net, prop, engine, timeout, attack) -> VerdictRecord:
-    """Run ``ENGINES[engine]`` on a loaded instance; never raises, records
-    a failure instead.  The record names no instance; its seconds run to
-    the engine's return or raise, and its detail holds a sat witness's text
-    or the reason for no answer."""
-    start = time.monotonic()
+def answer(net, prop, engine, deadline, attack) -> VerdictRecord:
+    """Run ``ENGINES[engine]`` on a loaded instance under ``deadline``;
+    never raises, records a failure instead.  The record names no instance;
+    its seconds are ``deadline.elapsed()`` at the engine's return or raise,
+    and its detail holds a sat witness's text or the reason for no answer."""
     try:
-        verdict = ENGINES[engine](net, prop, timeout, attack)
+        verdict = ENGINES[engine](net, prop, deadline, attack)
     except EngineDeclinedError as exc:
         # the engine cannot search the instance (an oversized or empty
         # grid): no answer, not a crash
-        return VerdictRecord("", "unknown", time.monotonic() - start, detail=str(exc))
+        return VerdictRecord("", "unknown", deadline.elapsed(), detail=str(exc))
     except Exception as exc:
         # a RuntimeError is an engine's failed self-check (e.g. a witness it
         # built did not re-check), so the row carries a penalty; anything
         # else, bad input or a MemoryError, claims nothing wrong
         log.debug("engine %s raised", engine, exc_info=True)
-        return VerdictRecord("", "error", time.monotonic() - start,
+        return VerdictRecord("", "error", deadline.elapsed(),
                              penalty=isinstance(exc, RuntimeError),
                              detail=str(exc) or repr(exc))
-    seconds = time.monotonic() - start
+    seconds = deadline.elapsed()
     if not verdict.is_falsified:
         return VerdictRecord("", verdict.result_string(), seconds)
     if not check_witness(net, prop, verdict.witness):
@@ -111,29 +106,27 @@ def answer(net, prop, engine, timeout, attack) -> VerdictRecord:
 def _run_one(inst, engine, attack, load):
     """Load one instance and answer it; never raises."""
     name = inst.property_path
-    start = time.monotonic()
+    deadline = Deadline(inst.timeout_seconds)  # the load counts against it
     try:
         net = load(inst.model_path)
         prop = load_property(inst.property_path)
     except Exception as exc:
         log.warning("error on %s: %r", name, exc, exc_info=True)
-        return VerdictRecord(name, "error", time.monotonic() - start,
+        return VerdictRecord(name, "error", deadline.elapsed(),
                              detail=str(exc) or repr(exc))
-    loaded = time.monotonic()
-    record = answer(net, prop, engine, inst.timeout_seconds, attack)
-    elapsed = loaded - start + record.seconds  # not the witness re-check
+    record = answer(net, prop, engine, deadline, attack)
     # a decline or a raise, whose row always gives a reason, is no answer
     # and keeps its row
     raised = (record.verdict in ("unknown", "error")
               and record.detail not in ("", RECHECK_FAILED))
-    if elapsed > inst.timeout_seconds and not raised:
-        # budget discipline: a late answer scores as a timeout even when
-        # the engine lacks its own deadline support
-        return VerdictRecord(name, "timeout", elapsed)
+    if record.seconds > inst.timeout_seconds and not raised:
+        # an answer past the deadline (a node or batch in flight, not the
+        # witness re-check) scores as a timeout
+        return VerdictRecord(name, "timeout", record.seconds)
     if record.verdict == "error":
         log.log(logging.ERROR if record.penalty else logging.WARNING,
                 "error on %s: %s", name, record.detail)
-    return replace(record, instance=name, seconds=elapsed)
+    return replace(record, instance=name)
 
 
 def run_instances(csv_path, engine="falsify", parallelism=1, seed=0,

@@ -33,6 +33,7 @@ from .errors import BnnVerifyError
 from .falsify import AttackConfig
 from .layers import BatchNorm, Flatten, MaxPool, QConv, QDense
 from .network import count_params, predict
+from .verify import Deadline
 from .vnnlib import (
     check_property_shapes,
     check_witness,
@@ -162,11 +163,11 @@ def cmd_bench(args):
 
 
 def cmd_verify(args):
+    deadline = Deadline(args.timeout)  # reading the files counts against it
     net = load_model(args.model)
     prop = load_property(args.property)
     check_property_shapes(net, prop)  # a mismatched pair is bad input
-    record = answer(net, prop, args.engine, args.timeout,
-                    AttackConfig(seed=args.seed))
+    record = answer(net, prop, args.engine, deadline, AttackConfig(seed=args.seed))
     if record.verdict in ("unknown", "error") and record.detail:
         # a declined instance or a failed engine: no answer, and the reason
         sys.stderr.write(f"bnnverify: {record.detail}\n")
@@ -226,26 +227,27 @@ def _number(kind, accept, expected):
             value = kind(text)
             if accept(value):
                 return value
-        except (ValueError, OverflowError):
+        except ValueError:
             pass
         raise argparse.ArgumentTypeError(f"{text!r}: expected {expected}")
     return parse
 
 
 def _finite_non_negative(value):
-    return value >= 0 and math.isfinite(value)  # an int past float raises OverflowError
+    return value >= 0 and math.isfinite(value)
 
 
 _positive_int = _number(int, lambda v: v > 0, "a positive int")
 _positive_float = _number(float, lambda v: v > 0, "a positive float")
 _seed = _number(int, lambda v: v >= 0, "a non-negative int")
 _epsilon = _number(float, _finite_non_negative, "a finite non-negative number")
+# a float reads "1e3" as 1000, and a number past float as inf
 _epsilon_list = _number(
-    lambda text: tuple(float(e) if "." in e else int(e) for e in text.split(",")),
+    lambda text: tuple(float(e) for e in text.split(",")),
     lambda eps: all(map(_finite_non_negative, eps)),
     "comma-separated finite non-negative numbers")
-# an engine --timeout: any float but NaN, which no elapsed time reaches;
-# 0 or less times out at once
+# an engine --timeout, counted from before the files are read: any float
+# but NaN, which no elapsed time reaches; 0 or less times out at once
 _timeout = _number(float, lambda v: not math.isnan(v), "a number of seconds")
 
 

@@ -21,7 +21,6 @@ nothing to skip keeps `network_forward_batch`.  Witness checks and the
 greedy walk keep the full forward.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from .vnnlib import (
 )
 from .verify.brute import integer_grid_bounds
 from .verify.intervals import IntervalTensor, ibp_trace, phase_forward
-from .verify.verdict import FALSIFIED, TIMEOUT, UNKNOWN, Verdict, check_timeout
+from .verify.verdict import FALSIFIED, TIMEOUT, UNKNOWN, Deadline, Verdict
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,8 @@ def random_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
     `images_per_batch(net)`, so a witness at sample 0 costs one forward
     and a witness-free search at most ceil(log2(cap)) extra calls.  The
     batches split one stream of draws, so the witness does not depend on
-    their sizes; `deadline` (a time.monotonic() instant) stops the search
-    between batches.
+    their sizes; `deadline` (a `Deadline`, or None for no limit) stops
+    the search before a batch once it has expired.
 
     After a witness-free first batch the `ibp_trace` of the sampling box
     (the integer grid's box in integer-grid mode) is taken once, and
@@ -91,7 +90,7 @@ def random_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
     forward = None
     drawn = 0
     while drawn < cfg.max_samples:
-        if deadline is not None and time.monotonic() >= deadline:
+        if deadline is not None and deadline.expired():
             return None
         batch = min(cap, cfg.max_samples - drawn, drawn + 1)
         if cfg.integer_grid:
@@ -121,7 +120,8 @@ def greedy_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
     Each pass sweeps the pixels in index order and moves a pixel to
     whichever of its bound extremes strictly raises the margin, so the
     objective never decreases across accepted moves.  Stops at a witness,
-    after `greedy_passes` sweeps, or when a sweep accepts nothing.
+    after `greedy_passes` sweeps, when a sweep accepts nothing, or at a
+    pixel once `deadline` (a `Deadline`, or None for no limit) expires.
     """
     check_property_shapes(net, prop)
     lo, hi = prop.bounds_arrays()
@@ -140,7 +140,7 @@ def greedy_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
     for _ in range(cfg.greedy_passes):
         improved = False
         for d in range(n):
-            if deadline is not None and time.monotonic() >= deadline:
+            if deadline is not None and deadline.expired():
                 return None
             cands = [v for v in (lo[d], hi[d]) if v != x[d]]
             if not cands:
@@ -162,24 +162,19 @@ def greedy_attack(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfi
 
 
 def falsify(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfig(),
-            timeout=None) -> Verdict:
+            deadline=None) -> Verdict:
     """Greedy then random search, reported in the engine verdict vocabulary.
 
     Found witness -> falsified.  Budgets exhausted -> unknown, never
-    verified.  An elapsed timeout -> timeout; a NaN timeout is a
-    ValueError.
+    verified.  ``deadline`` (None: no limit) is tested before the attacks
+    and within them; expired with no witness -> timeout.
     """
-    check_timeout(timeout)
-    start = time.monotonic()
-    deadline = None if timeout is None else start + timeout
-    if deadline is not None and timeout <= 0:
-        return Verdict(TIMEOUT, seconds=0.0)
+    deadline = Deadline() if deadline is None else deadline
+    if deadline.expired():
+        return deadline.verdict(TIMEOUT)
     w = greedy_attack(net, prop, cfg, deadline=deadline)
     if w is None:
         w = random_attack(net, prop, cfg, deadline=deadline)
-    elapsed = time.monotonic() - start
     if w is not None:
-        return Verdict(FALSIFIED, witness=w, seconds=elapsed)
-    if deadline is not None and time.monotonic() >= deadline:
-        return Verdict(TIMEOUT, seconds=elapsed)
-    return Verdict(UNKNOWN, seconds=elapsed)
+        return deadline.verdict(FALSIFIED, w)
+    return deadline.verdict(TIMEOUT if deadline.expired() else UNKNOWN)

@@ -1,6 +1,6 @@
 """Verification engines: interval propagation, enumeration, search, CNF."""
 
-from .verdict import FALSIFIED, TIMEOUT, UNKNOWN, VERIFIED, Verdict
+from .verdict import FALSIFIED, TIMEOUT, UNKNOWN, VERIFIED, Deadline, Verdict
 from .intervals import (
     FoldedSign,
     IntervalTensor,
@@ -27,6 +27,7 @@ __all__ = [
     "TIMEOUT",
     "UNKNOWN",
     "VERIFIED",
+    "Deadline",
     "Verdict",
     "FoldedSign",
     "IntervalTensor",

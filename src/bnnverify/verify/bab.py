@@ -35,7 +35,6 @@ verdict and any witness independent of timing.
 
 import heapq
 import itertools
-import time
 
 import numpy as np
 
@@ -43,27 +42,26 @@ from ..network import image_from_flat, margin, network_forward
 from ..vnnlib import check_property_shapes, check_witness, witness_from_flat
 from .brute import integer_grid_bounds
 from .intervals import IntervalTensor, ibp_propagate, ibp_trace
-from .verdict import FALSIFIED, TIMEOUT, UNKNOWN, VERIFIED, Verdict, check_timeout
+from .verdict import FALSIFIED, TIMEOUT, UNKNOWN, VERIFIED, Deadline
 
 __all__ = ["bab_verify"]
 
 
-def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
+def bab_verify(net, prop, deadline=None, max_nodes=None, integer_grid=True):
     """Branch-and-bound verification.
 
-    timeout      wall-clock seconds; checked between nodes, so a node in
-                 flight always completes (0 means give up immediately,
-                 NaN is a ValueError)
+    deadline     a ``Deadline`` (None: a fresh one with no limit); tested
+                 before the root and between nodes, so a node in flight
+                 always completes, and an expired one answers Timeout
     max_nodes    bound on boxes bounded before answering Unknown
     integer_grid restrict the search to integer inputs (benchmark mode);
                  continuous mode splits at real midpoints and may answer
                  Unknown when boxes stop shrinking
     """
-    start = time.perf_counter()
-    check_timeout(timeout)
+    deadline = Deadline() if deadline is None else deadline
     check_property_shapes(net, prop)
-    if timeout is not None and timeout <= 0:
-        return Verdict(TIMEOUT, nodes=0, seconds=time.perf_counter() - start)
+    if deadline.expired():
+        return deadline.verdict(TIMEOUT)
 
     if integer_grid:
         root_lo, root_hi = integer_grid_bounds(prop)
@@ -85,15 +83,10 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
         nodes += count
         return margin(out.hi, out.lo, target)
 
-    def done(status, witness=None):
-        return Verdict(
-            status, witness=witness, nodes=nodes, seconds=time.perf_counter() - start
-        )
-
     root_trace = ibp_trace(net, box(root_lo, root_hi))
     root_margin = float(node_margins(root_trace[-1], 1))
     if root_margin < 0:
-        return done(VERIFIED)
+        return deadline.verdict(VERIFIED, nodes=nodes)
 
     tiebreak = itertools.count()
     heap = [(-root_margin, next(tiebreak), root_lo, root_hi)]
@@ -101,10 +94,10 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
     probe_trace = None  # the first probe's point trace
 
     while heap:
-        if timeout is not None and time.perf_counter() - start >= timeout:
-            return done(TIMEOUT)
+        if deadline.expired():
+            return deadline.verdict(TIMEOUT, nodes=nodes)
         if max_nodes is not None and nodes >= max_nodes:
-            return done(UNKNOWN)
+            return deadline.verdict(UNKNOWN, nodes=nodes)
         _, _, lo, hi = heapq.heappop(heap)
 
         widths = hi - lo
@@ -122,7 +115,7 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
         if margin(logits, logits, target) >= 0:
             w = witness_from_flat(centre, logits=logits)
             if check_witness(net, prop, w):
-                return done(FALSIFIED, witness=w)
+                return deadline.verdict(FALSIFIED, w, nodes)
             if integer_grid:
                 raise RuntimeError("internal error: probe witness failed its own check")
             # off the grid the delta's first-layer sums may round apart
@@ -156,4 +149,4 @@ def bab_verify(net, prop, timeout=None, max_nodes=None, integer_grid=True):
             if m >= 0:
                 heapq.heappush(heap, (-float(m), next(tiebreak), child_lo, child_hi))
 
-    return done(UNKNOWN if stuck else VERIFIED)
+    return deadline.verdict(UNKNOWN if stuck else VERIFIED, nodes=nodes)

@@ -5,14 +5,12 @@ enumerate.  Beyond the point budget it refuses outright instead of
 degrading into sampling.
 """
 
-import time
-
 import numpy as np
 
 from ..errors import EngineDeclinedError, EnumerationBudgetError
 from ..network import images_per_batch, margin, network_forward_batch
 from ..vnnlib import check_property_shapes, check_witness, witness_from_flat
-from .verdict import FALSIFIED, TIMEOUT, VERIFIED, Verdict, check_timeout
+from .verdict import FALSIFIED, TIMEOUT, VERIFIED, Deadline
 
 __all__ = ["DEFAULT_ENUMERATION_BUDGET", "integer_grid_bounds", "brute_force_verify"]
 
@@ -36,19 +34,18 @@ def integer_grid_bounds(prop):
     return g_lo, g_hi
 
 
-def brute_force_verify(net, prop, budget=DEFAULT_ENUMERATION_BUDGET, timeout=None):
+def brute_force_verify(net, prop, deadline=None, max_points=DEFAULT_ENUMERATION_BUDGET):
     """Enumerate every integer point of the box in lexicographic order.
 
     Falsified with the first counterexample in that order, else Verified.
-    Boxes larger than ``budget`` points raise EnumerationBudgetError: a
+    Boxes larger than ``max_points`` points raise EnumerationBudgetError: a
     refusal, deliberately distinct from an Unknown verdict.  Points are
     forwarded ``images_per_batch(net)`` at a time.
-    ``timeout`` is in wall-clock seconds, checked before each batch: once
-    it has passed the answer is Timeout, with ``nodes`` the points done;
-    a NaN timeout is a ValueError.
+    ``deadline`` (a ``Deadline``; None: a fresh one with no limit) is
+    tested before each batch: once it has expired the answer is Timeout,
+    with ``nodes`` the points done.
     """
-    start = time.perf_counter()
-    check_timeout(timeout)
+    deadline = Deadline() if deadline is None else deadline
     check_property_shapes(net, prop)
     batch_size = images_per_batch(net)
     g_lo, g_hi = integer_grid_bounds(prop)
@@ -56,8 +53,8 @@ def brute_force_verify(net, prop, budget=DEFAULT_ENUMERATION_BUDGET, timeout=Non
     total = 1
     for n in counts:
         total *= int(n)
-    if total > budget:
-        raise EnumerationBudgetError(points=total, budget=budget)
+    if total > max_points:
+        raise EnumerationBudgetError(points=total, budget=max_points)
 
     # mixed-radix decode of point index -> coordinates; dimension 0 is the
     # most significant digit, matching lexicographic tuple order
@@ -68,9 +65,8 @@ def brute_force_verify(net, prop, budget=DEFAULT_ENUMERATION_BUDGET, timeout=Non
 
     t = prop.target_label
     for chunk_start in range(0, total, batch_size):
-        if timeout is not None and time.perf_counter() - start >= timeout:
-            return Verdict(TIMEOUT, nodes=chunk_start,
-                           seconds=time.perf_counter() - start)
+        if deadline.expired():
+            return deadline.verdict(TIMEOUT, nodes=chunk_start)
         idx = np.arange(chunk_start, min(chunk_start + batch_size, total), dtype=np.int64)
         digits = (idx[:, None] // suffix[None, :]) % counts[None, :]
         points = g_lo[None, :] + digits.astype(np.float64)
@@ -82,10 +78,5 @@ def brute_force_verify(net, prop, budget=DEFAULT_ENUMERATION_BUDGET, timeout=Non
             w = witness_from_flat(points[first], logits=logits[first])
             if not check_witness(net, prop, w):
                 raise RuntimeError("internal error: enumerated witness failed its own check")
-            return Verdict(
-                FALSIFIED,
-                witness=w,
-                nodes=chunk_start + first + 1,
-                seconds=time.perf_counter() - start,
-            )
-    return Verdict(VERIFIED, nodes=total, seconds=time.perf_counter() - start)
+            return deadline.verdict(FALSIFIED, w, chunk_start + first + 1)
+    return deadline.verdict(VERIFIED, nodes=total)

@@ -65,7 +65,6 @@ fixed signs of every quantizing layer's input as constants.  Its logits
 equal ``network_forward_batch``'s bit for bit, on the grid and off it.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +84,7 @@ from ..layers import (
 )
 from ..network import image_from_flat, margin
 from ..vnnlib import check_property_shapes
-from .verdict import UNKNOWN, VERIFIED, Verdict
+from .verdict import TIMEOUT, UNKNOWN, VERIFIED, Deadline
 
 __all__ = [
     "IntervalTensor",
@@ -561,18 +560,21 @@ def property_box(net, prop):
     )
 
 
-def verify_ibp(net, prop):
+def verify_ibp(net, prop, deadline=None):
     """One-shot interval verification.
 
     Verified iff the target's lower bound strictly exceeds every rival's
     upper bound; ties are counterexamples under the >=-disjunction, so
-    anything weaker stays Unknown.
+    anything weaker stays Unknown.  An expired ``deadline`` (None: no
+    limit) before the trace answers Timeout.
     """
-    start = time.perf_counter()
-    out = ibp_propagate(net, property_box(net, prop))
+    deadline = Deadline() if deadline is None else deadline
+    box = property_box(net, prop)
+    if deadline.expired():
+        return deadline.verdict(TIMEOUT)
+    out = ibp_propagate(net, box)
     proven = margin(out.hi, out.lo, prop.target_label) < 0
-    status = VERIFIED if proven else UNKNOWN
-    return Verdict(status, nodes=1, seconds=time.perf_counter() - start)
+    return deadline.verdict(VERIFIED if proven else UNKNOWN, nodes=1)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Benchmark generation, the instance runner, scoring, and the PPM codec."""
 
+import io
 import logging
 import os
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from bnnverify.bench import (
     synthetic_benchmark,
 )
 from bnnverify.bench import runner as runner_mod
+from bnnverify.cli import main
 from bnnverify.errors import PpmFormatError, ShapeMismatchError
 from bnnverify.falsify import AttackConfig
 from bnnverify.layers import Flatten, QDense
@@ -249,6 +252,20 @@ class TestGenerate:
         assert text == "m.onnx,p.vnnlib,480\n"
 
 
+class TestBenchCommand:
+    @pytest.mark.parametrize("spelling", ["1e3", "1.0e3", "1E+3"])
+    def test_exponent_epsilon_parses_like_its_integer(self, tmp_path, spelling):
+        def bench(epsilons, name):
+            out_dir = tmp_path / name
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(["bench", "--epsilons", epsilons, "--out", str(out_dir)])
+            return code, {p.name: p.read_bytes() for p in out_dir.glob("*")}
+
+        code, files = bench(spelling, "exponent")
+        assert code == 0
+        assert (code, files) == bench("1000", "integer")
+
+
 class TestRunner:
     def test_bab_and_brute_verdicts_agree(self, tmp_path):
         csv_path = tiny_suite(tmp_path)
@@ -401,12 +418,12 @@ class TestRunner:
         real = runner_mod.bab_verify
         calls = []
 
-        def failing_second_call(net, prop, timeout=None):
+        def failing_second_call(net, prop, deadline=None):
             calls.append(prop)
             if len(calls) == 2:
                 raise RuntimeError(
                     "internal error: probe witness failed its own check")
-            return real(net, prop, timeout=timeout)
+            return real(net, prop, deadline=deadline)
 
         monkeypatch.setattr(runner_mod, "bab_verify", failing_second_call)
         records = run_instances(csv_path, engine="bab")

@@ -1,6 +1,7 @@
 """Brute-force oracle and branch-and-bound, checked against each other."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from bnnverify.errors import EnumerationBudgetError
 from bnnverify.layers import Flatten, QDense
 from bnnverify.network import Network, network_forward
 from bnnverify.vnnlib import RobustnessProperty, check_witness, make_property
-from bnnverify.verify import bab_verify, brute, brute_force_verify, verify_ibp
+from bnnverify.verify import Deadline, bab_verify, brute_force_verify, verify_ibp
 
 # Frozen regression vectors.  Both toys have four inputs, so epsilon 1
 # spans 3^4 = 81 grid points; the expected outcomes below were produced by
@@ -117,11 +118,11 @@ class TestBruteForce:
     def test_budget_refusal_is_an_exception(self):
         net = toy(SAFE_W)
         with pytest.raises(EnumerationBudgetError) as exc:
-            brute_force_verify(net, toy_prop(SAFE_IMG, SAFE_LABEL, 1), budget=80)
+            brute_force_verify(net, toy_prop(SAFE_IMG, SAFE_LABEL, 1), max_points=80)
         assert exc.value.points == 81
         assert exc.value.budget == 80
         # exactly at the budget it runs
-        v = brute_force_verify(net, toy_prop(SAFE_IMG, SAFE_LABEL, 1), budget=81)
+        v = brute_force_verify(net, toy_prop(SAFE_IMG, SAFE_LABEL, 1), max_points=81)
         assert v.status == "verified"
 
     def test_non_integer_box_rejected(self):
@@ -160,23 +161,24 @@ class TestBruteForce:
             assert v.nodes == BRITTLE_WITNESS_ORDINAL
 
     def test_timeout_stops_between_batches(self, monkeypatch):
-        # a clock that advances one second per reading: the call's start,
-        # then one reading before each batch
+        # a clock that advances one second per reading: the deadline's
+        # start, then one reading before each batch
         ticks = itertools.count()
-        monkeypatch.setattr(brute.time, "perf_counter", lambda: float(next(ticks)))
+        monkeypatch.setattr("bnnverify.verify.verdict.time",
+                            SimpleNamespace(monotonic=lambda: float(next(ticks))))
         net = toy(SAFE_W)
         prop = toy_prop(SAFE_IMG, SAFE_LABEL, 1)
         monkeypatch.setattr("bnnverify.verify.brute.images_per_batch", lambda net: 10)
-        v = brute_force_verify(net, prop, timeout=2.5)
+        v = brute_force_verify(net, prop, deadline=Deadline(2.5))
         assert v.status == "timeout"
         assert v.nodes == 20  # two batches ran before the third reading
-        assert brute_force_verify(net, prop, timeout=0).nodes == 0
-        assert brute_force_verify(net, prop, timeout=1e9).status == "verified"
+        assert brute_force_verify(net, prop, deadline=Deadline(0)).nodes == 0
+        assert brute_force_verify(net, prop, deadline=Deadline(1e9)).status == "verified"
 
     def test_nan_timeout_is_refused(self):
         with pytest.raises(ValueError, match="timeout"):
             brute_force_verify(toy(SAFE_W), toy_prop(SAFE_IMG, SAFE_LABEL, 1),
-                               timeout=float("nan"))
+                               deadline=Deadline(float("nan")))
 
 
 class TestBranchAndBound:
@@ -211,14 +213,15 @@ class TestBranchAndBound:
         assert v.nodes == 1
 
     def test_timeout_zero_is_immediate(self):
-        v = bab_verify(toy(SAFE_W), toy_prop(SAFE_IMG, SAFE_LABEL, 1), timeout=0)
+        v = bab_verify(toy(SAFE_W), toy_prop(SAFE_IMG, SAFE_LABEL, 1), deadline=Deadline(0))
         assert v.status == "timeout"
         assert v.nodes == 0
 
     def test_nan_timeout_is_refused(self):
         # elapsed >= nan is never true, so a NaN deadline would never fire
         with pytest.raises(ValueError, match="timeout"):
-            bab_verify(toy(SAFE_W), toy_prop(SAFE_IMG, SAFE_LABEL, 1), timeout=float("nan"))
+            bab_verify(toy(SAFE_W), toy_prop(SAFE_IMG, SAFE_LABEL, 1),
+                       deadline=Deadline(float("nan")))
 
     def test_max_nodes_exhaustion_is_unknown(self):
         v = bab_verify(

@@ -23,7 +23,7 @@ from bnnverify.network import (
     predict,
 )
 from bnnverify.vnnlib import RobustnessProperty, check_witness, make_property
-from bnnverify.verify import brute_force_verify, integer_grid_bounds
+from bnnverify.verify import Deadline, brute_force_verify, integer_grid_bounds
 from bnnverify.verify.intervals import phase_forward
 
 
@@ -251,9 +251,10 @@ class TestGreedyAttack:
         prop = toy_prop(VERTEX_W, VERTEX_IMG, 1, 0)
         assert greedy_attack(net, prop, AttackConfig()) is not None
         sizes = forward_recorder(monkeypatch, "bnnverify.falsify", 2)
-        monkeypatch.setattr("bnnverify.falsify.time", _TickingClock())
-        # reading 1 lets the first pixel's trial run; reading 2 is the deadline
-        assert greedy_attack(net, prop, AttackConfig(), deadline=2.0) is None
+        monkeypatch.setattr("bnnverify.verify.verdict.time", _TickingClock())
+        # reading 1 starts the deadline, reading 2 lets the first pixel's
+        # trial run, and reading 3 finds it expired
+        assert greedy_attack(net, prop, AttackConfig(), deadline=Deadline(2.0)) is None
         assert sizes == [2]
 
     def test_centre_tie_is_an_immediate_witness(self):
@@ -295,7 +296,7 @@ class TestFalsifyVerdicts:
     def test_zero_timeout(self):
         net = toy(BRITTLE_W)
         prop = toy_prop(BRITTLE_W, BRITTLE_IMG, 1, BRITTLE_LABEL)
-        v = falsify(net, prop, AttackConfig(), timeout=0)
+        v = falsify(net, prop, AttackConfig(), deadline=Deadline(0))
         assert v.status == "timeout"
         assert v.result_string() == "timeout"
 
@@ -303,7 +304,7 @@ class TestFalsifyVerdicts:
         net = toy(BRITTLE_W)
         prop = toy_prop(BRITTLE_W, BRITTLE_IMG, 1, BRITTLE_LABEL)
         with pytest.raises(ValueError, match="timeout"):
-            falsify(net, prop, AttackConfig(), timeout=float("nan"))
+            falsify(net, prop, AttackConfig(), deadline=Deadline(float("nan")))
 
     def test_deadline_passed_after_both_attacks_is_timeout(self, monkeypatch):
         # a point ball keeps its label, so both attacks end without a
@@ -311,13 +312,15 @@ class TestFalsifyVerdicts:
         net = toy(BRITTLE_W)
         prop = toy_prop(BRITTLE_W, BRITTLE_IMG, 0, BRITTLE_LABEL)
         cfg = AttackConfig(max_samples=1, greedy_passes=0)
-        # readings: 1 the start, 2 before the sample, 3 the elapsed time,
-        # 4 the deadline test
-        monkeypatch.setattr("bnnverify.falsify.time", _TickingClock())
-        v = falsify(net, prop, cfg, timeout=2.5)
+        # half-second readings: 1 the start, 2 before the attacks, 3 before
+        # the sample, 4 the deadline test (1.5 s elapsed), 5 the verdict's
+        # elapsed time; the two deadlines sit half a tick either side of
+        # that test
+        monkeypatch.setattr("bnnverify.verify.verdict.time", _TickingClock(step=0.5))
+        v = falsify(net, prop, cfg, deadline=Deadline(1.25))
         assert (v.status, v.seconds) == ("timeout", 2.0)
-        monkeypatch.setattr("bnnverify.falsify.time", _TickingClock())
-        assert falsify(net, prop, cfg, timeout=3.5).status == "unknown"
+        monkeypatch.setattr("bnnverify.verify.verdict.time", _TickingClock(step=0.5))
+        assert falsify(net, prop, cfg, deadline=Deadline(1.75)).status == "unknown"
 
     def test_deterministic_wrapper(self):
         net = toy(BRITTLE_W)
@@ -444,13 +447,15 @@ class TestBatchBudget:
 
 
 class _TickingClock:
-    """Stands in for the ``time`` module: each reading is one second later."""
+    """Stands in for the ``time`` module: each reading is ``step`` seconds
+    later."""
 
-    def __init__(self):
+    def __init__(self, step=1.0):
         self.now = 0.0
+        self.step = step
 
     def monotonic(self):
-        self.now += 1.0
+        self.now += self.step
         return self.now
 
 
@@ -499,9 +504,11 @@ class TestBatchRamp:
     def test_deadline_is_checked_before_every_batch(self, xnor_free, monkeypatch):
         net, prop = xnor_free
         sizes = forward_recorder(monkeypatch, "bnnverify.falsify", images_per_batch(net))
-        monkeypatch.setattr("bnnverify.falsify.time", _TickingClock())
-        # readings 1, 2, 3 come before batches one, two, three
-        assert random_attack(net, prop, AttackConfig(max_samples=1024), deadline=3.0) is None
+        monkeypatch.setattr("bnnverify.verify.verdict.time", _TickingClock())
+        # reading 1 starts the deadline; readings 2, 3, 4 come before
+        # batches one, two, three
+        assert random_attack(net, prop, AttackConfig(max_samples=1024),
+                             deadline=Deadline(3.0)) is None
         assert sizes == [1, 2]
 
     def test_batches_after_a_witness_free_first_sample_skip_fixed_phases(

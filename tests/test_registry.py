@@ -1,6 +1,7 @@
 """The engine registry, the shared margin, and the CLI and runner paths
 that every engine goes through."""
 
+import ast
 import io
 import logging
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bnnverify
 from bnnverify.bench import ENGINES, generate_benchmark, run_instances
 from bnnverify.bench import runner as runner_mod
 from bnnverify.cli import build_parser, main
@@ -18,7 +20,7 @@ from bnnverify.falsify import AttackConfig
 from bnnverify.layers import Flatten, QDense
 from bnnverify.network import Network, margin, predict
 from bnnverify.onnx_io import serialize_model
-from bnnverify.verify import FALSIFIED, VERIFIED, Verdict
+from bnnverify.verify import FALSIFIED, VERIFIED, Deadline, Verdict
 from bnnverify.vnnlib import Witness, check_witness, generate_property, \
     make_property
 
@@ -120,7 +122,7 @@ class TestRegistry:
 class TestCliNoAnswer:
     def test_internal_error_is_unknown_not_falsified(self, tmp_path,
                                                      monkeypatch):
-        def broken(net, prop, timeout=None):
+        def broken(net, prop, deadline=None):
             raise RuntimeError("internal error: probe witness failed its "
                                "own check")
 
@@ -200,6 +202,50 @@ class TestEngineContract:
         [record] = run_instances(str(csv_path), engine=engine)
         assert (record.verdict, record.penalty, record.detail) == row
 
+    @pytest.mark.parametrize("engine", list(ENGINE_FUNCTIONS))
+    def test_zero_timeout_is_timeout(self, tmp_path, engine):
+        # the instance has a witness at eps=1, so only the deadline stops
+        # an engine that could answer sat
+        model, prop = write_instance(tmp_path, brittle_net(), BRITTLE_IMG, 1,
+                                     BRITTLE_LABEL)
+        out_dir = tmp_path / "witness"
+        code, out, err = run_cli("verify", model, prop, "--engine", engine,
+                                 "--timeout", "0", "--out", str(out_dir))
+        assert (code, out, err) == (2, "timeout\n", "")
+        assert not out_dir.exists()
+
+    def test_the_deadline_counts_the_load(self, tmp_path, monkeypatch):
+        """The instance's deadline starts before its files are read, so a
+        load that takes the whole timeout leaves the engine none."""
+        class StillClock:  # time moves only when the load says so
+            now = 0.0
+
+            def monotonic(self):
+                return self.now
+
+        clock = StillClock()
+        real_load, real_bab = runner_mod.load_property, runner_mod.bab_verify
+        expired = []
+
+        def slow_load(path):
+            clock.now += 60.0
+            return real_load(path)
+
+        def spy(net, prop, deadline=None):
+            expired.append(deadline.expired())
+            return real_bab(net, prop, deadline=deadline)
+
+        monkeypatch.setattr("bnnverify.verify.verdict.time", clock)
+        monkeypatch.setattr(runner_mod, "load_property", slow_load)
+        monkeypatch.setattr(runner_mod, "bab_verify", spy)
+        model, prop = write_instance(tmp_path, brittle_net(), BRITTLE_IMG, 1,
+                                     BRITTLE_LABEL)
+        csv_path = tmp_path / "instances.csv"
+        csv_path.write_text(f"{model},{prop},60\n")
+        [record] = run_instances(str(csv_path), engine="bab")
+        assert expired == [True]
+        assert (record.verdict, record.seconds) == ("timeout", 60.0)
+
     @pytest.mark.parametrize("failure", [None] + list(FAILURES))
     def test_only_a_late_answer_becomes_a_timeout(self, tmp_path, monkeypatch,
                                                   failure):
@@ -219,7 +265,7 @@ class TestEngineContract:
         if failure in (None, "bad-witness"):
             row = ("timeout", False, "")
         monkeypatch.setattr(runner_mod, "bab_verify", stand_in)
-        monkeypatch.setattr(runner_mod, "time", TickingClock())
+        monkeypatch.setattr("bnnverify.verify.verdict.time", TickingClock())
         model, prop = write_instance(tmp_path, brittle_net(), BRITTLE_IMG, 1,
                                      BRITTLE_LABEL)
         csv_path = tmp_path / "instances.csv"
@@ -251,11 +297,11 @@ class TestRunnerKeepsGoing:
         real = runner_mod.bab_verify
         calls = []
 
-        def oom_second_call(net, prop, timeout=None):
+        def oom_second_call(net, prop, deadline=None):
             calls.append(prop)
             if len(calls) == 2:
                 raise MemoryError("batch too large")
-            return real(net, prop, timeout=timeout)
+            return real(net, prop, deadline=deadline)
 
         monkeypatch.setattr(runner_mod, "bab_verify", oom_second_call)
         with caplog.at_level(logging.WARNING, logger="bnnverify.bench"):
@@ -269,3 +315,23 @@ class TestRunnerKeepsGoing:
         rest = [i for i in range(len(records)) if i != 1]
         assert [records[i].verdict for i in rest] == \
             [brute[i].verdict for i in rest]
+
+
+def test_only_the_deadline_reads_a_clock():
+    """Every engine and the runner time themselves through
+    ``verify.verdict.Deadline``; no other module imports ``time`` or reads
+    a clock of its own."""
+    package = Path(bnnverify.__file__).parent
+    readers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                hit = any(a.name.split(".")[0] == "time" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "time"
+            else:
+                hit = (getattr(node, "attr", None) or getattr(node, "id", None)) in (
+                    "monotonic", "perf_counter")
+            if hit:
+                readers.add(path.relative_to(package).as_posix())
+    assert readers == {"verify/verdict.py"}
