@@ -1,22 +1,18 @@
 """
-Interval bound propagation and threshold folding
-================================================
+Interval bound propagation
+==========================
 
 IBP pushes a box through the network layer by layer.  The output box is
 sound: every input in the box lands inside it.  On a zero-width box it
-degenerates to exact inference.  Folding turns sign(batchnorm(x)) into
-a single per-channel threshold test that agrees with the float
-composition everywhere, including at the threshold itself.
+degenerates to exact inference.
 """
 
 import numpy as np
 
 from bnnverify.arch import random_tiny_network
-from bnnverify.layers import BatchNorm, sign_quantize
 from bnnverify.network import network_forward, network_forward_batch
 from bnnverify.verify import (
     IntervalTensor,
-    fold_bn_sign,
     ibp_propagate,
     verify_ibp,
 )
@@ -49,22 +45,3 @@ prop = make_property(image, epsilon=0, label=int(np.argmax(exact)),
                      num_outputs=net.num_classes)
 print(f"eps=0 verdict: {verify_ibp(net, prop).status}")
 print(f"property_box shape: {property_box(net, prop).shape}")
-
-# threshold folding: sign(batchnorm(x)) becomes direction + threshold.
-# agreement is float-exact, threshold included
-bn = BatchNorm(gamma=np.array([2.0, -1.5]), beta=np.array([0.3, 0.7]),
-               moving_mean=np.array([1.0, -2.0]),
-               moving_variance=np.array([0.9, 0.4]))
-fold = fold_bn_sign(bn)
-print(f"fold directions {fold.direction.tolist()}, "
-      f"thresholds {np.round(fold.threshold, 6).tolist()}")
-xs = rng.uniform(-6, 6, size=(5000, 2))
-composed = sign_quantize(bn.gamma / np.sqrt(bn.moving_variance + bn.eps)
-                         * (xs - bn.moving_mean) + bn.beta)
-print(f"fold agrees on 5000 random points: "
-      f"{np.array_equal(fold.apply(xs), composed)}")
-t0 = fold.threshold[0]
-probes = np.array([[np.nextafter(t0, -np.inf), 0.0], [t0, 0.0],
-                   [np.nextafter(t0, np.inf), 0.0]])
-print(f"at the threshold and one ulp either side: "
-      f"{fold.apply(probes)[:, 0].tolist()}")

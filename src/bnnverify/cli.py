@@ -238,7 +238,9 @@ def _finite_non_negative(value):
 
 
 _positive_int = _number(int, lambda v: v > 0, "a positive int")
-_positive_float = _number(float, lambda v: v > 0, "a positive float")
+# bench's --timeout, written into the instance CSV as a number of seconds
+_positive_float = _number(float, lambda v: v > 0 and math.isfinite(v),
+                          "a finite positive float")
 _seed = _number(int, lambda v: v >= 0, "a non-negative int")
 _epsilon = _number(float, _finite_non_negative, "a finite non-negative number")
 # a float reads "1e3" as 1000, and a number past float as inf

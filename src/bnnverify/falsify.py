@@ -167,9 +167,14 @@ def falsify(net, prop: RobustnessProperty, cfg: AttackConfig = AttackConfig(),
 
     Found witness -> falsified.  Budgets exhausted -> unknown, never
     verified.  ``deadline`` (None: no limit) is tested before the attacks
-    and within them; expired with no witness -> timeout.
+    and within them; expired with no witness -> timeout.  Bad input is
+    refused before the first test: a property of the wrong size, and in
+    integer-grid mode a box with no integer point.
     """
     deadline = Deadline() if deadline is None else deadline
+    check_property_shapes(net, prop)
+    if cfg.integer_grid:
+        integer_grid_bounds(prop)
     if deadline.expired():
         return deadline.verdict(TIMEOUT)
     w = greedy_attack(net, prop, cfg, deadline=deadline)

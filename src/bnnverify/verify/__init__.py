@@ -2,9 +2,7 @@
 
 from .verdict import FALSIFIED, TIMEOUT, UNKNOWN, VERIFIED, Deadline, Verdict
 from .intervals import (
-    FoldedSign,
     IntervalTensor,
-    fold_bn_sign,
     ibp_propagate,
     ibp_trace,
     property_box,
@@ -29,9 +27,7 @@ __all__ = [
     "VERIFIED",
     "Deadline",
     "Verdict",
-    "FoldedSign",
     "IntervalTensor",
-    "fold_bn_sign",
     "ibp_propagate",
     "ibp_trace",
     "property_box",

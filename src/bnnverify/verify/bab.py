@@ -51,8 +51,9 @@ def bab_verify(net, prop, deadline=None, max_nodes=None, integer_grid=True):
     """Branch-and-bound verification.
 
     deadline     a ``Deadline`` (None: a fresh one with no limit); tested
-                 before the root and between nodes, so a node in flight
-                 always completes, and an expired one answers Timeout
+                 after the input checks, before the root and between
+                 nodes, so a node in flight always completes, and an
+                 expired one answers Timeout
     max_nodes    bound on boxes bounded before answering Unknown
     integer_grid restrict the search to integer inputs (benchmark mode);
                  continuous mode splits at real midpoints and may answer
@@ -60,13 +61,12 @@ def bab_verify(net, prop, deadline=None, max_nodes=None, integer_grid=True):
     """
     deadline = Deadline() if deadline is None else deadline
     check_property_shapes(net, prop)
-    if deadline.expired():
-        return deadline.verdict(TIMEOUT)
-
     if integer_grid:
         root_lo, root_hi = integer_grid_bounds(prop)
     else:
         root_lo, root_hi = prop.bounds_arrays()
+    if deadline.expired():
+        return deadline.verdict(TIMEOUT)
     target = prop.target_label
     shape = net.input_shape
     nodes = 0

@@ -1,14 +1,16 @@
 """CNF export of pure-binary suffixes, plus a toy DPLL solver.
 
 Past the first binarization the network is boolean: activations are +-1,
-every linear layer computes integer sums of +-1 terms, and batch-norm
-followed by sign folds into a per-channel threshold.  This module encodes
-that suffix, under caller-fixed phases for the first binarization, as CNF:
-thresholds become cardinality constraints (bidirectional sequential
-counter), binary maxpool becomes OR (AND under a negative fold direction),
-and the negated robustness property becomes a disjunction over rival
-classes.  The formula is satisfiable exactly when some completion of the
-free phases produces a counterexample.
+and every linear layer computes integer sums of +-1 terms.  A sum of m
+terms lies in -m..m, so batch-norm followed by sign is a per-channel
+integer threshold, read off by running ``layer_forward`` on every integer
+in that range; no second evaluator of the batch norm is involved.  This
+module encodes that suffix, under caller-fixed phases for the first
+binarization, as CNF: thresholds become cardinality constraints
+(bidirectional sequential counter), binary maxpool becomes OR (AND under
+a negative gamma), and the negated robustness property becomes a
+disjunction over rival classes.  The formula is satisfiable exactly when
+some completion of the free phases produces a counterexample.
 
 Each unit's terms come from the forward's own windows (``conv_windows``
 and the max pool's four slices), in the order inference sums them.
@@ -29,9 +31,10 @@ from ..layers import (
     _pool_windows,
     conv_windows,
     layer_forward,
+    sign_quantize,
 )
 from ..vnnlib import check_property_shapes
-from .intervals import FoldedSign, fold_bn_sign, ibp_trace, property_box, stable_phases
+from .intervals import ibp_trace, property_box, stable_phases
 
 __all__ = [
     "CnfFormula",
@@ -250,21 +253,18 @@ def _signed_sums(acts, lin):
     return acts[..., None, :] * w.T.astype(np.int64)
 
 
-def _element_literal(builder, members, direction, threshold, conjoin, name):
+def _element_literal(builder, members, direction, c, conjoin, name):
     """Boolean literal for sign(post-chain(sums)) of one output unit.
 
     ``members`` holds the window's rows of signed terms (one row when no
-    pooling).  A member passes when its sum reaches ``threshold``
+    pooling).  A member passes when its sum reaches the integer ``c``
     (``direction`` +1) or stays at or below it (-1); the unit fires when
-    any member passes, or every one when ``conjoin``.
+    any member passes, or every one when ``conjoin``.  A ``c`` past the
+    sums' range makes each member a constant literal.
     """
-    if math.isinf(threshold):
-        member_lits = [builder.const_lit(-direction * threshold)] * len(members)
-    elif direction > 0:
-        c = math.ceil(threshold)
+    if direction > 0:
         member_lits = [_sum_geq_lit(builder, mem, c) for mem in members]
     else:
-        c = math.floor(threshold)
         member_lits = [_sum_leq_lit(builder, mem, c) for mem in members]
     if len(member_lits) == 1:
         lit = member_lits[0]
@@ -277,8 +277,32 @@ def _element_literal(builder, members, direction, threshold, conjoin, name):
     return lit
 
 
-# sign(x) itself: +1 iff x >= 0, the rule of a block without a batch norm
-_PLAIN_SIGN = FoldedSign(direction=[1], threshold=[0.0], constant=[np.nan])
+def _sign_rule(bn, m):
+    """Each channel's rule for ``sign(bn(s))`` on integer sums ``s`` of
+    ``m`` terms, as (direction, threshold) arrays read off the forward.
+
+    The forward runs on every integer in ``-m..m``.  Direction +1 (gamma
+    > 0): a sum passes when it reaches the threshold, the least sum that
+    passes, or ``m+1`` when none does.  Direction -1: a sum passes when it
+    stays at or below the threshold, the greatest sum that passes, or
+    ``-m-1``.  Direction 0: the threshold is the forward's constant sign.
+    Without a batch norm (``bn`` None) the rule is ``s >= 0``.
+    """
+    if bn is None:
+        return np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    sums = np.arange(-m, m + 1)
+    # the range holds sums the block may never produce; a NaN or an
+    # infinity that the forward makes of one needs no warning
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = layer_forward(np.repeat(sums[:, None], bn.channels, axis=1), bn)
+    passes = sign_quantize(out) > 0  # row i is the sum i - m
+    any_pass = passes.any(axis=0)
+    least = np.where(any_pass, passes.argmax(axis=0) - m, m + 1)
+    greatest = np.where(any_pass, m - passes[::-1].argmax(axis=0), -m - 1)
+    direction = np.sign(bn.gamma).astype(np.int64)
+    constant = np.where(passes[0], 1, -1)
+    threshold = np.select([direction > 0, direction < 0], [least, greatest], constant)
+    return direction, threshold
 
 
 def _post_chain_to_bools(builder, sums, post, layer_tag):
@@ -286,40 +310,39 @@ def _post_chain_to_bools(builder, sums, post, layer_tag):
 
     ``members`` holds ``sums`` as (window member, term, *unit shape): a
     pool concatenates the forward's four windows on the members axis.
-    ``chan`` gives each unit its channel in the batch norm's fold.
+    ``chan`` gives each unit its channel in the batch norm's rule.
     """
     members = np.moveaxis(sums, -1, 0)[None]
     chan = np.zeros(sums.shape[:-1], dtype=np.intp)
-    fold = None
+    bn = None
     pooled_before = pooled_after = False
     for layer in post:
         if isinstance(layer, MaxPool):
-            if fold is None:
+            if bn is None:
                 pooled_before = True
             else:
                 pooled_after = True
             members = np.concatenate(_pool_windows(members))
             chan = _pool_windows(chan)[0]
         elif isinstance(layer, BatchNorm):
-            if fold is not None:
+            if bn is not None:
                 raise EncodingError("two batch-norm layers in one block are not foldable")
-            fold = fold_bn_sign(layer)
-            chan = np.broadcast_to(np.arange(fold.channels), chan.shape)
+            bn = layer
+            chan = np.broadcast_to(np.arange(bn.channels), chan.shape)
         else:  # Flatten
             members = members.reshape(members.shape[:2] + (-1,))
             chan = chan.reshape(-1)
     if pooled_before and pooled_after:
         raise EncodingError("batch-norm sandwiched between poolings is not foldable")
 
-    rule = fold or _PLAIN_SIGN
-    direction = rule.direction[chan].ravel().tolist()
-    threshold = rule.threshold[chan].ravel().tolist()
-    constant = rule.constant[chan].ravel().tolist()
+    direction, threshold = _sign_rule(bn, sums.shape[-1])
+    direction = direction[chan].ravel().tolist()
+    threshold = threshold[chan].ravel().tolist()
     rows = np.moveaxis(members.reshape(members.shape[:2] + (-1,)), -1, 0).tolist()
     lits = np.empty(len(rows), dtype=np.int64)
     for k, idx in enumerate(np.ndindex(chan.shape)):
         if direction[k] == 0:
-            lits[k] = builder.const_lit(constant[k])
+            lits[k] = builder.const_lit(threshold[k])
             continue
         name = f"act L{layer_tag} " + ",".join(map(str, idx))
         # sign(bn(max(..))) with a negative slope fires only when every

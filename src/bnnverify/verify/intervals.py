@@ -1,4 +1,4 @@
-"""Interval bound propagation and BN+sign threshold folding.
+"""Interval bound propagation.
 
 A ``QConv`` or ``QDense`` layer is bounded in centre/radius form: with
 ``mid = (lo + hi) / 2`` and ``rad = (hi - lo) / 2`` the output lies in
@@ -88,14 +88,12 @@ from .verdict import TIMEOUT, UNKNOWN, VERIFIED, Deadline
 
 __all__ = [
     "IntervalTensor",
-    "FoldedSign",
     "property_box",
     "ibp_trace",
     "ibp_propagate",
     "stable_phases",
     "phase_forward",
     "verify_ibp",
-    "fold_bn_sign",
 ]
 
 
@@ -575,128 +573,3 @@ def verify_ibp(net, prop, deadline=None):
     out = ibp_propagate(net, box)
     proven = margin(out.hi, out.lo, prop.target_label) < 0
     return deadline.verdict(VERIFIED if proven else UNKNOWN, nodes=1)
-
-
-@dataclass(frozen=True)
-class FoldedSign:
-    """Per-channel threshold rule equal to sign(batchnorm(x)).
-
-    direction +1: output +1 iff x >= threshold (positive gamma)
-    direction -1: output +1 iff x <= threshold (negative gamma)
-    direction  0: constant ``constant`` (zero gamma)
-
-    Thresholds are exact at float64 resolution: ``apply`` agrees with the
-    composed forward functions on every float input, including the
-    threshold itself and its neighbours.
-    """
-
-    direction: np.ndarray
-    threshold: np.ndarray
-    constant: np.ndarray
-
-    def __post_init__(self):
-        d = np.array(self.direction, dtype=np.int8)
-        t = np.array(self.threshold, dtype=np.float64)
-        c = np.array(self.constant, dtype=np.float64)
-        if not (d.ndim == 1 and d.shape == t.shape == c.shape):
-            raise ShapeMismatchError(
-                "folded rule arrays must share one 1-D shape",
-                expected=d.shape,
-                actual=(t.shape, c.shape),
-            )
-        for arr in (d, t, c):
-            arr.setflags(write=False)
-        object.__setattr__(self, "direction", d)
-        object.__setattr__(self, "threshold", t)
-        object.__setattr__(self, "constant", c)
-
-    @property
-    def channels(self):
-        return self.direction.size
-
-    def apply(self, x):
-        """Evaluate the rule on (..., channels) data; returns +-1 values."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.channels:
-            raise ShapeMismatchError(
-                "channel mismatch", expected=self.channels, actual=x.shape[-1]
-            )
-        with np.errstate(invalid="ignore"):
-            up = np.where(x >= self.threshold, 1.0, -1.0)
-            down = np.where(x <= self.threshold, 1.0, -1.0)
-        out = np.where(self.direction > 0, up, down)
-        return np.where(self.direction == 0, self.constant, out)
-
-
-def _least_true(pred, guess):
-    """Smallest float64 x with pred(x) true; pred weakly nondecreasing.
-
-    Returns -inf when pred holds across the whole search range, +inf when
-    it never holds.  Bisection over the float lattice, seeded around the
-    closed-form guess when that brackets the boundary.
-    """
-    limit = np.float64(1e300)
-    if pred(-limit):
-        return -np.inf
-    if not pred(limit):
-        return np.inf
-    lo, hi = -limit, limit
-    if np.isfinite(guess):
-        pad = np.float64(max(1.0, abs(float(guess)) * 1e-9))
-        a = np.float64(max(-limit, guess - pad))
-        b = np.float64(min(limit, guess + pad))
-        if not pred(a):
-            lo = a
-        if pred(b):
-            hi = b
-    while True:
-        mid = lo + (hi - lo) * np.float64(0.5)
-        if not (lo < mid < hi):
-            return float(hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-
-
-def fold_bn_sign(layer):
-    """Collapse ``sign(batchnorm(x))`` into per-channel thresholds.
-
-    The nominal threshold is mean - beta*sqrt(var+eps)/gamma; the returned
-    value is nudged to the exact float where the composed forward flips,
-    so downstream integer comparisons never disagree with inference.
-    """
-    gamma = np.asarray(layer.gamma, dtype=np.float64)
-    direction = np.sign(gamma).astype(np.int8)
-    threshold = np.full(layer.channels, np.nan)
-    constant = np.full(layer.channels, np.nan)
-
-    zero = direction == 0
-    constant[zero] = np.where(layer.beta[zero] >= 0, 1.0, -1.0)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for ch in np.nonzero(~zero)[0]:
-            g = np.float64(layer.gamma[ch])
-            b = np.float64(layer.beta[ch])
-            m = np.float64(layer.moving_mean[ch])
-            v = np.float64(layer.moving_variance[ch])
-            e = np.float64(layer.eps)
-            root = np.sqrt(v + e)
-            scale = g / root  # same op order as layer_forward's batch-norm
-
-            def bn(x, _s=scale, _m=m, _b=b):
-                return _s * (x - _m) + _b
-
-            guess = m - b * root / g
-            if g > 0:
-                # least x with bn(x) >= 0
-                threshold[ch] = _least_true(lambda x, _f=bn: _f(x) >= 0, guess)
-            else:
-                # greatest x with bn(x) >= 0 sits just below the least x
-                # with bn(x) < 0
-                u = _least_true(lambda x, _f=bn: _f(x) < 0, guess)
-                if np.isinf(u):
-                    threshold[ch] = u
-                else:
-                    threshold[ch] = np.nextafter(u, -np.inf)
-    return FoldedSign(direction=direction, threshold=threshold, constant=constant)

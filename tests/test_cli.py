@@ -457,6 +457,14 @@ class TestBadOptionValues:
         assert (code, out) == (64, "")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("timeout", ["inf", "1e400"])
+    def test_bench_infinite_timeout_is_usage_error(self, tmp_path, timeout):
+        # the instance CSV holds a number of seconds, which inf is not
+        out_dir = tmp_path / "bench"
+        code, out = run_cli("bench", "--timeout", timeout, "--out", str(out_dir))
+        assert (code, out) == (64, "")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("command, options", [
         ("verify", ("--engine", "bab")),  # bab takes no seed, yet it is checked
         ("verify", ("--engine", "falsify")),

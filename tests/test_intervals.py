@@ -1,4 +1,4 @@
-"""Interval propagation and threshold folding against exact inference."""
+"""Interval propagation against exact inference."""
 
 import numpy as np
 import pytest
@@ -14,14 +14,12 @@ from bnnverify.layers import (
     QConv,
     QDense,
     layer_forward,
-    sign_quantize,
 )
 from bnnverify.network import Network, network_forward, network_forward_batch
 from bnnverify.vnnlib import make_property
 from bnnverify.verify import (
     IntervalTensor,
     brute_force_verify,
-    fold_bn_sign,
     ibp_propagate,
     ibp_trace,
     verify_ibp,
@@ -295,83 +293,3 @@ class TestVerifyIbp:
         prop = make_property(np.zeros((2, 2, 1)), epsilon=0, label=0, num_outputs=2)
         with pytest.raises(ShapeMismatchError):
             verify_ibp(net, prop)
-
-
-class TestFoldBnSign:
-    def test_identity_bn_thresholds_at_zero(self):
-        bn = BatchNorm(
-            gamma=np.array([1.0]),
-            beta=np.array([0.0]),
-            moving_mean=np.array([0.0]),
-            moving_variance=np.array([1.0]),
-            eps=0.0,
-        )
-        fold = fold_bn_sign(bn)
-        assert fold.direction[0] == 1
-        assert fold.threshold[0] == 0.0
-        assert np.array_equal(fold.apply(np.array([0.0])), [1.0])  # sign(0) = +1
-        assert np.array_equal(fold.apply(np.array([-1e-300])), [-1.0])
-
-    def test_negative_slope_flips_direction(self):
-        bn = BatchNorm(
-            gamma=np.array([-1.0]),
-            beta=np.array([0.0]),
-            moving_mean=np.array([5.0]),
-            moving_variance=np.array([1.0]),
-            eps=0.0,
-        )
-        fold = fold_bn_sign(bn)
-        assert fold.direction[0] == -1
-        assert fold.threshold[0] == 5.0
-        assert np.array_equal(fold.apply(np.array([5.0])), [1.0])
-        assert np.array_equal(fold.apply(np.array([np.nextafter(5.0, 6.0)])), [-1.0])
-
-    def test_zero_gamma_constant(self):
-        bn = BatchNorm(
-            gamma=np.array([0.0, 0.0, 0.0]),
-            beta=np.array([2.0, -0.5, 0.0]),
-            moving_mean=np.zeros(3),
-            moving_variance=np.ones(3),
-        )
-        fold = fold_bn_sign(bn)
-        assert np.array_equal(fold.direction, [0, 0, 0])
-        x = np.array([[7.0, 7.0, 7.0], [-7.0, -7.0, -7.0]])
-        assert np.array_equal(fold.apply(x), [[1.0, -1.0, 1.0], [1.0, -1.0, 1.0]])
-
-    def test_matches_composition_exactly(self):
-        # the rule must agree with sign(batchnorm(x)) on every probed float,
-        # including the threshold itself and its immediate neighbours
-        rng = np.random.default_rng(5)
-        for _ in range(120):
-            c = int(rng.integers(1, 5))
-            gamma = np.where(rng.random(c) < 0.15, 0.0, rng.normal(0, 2, c))
-            bn = BatchNorm(
-                gamma=gamma,
-                beta=rng.normal(0, 3, c),
-                moving_mean=rng.normal(0, 5, c),
-                moving_variance=np.abs(rng.normal(0, 4, c)),
-                eps=float(np.float32(1e-3)),
-            )
-            fold = fold_bn_sign(bn)
-            base = np.where(np.isnan(fold.threshold), 0.0, fold.threshold)
-            xs = np.concatenate(
-                [
-                    rng.normal(0, 10, (60, c)),
-                    rng.integers(-30, 31, (30, c)).astype(float),
-                    base[None, :],
-                    np.nextafter(base, np.inf)[None, :],
-                    np.nextafter(base, -np.inf)[None, :],
-                ]
-            )
-            want = sign_quantize(layer_forward(xs, bn))
-            assert np.array_equal(fold.apply(xs), want)
-
-    def test_apply_channel_mismatch(self):
-        bn = BatchNorm(
-            gamma=np.ones(2),
-            beta=np.zeros(2),
-            moving_mean=np.zeros(2),
-            moving_variance=np.ones(2),
-        )
-        with pytest.raises(ShapeMismatchError):
-            fold_bn_sign(bn).apply(np.zeros((4, 3)))

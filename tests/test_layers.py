@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import bnnverify
 from bnnverify.arch import (
     build_arch_a,
     build_arch_b,
@@ -335,3 +339,20 @@ def test_layer_equality_is_by_value_of_every_field(cls, base, variants):
     assert layer != MaxPool() and layer != "layer"
     with pytest.raises(TypeError, match="unhashable"):
         hash(layer)
+
+
+def test_only_layers_evaluates_a_batch_norm():
+    """``layer_forward`` is the one evaluator of a batch norm: no other
+    module under the package takes a square root, so none computes
+    ``gamma / sqrt(var + eps)`` of its own."""
+    package = Path(bnnverify.__file__).parent
+    callers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                hit = any(a.name == "sqrt" for a in node.names)
+            else:
+                hit = (getattr(node, "attr", None) or getattr(node, "id", None)) == "sqrt"
+            if hit:
+                callers.add(path.relative_to(package).as_posix())
+    assert callers == {"layers.py"}

@@ -15,7 +15,7 @@ import bnnverify
 from bnnverify.bench import ENGINES, generate_benchmark, run_instances
 from bnnverify.bench import runner as runner_mod
 from bnnverify.cli import build_parser, main
-from bnnverify.errors import EngineDeclinedError
+from bnnverify.errors import EngineDeclinedError, ShapeMismatchError
 from bnnverify.falsify import AttackConfig
 from bnnverify.layers import Flatten, QDense
 from bnnverify.network import Network, margin, predict
@@ -213,6 +213,28 @@ class TestEngineContract:
                                  "--timeout", "0", "--out", str(out_dir))
         assert (code, out, err) == (2, "timeout\n", "")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("bad_input", ["wrong-size", "no-integer-point"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_bad_input_is_checked_before_the_deadline(self, engine, bad_input):
+        """An engine refuses bad input the same way whatever its deadline:
+        it checks the input before it first reads the clock."""
+        if bad_input == "wrong-size":
+            prop = make_property(np.zeros((1, 5, 1)), 1, BRITTLE_LABEL,
+                                 num_outputs=3)
+            refusal = ShapeMismatchError
+        else:  # every pixel in [0.25, 0.75]
+            prop = make_property(np.full((1, 4, 1), 0.5), 0.25, BRITTLE_LABEL,
+                                 num_outputs=3)
+            # ibp bounds the real box, which is not empty
+            refusal = None if engine == "ibp" else EngineDeclinedError
+        for deadline in (Deadline(), Deadline(0)):
+            if refusal is None:
+                verdict = ENGINES[engine](brittle_net(), prop, deadline, AttackConfig())
+                assert verdict.status != "timeout" or deadline.expired()
+            else:
+                with pytest.raises(refusal):
+                    ENGINES[engine](brittle_net(), prop, deadline, AttackConfig())
 
     def test_the_deadline_counts_the_load(self, tmp_path, monkeypatch):
         """The instance's deadline starts before its files are read, so a
