@@ -19,7 +19,9 @@ from bnnverify.verify import (
 from bnnverify.vnnlib import make_property
 from bnnverify.verify import property_box
 
-rng = np.random.default_rng(3)
+# a network and image whose bounds widen at every eps and whose own label
+# wins strictly at the image, so the eps=0 box is proven
+rng = np.random.default_rng(10)
 net = random_tiny_network(rng, max_side=4)
 image = rng.integers(0, 9, size=net.input_shape).astype(np.float64)
 

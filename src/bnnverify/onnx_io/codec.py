@@ -589,6 +589,14 @@ def network_from_records(model: ModelRecord) -> Network:
             beta = _bn_vector(graph, node, node.inputs[2], channels, "shift")
             mean = _bn_vector(graph, node, node.inputs[3], channels, "mean")
             var = _bn_vector(graph, node, node.inputs[4], channels, "variance")
+            # an infinite slope computes 0 * inf = NaN at the mean, and a
+            # sign reads NaN as a phase that interval bounds call stable
+            eps = attrs["epsilon"]
+            bad = ~(np.isfinite([gamma, beta, mean, var]).all(axis=0) & (var + eps > 0))
+            if not np.isfinite(eps) or bad.any():
+                where = "epsilon" if not np.isfinite(eps) else f"channel {np.argmax(bad)}"
+                raise InvalidModelError(f"batch norm '{node.name}' {where} is not finite "
+                                        "or has variance + epsilon <= 0")
             if perm is not None:
                 gamma, beta = gamma[perm], beta[perm]
                 mean, var = mean[perm], var[perm]

@@ -1,11 +1,17 @@
-"""Best-first branch-and-bound over input sub-boxes.
+"""Best-first branch-and-bound over input sub-boxes of one root box.
 
-Each node carries one sub-box.  A node is pruned when interval propagation
-proves strict target dominance on it, falsified when the concrete forward
-pass at its centre violates the property, and split otherwise along the
-widest input dimension.  In integer-grid mode (the benchmark default)
-every box eventually shrinks to single grid points, so the search is
-complete; verdicts then coincide with brute-force enumeration.
+A node is pruned when interval propagation proves strict target
+dominance on its box, falsified when the concrete forward pass at its
+centre violates the property, and split otherwise along the widest input
+dimension.  In integer-grid mode (the benchmark default) every box
+eventually shrinks to single grid points, so the search is complete;
+verdicts then coincide with brute-force enumeration.
+
+A node holds only its splits, one ``(flat index, lo, hi)`` per input
+where its box differs from the root's: a split replaces its coordinate's
+entry, and the children share the rest.  So the frontier grows by bytes
+per node, not by a copy of the input; a popped node's box is the root's
+with its splits written in.
 
 The root is bounded with a full interval trace, kept for the whole call;
 every later node is bounded relative to it (``ibp_propagate`` with
@@ -17,9 +23,9 @@ node, and the lower child is pushed first.  On integer boxes those
 bounds are bit-identical to a full trace of each child.
 
 Probes work the same way on points.  A point box carries one array, and
-its trace is the forward.  The first probe, at the root's centre, is
-``network_forward``, and its layer outputs are kept for the call as the
-point trace; every later probe is a delta forward from it, since its
+its trace is the forward.  Before the loop, ``network_forward`` runs on
+the root's centre, and its layer outputs are kept as the point trace;
+every probe, the root's included, is a delta forward from it, since its
 centre differs from the root's only in the pixels split so far.  On the
 integer grid a delta probe is exactly ``network_forward``.
 Off it, a slice of the first layer's sums may round apart from the full
@@ -38,7 +44,7 @@ import itertools
 
 import numpy as np
 
-from ..network import image_from_flat, margin, network_forward
+from ..network import margin, network_forward
 from ..vnnlib import check_property_shapes, check_witness, witness_from_flat
 from .brute import integer_grid_bounds
 from .intervals import IntervalTensor, ibp_propagate, ibp_trace
@@ -68,52 +74,39 @@ def bab_verify(net, prop, deadline=None, max_nodes=None, integer_grid=True):
     if deadline.expired():
         return deadline.verdict(TIMEOUT)
     target = prop.target_label
-    shape = net.input_shape
-    nodes = 0
+    root = IntervalTensor(root_lo.reshape(net.input_shape), root_hi.reshape(net.input_shape))
 
-    def box(lo, hi):
-        # flat bounds, with any leading batch dims, as image bounds
-        return IntervalTensor(lo.reshape(lo.shape[:-1] + shape),
-                              hi.reshape(hi.shape[:-1] + shape))
+    def centre(lo, hi):
+        # the probe point of a box: its lower-middle grid point, or its midpoint
+        return lo + np.floor((hi - lo) * 0.5) if integer_grid else (lo + hi) * 0.5
 
-    def node_margins(out, count):
-        # IBP margins of ``count`` bounded boxes, each counted as a node;
-        # < 0 proves a box
-        nonlocal nodes
-        nodes += count
-        return margin(out.hi, out.lo, target)
-
-    root_trace = ibp_trace(net, box(root_lo, root_hi))
-    root_margin = float(node_margins(root_trace[-1], 1))
+    root_trace = ibp_trace(net, root)
+    nodes = 1
+    root_margin = float(margin(root_trace[-1].hi, root_trace[-1].lo, target))
     if root_margin < 0:
         return deadline.verdict(VERIFIED, nodes=nodes)
+    probe_trace = [IntervalTensor.point(v)
+                   for v in network_forward(net, centre(root.lo, root.hi), trace=True)]
 
     tiebreak = itertools.count()
-    heap = [(-root_margin, next(tiebreak), root_lo, root_hi)]
+    heap = [(-root_margin, next(tiebreak), ())]
     stuck = False
-    probe_trace = None  # the first probe's point trace
 
     while heap:
         if deadline.expired():
             return deadline.verdict(TIMEOUT, nodes=nodes)
         if max_nodes is not None and nodes >= max_nodes:
             return deadline.verdict(UNKNOWN, nodes=nodes)
-        _, _, lo, hi = heapq.heappop(heap)
+        _, _, splits = heapq.heappop(heap)
+        lo, hi = root.lo.copy(), root.hi.copy()
+        flat_lo, flat_hi = lo.reshape(-1), hi.reshape(-1)
+        for d, a, b in splits:
+            flat_lo[d], flat_hi[d] = a, b
 
-        widths = hi - lo
-        if integer_grid:
-            centre = lo + np.floor(widths * 0.5)
-        else:
-            centre = (lo + hi) * 0.5
-        image = image_from_flat(centre, shape)
-        if probe_trace is None:
-            outputs = network_forward(net, image, trace=True)
-            probe_trace = [IntervalTensor.point(v) for v in outputs]
-            logits = outputs[-1]
-        else:
-            logits = ibp_propagate(net, IntervalTensor.point(image), base=probe_trace).lo
+        point = centre(lo, hi)
+        logits = ibp_propagate(net, IntervalTensor.point(point), base=probe_trace).lo
         if margin(logits, logits, target) >= 0:
-            w = witness_from_flat(centre, logits=logits)
+            w = witness_from_flat(point.reshape(-1), logits=logits)
             if check_witness(net, prop, w):
                 return deadline.verdict(FALSIFIED, w, nodes)
             if integer_grid:
@@ -121,32 +114,30 @@ def bab_verify(net, prop, deadline=None, max_nodes=None, integer_grid=True):
             # off the grid the delta's first-layer sums may round apart
             # from the forward's; the forward passes, so split as a pass
 
+        widths = flat_hi - flat_lo
         d = int(np.argmax(widths))
         if widths[d] <= 0:
             continue  # single point, and its probe just passed: proven
         if integer_grid:
-            mid = np.floor((lo[d] + hi[d]) * 0.5)
+            mid = np.floor((flat_lo[d] + flat_hi[d]) * 0.5)
             upper_lo = mid + 1.0
         else:
-            mid = (lo[d] + hi[d]) * 0.5
-            if not (lo[d] < mid < hi[d]):
+            mid = (flat_lo[d] + flat_hi[d]) * 0.5
+            if not (flat_lo[d] < mid < flat_hi[d]):
                 stuck = True  # float resolution exhausted; box not a point
                 continue
             upper_lo = mid
-        # the children [lo, mid] and [upper_lo, hi] along d, bounded as one
-        # batch of two; bounds are never written after a split, so each
-        # child shares the parent's array that it does not change
-        split_hi = hi.copy()
-        split_hi[d] = mid
-        split_lo = lo.copy()
-        split_lo[d] = upper_lo
-        children = ((lo, split_hi), (split_lo, hi))
-        out = ibp_propagate(net, box(np.stack((lo, split_lo)), np.stack((split_hi, hi))),
-                            base=root_trace)
+        # the children [lo, mid] and [upper_lo, hi] along d, as one batch of two
+        child_lo, child_hi = np.stack((lo, lo)), np.stack((hi, hi))
+        child_hi.reshape(2, -1)[0, d] = mid
+        child_lo.reshape(2, -1)[1, d] = upper_lo
+        out = ibp_propagate(net, IntervalTensor(child_lo, child_hi), base=root_trace)
+        nodes += 2
         # a change that dies out for both gives the root's unbatched logits
-        margins = np.broadcast_to(node_margins(out, 2), 2)
-        for m, (child_lo, child_hi) in zip(margins, children):
+        margins = np.broadcast_to(margin(out.hi, out.lo, target), 2)
+        kept = tuple(s for s in splits if s[0] != d)
+        for m, split in zip(margins, ((d, flat_lo[d], mid), (d, upper_lo, flat_hi[d]))):
             if m >= 0:
-                heapq.heappush(heap, (-float(m), next(tiebreak), child_lo, child_hi))
+                heapq.heappush(heap, (-float(m), next(tiebreak), kept + (split,)))
 
     return deadline.verdict(UNKNOWN if stuck else VERIFIED, nodes=nodes)

@@ -591,6 +591,42 @@ def write_gridless_model(tmp_path):
     return str(model), str(prop)
 
 
+def write_infinite_slope_model(tmp_path):
+    """Two pixels in [1, 2], each copied by a raw 1x1 conv into a batch norm
+    with mean 1 and variance + eps == 0, an infinite slope: at X = 1 the
+    norm computes 0 * inf = NaN, whose sign is -1.  Class 1 wins at
+    X = (2, 2), so the box is falsifiable."""
+    net = Network(
+        input_shape=(1, 2, 1),
+        layers=(
+            QConv(1, 1, 1, np.ones((1, 1, 1, 1)), quantize_input=False),
+            BatchNorm(gamma=[1.0], beta=[0.0], moving_mean=[1.0],
+                      moving_variance=[0.0], eps=0.0),
+            Flatten(),
+            QDense(2, np.array([[1.0, -1.0], [1.0, -1.0]])),
+        ),
+        num_classes=2,
+    )
+    model = tmp_path / "slope.onnx"
+    model.write_bytes(serialize_model(net))
+    prop = tmp_path / "slope.vnnlib"
+    prop.write_text(render_property(RobustnessProperty(2, 2, ((1.0, 2.0), (1.0, 2.0)), 1)))
+    return str(model), str(prop)
+
+
+class TestInfiniteSlopeModel:
+    @pytest.mark.parametrize("engine", ["ibp", "bab", "falsify", "brute"])
+    def test_every_engine_exits_65_without_a_verdict(self, tmp_path, capsys, engine):
+        # interval bounds spread the NaN, which reads as a stable phase, so
+        # ibp and bab would answer unsat on a falsifiable box
+        model, prop = write_infinite_slope_model(tmp_path)
+        code, out = run_cli("verify", model, prop, "--engine", engine,
+                            "--out", str(tmp_path / "witness"))
+        assert (code, out) == (65, "")
+        assert "'bn_1' channel 0" in capsys.readouterr().err
+        assert not (tmp_path / "witness").exists()
+
+
 class TestGridlessBox:
     @pytest.mark.parametrize("engine", ["bab", "brute", "falsify"])
     def test_grid_engines_decline_with_unknown(self, tmp_path, capsys, engine):

@@ -1,17 +1,19 @@
 """Brute-force oracle and branch-and-bound, checked against each other."""
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bnnverify.arch import random_tiny_network
+from bnnverify.arch import build_arch_xnor, random_tiny_network, with_random_weights
 from bnnverify.errors import EnumerationBudgetError
 from bnnverify.layers import Flatten, QDense
-from bnnverify.network import Network, network_forward
+from bnnverify.network import BATCH_BYTES, Network, images_per_batch, network_forward
 from bnnverify.vnnlib import RobustnessProperty, check_witness, make_property
 from bnnverify.verify import Deadline, bab_verify, brute_force_verify, verify_ibp
+from bab_answer_set import digest
 
 # Frozen regression vectors.  Both toys have four inputs, so epsilon 1
 # spans 3^4 = 81 grid points; the expected outcomes below were produced by
@@ -293,3 +295,32 @@ class TestBranchAndBound:
         net = toy(BRITTLE_W)
         v = bab_verify(net, toy_prop(BRITTLE_IMG, BRITTLE_LABEL, 1))
         assert all(float(x).is_integer() for x in v.witness.input_values)
+
+    def test_answers_are_unchanged(self):
+        """(status, nodes, witness) of 309 seeded queries, pinned when each
+        node held copies of its bounds; any change to the node order, the
+        split rule, the probe centres or the counting shows here."""
+        sha, count = digest(range(1, 101), 3)
+        assert count == 309
+        assert sha == "6d6e60352286e8f940ec45f5e7a0e89d2dfcee36a77405ed284215a23ef21e63"
+
+    def test_frontier_grows_by_splits_not_input_copies(self):
+        # a full XNOR eps=1 box is never pruned, so every split pushes both
+        # children; holding a copy of the input per node takes about 24 MB
+        # at this cap
+        net = with_random_weights(build_arch_xnor(30, 30), np.random.default_rng(0))
+        image = np.random.default_rng(1).integers(0, 256, size=net.input_shape).astype(float)
+        label = int(np.argmax(network_forward(net, image)))
+        prop = make_property(image, 1, label, num_outputs=net.num_classes)
+        bab_verify(net, prop, max_nodes=3)
+        tracemalloc.start()
+        try:
+            v = bab_verify(net, prop, max_nodes=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (v.status, v.nodes) == ("unknown", 1001)
+        # the root's interval trace, the probe's point trace and a batch of
+        # two children each hold about one forward's working set per image
+        working_set = BATCH_BYTES // images_per_batch(net)
+        assert peak <= 16 * image.nbytes + 6 * working_set

@@ -508,6 +508,41 @@ class TestRejections:
         with pytest.raises(InvalidModelError, match=r"'dense1_w'.*outside"):
             parse_model(data.replace(one, two, 1))
 
+    @pytest.mark.parametrize("field, value, channel", [
+        ("moving_variance", [1.0, 0.0], "channel 1"),
+        ("eps", -1.0, "channel 0"),
+        ("gamma", [1.0, np.nan], "channel 1"),
+        ("beta", [np.inf, 0.0], "channel 0"),
+        ("moving_mean", [0.0, -np.inf], "channel 1"),
+        ("moving_variance", [np.nan, 1.0], "channel 0"),
+        ("eps", np.inf, "epsilon"),
+        ("eps", np.nan, "epsilon"),
+    ])
+    def test_batch_norm_without_a_finite_slope_rejected(self, field, value, channel):
+        # interval bounds spread the NaN of 0 * inf, and a sign reads NaN
+        # as a definite phase, so such a channel would give wrong proofs
+        params = dict(gamma=[1.0, 1.0], beta=[0.0, 0.0], moving_mean=[0.0, 0.0],
+                      moving_variance=[1.0, 1.0], eps=0.0)
+        params[field] = value
+        net = Network(
+            input_shape=(1, 1, 1),
+            layers=(QConv(2, 1, 1, np.ones((1, 1, 1, 2)), quantize_input=False),
+                    BatchNorm(**params), Flatten(), QDense(2, np.ones((2, 2)))),
+            num_classes=2,
+        )
+        with pytest.raises(InvalidModelError, match=f"'bn_1' {channel}"):
+            parse_model(serialize_model(net))
+
+    def test_batch_norm_with_zero_variance_and_positive_eps_accepted(self):
+        net = Network(
+            input_shape=(1, 1, 1),
+            layers=(QConv(2, 1, 1, np.ones((1, 1, 1, 2)), quantize_input=False),
+                    BatchNorm([1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], eps=0.5),
+                    Flatten(), QDense(2, np.ones((2, 2)))),
+            num_classes=2,
+        )
+        assert parse_model(serialize_model(net)) == net
+
     @pytest.mark.parametrize("kernel,stride", [([3, 3], [3, 3]),
                                                ([2, 2], [1, 1]),
                                                ([1, 1], [1, 1])])
