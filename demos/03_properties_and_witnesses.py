@@ -43,8 +43,7 @@ W = np.array([[1.0, 1.0, -1.0],
               [1.0, -1.0, 1.0],
               [-1.0, -1.0, 1.0]])
 toy = Network(input_shape=(1, 4, 1),
-              layers=(Flatten(), QDense(3, W, quantize_input=False)),
-              num_classes=3)
+              layers=(Flatten(), QDense(W, quantize_input=False)))
 toy_prop = parse_property(
     generate_property(np.array([1.0, 1.0, 3.0, 3.0]).reshape(1, 4, 1),
                       epsilon=1, label=2, num_outputs=3)
@@ -57,8 +56,7 @@ print(f"out-of-ball rejected:    {check_witness(toy, toy_prop, outside)}")
 
 # ties count: equality with the target logit already falsifies
 tie_net = Network(input_shape=(1, 2, 1),
-                  layers=(Flatten(), QDense(2, np.ones((2, 2)), False)),
-                  num_classes=2)
+                  layers=(Flatten(), QDense(np.ones((2, 2)), False)))
 tie_prop = parse_property(
     generate_property(np.ones((1, 2, 1)), epsilon=0, label=0, num_outputs=2)
 )

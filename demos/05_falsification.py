@@ -21,8 +21,7 @@ W = np.array([[1.0, 1.0, -1.0],
               [1.0, -1.0, 1.0],
               [-1.0, -1.0, 1.0]])
 net = Network(input_shape=(1, 4, 1),
-              layers=(Flatten(), QDense(3, W, quantize_input=False)),
-              num_classes=3)
+              layers=(Flatten(), QDense(W, quantize_input=False)))
 image = np.array([1.0, 1.0, 3.0, 3.0]).reshape(1, 4, 1)
 prop = make_property(image, epsilon=1, label=2, num_outputs=3)
 
@@ -38,8 +37,7 @@ print(f"deterministic under the seed: {w.input_values == w2.input_values}")
 # the runner-up margin most; the objective never decreases
 vertex_w = np.array([[1.0, -1.0, -1.0]] * 6)
 vertex_net = Network(input_shape=(1, 6, 1),
-                     layers=(Flatten(), QDense(3, vertex_w, False)),
-                     num_classes=3)
+                     layers=(Flatten(), QDense(vertex_w, False)))
 vertex_prop = make_property(np.ones((1, 6, 1)), epsilon=1, label=0,
                             num_outputs=3)
 w3 = greedy_attack(vertex_net, vertex_prop, AttackConfig())

@@ -47,8 +47,7 @@ from bnnverify.network import Network
 
 wide = Network(input_shape=(4, 4, 1),
                layers=(Flatten(),
-                       QDense(3, rng.choice([-1.0, 1.0], size=(16, 3)), False)),
-               num_classes=3)
+                       QDense(rng.choice([-1.0, 1.0], size=(16, 3)), False)))
 wide_prop = make_property(np.full((4, 4, 1), 4.0), epsilon=1, label=0,
                           num_outputs=3)
 try:

@@ -33,22 +33,11 @@ GTSRB_CLASSES = 43
 
 
 def _qconv(out_channels, kernel, in_channels, quantize_input):
-    w = np.ones((kernel, kernel, in_channels, out_channels))
-    return QConv(
-        out_channels=out_channels,
-        kernel_h=kernel,
-        kernel_w=kernel,
-        weights=w,
-        quantize_input=quantize_input,
-    )
+    return QConv(np.ones((kernel, kernel, in_channels, out_channels)), quantize_input)
 
 
 def _qdense(out_features, in_features, quantize_input=True):
-    return QDense(
-        out_features=out_features,
-        weights=np.ones((in_features, out_features)),
-        quantize_input=quantize_input,
-    )
+    return QDense(np.ones((in_features, out_features)), quantize_input)
 
 
 def _bn(channels):
@@ -92,7 +81,7 @@ def build_arch_a(h, w, num_classes=GTSRB_CLASSES):
         _bn(1024),
         _qdense(num_classes, 1024),
     )
-    return Network(input_shape=(h, w, 3), layers=layers, num_classes=num_classes)
+    return Network(input_shape=(h, w, 3), layers=layers)
 
 
 def build_arch_b(h, w, num_classes=GTSRB_CLASSES):
@@ -115,7 +104,7 @@ def build_arch_b(h, w, num_classes=GTSRB_CLASSES):
         _bn(256),
         _qdense(num_classes, 256),
     )
-    return Network(input_shape=(h, w, 3), layers=layers, num_classes=num_classes)
+    return Network(input_shape=(h, w, 3), layers=layers)
 
 
 def build_arch_xnor(h, w, num_classes=GTSRB_CLASSES):
@@ -130,7 +119,7 @@ def build_arch_xnor(h, w, num_classes=GTSRB_CLASSES):
         Flatten(),
         _qdense(num_classes, _flat_size((h, w, 3), body), quantize_input=True),
     )
-    return Network(input_shape=(h, w, 3), layers=layers, num_classes=num_classes)
+    return Network(input_shape=(h, w, 3), layers=layers)
 
 
 def _calibrated_bn(rng, acts):
@@ -167,16 +156,15 @@ def with_random_weights(net, rng, pixel_max=255):
     for layer in net.layers:
         if isinstance(layer, QConv):
             w = rng.choice([-1.0, 1.0], size=layer.weights.shape)
-            layer = QConv(layer.out_channels, layer.kernel_h, layer.kernel_w, w,
-                          layer.quantize_input)
+            layer = QConv(w, layer.quantize_input)
         elif isinstance(layer, QDense):
             w = rng.choice([-1.0, 1.0], size=layer.weights.shape)
-            layer = QDense(layer.out_features, w, layer.quantize_input)
+            layer = QDense(w, layer.quantize_input)
         elif isinstance(layer, BatchNorm):
             layer = _calibrated_bn(rng, probes)
         layers.append(layer)
         probes = layer_forward(probes, layer)
-    return Network(net.input_shape, tuple(layers), net.num_classes)
+    return Network(net.input_shape, tuple(layers))
 
 
 def random_tiny_network(rng, max_side=4, channels=1, num_classes=3, pixel_max=8):
@@ -195,7 +183,7 @@ def random_tiny_network(rng, max_side=4, channels=1, num_classes=3, pixel_max=8)
         kernel = int(rng.integers(1, min(rows, cols, 2) + 1))
         out_ch = int(rng.integers(1, 3))
         w_conv = rng.choice([-1.0, 1.0], size=(kernel, kernel, in_ch, out_ch))
-        conv = QConv(out_ch, kernel, kernel, w_conv, quantize)
+        conv = QConv(w_conv, quantize)
         layers.append(conv)
         probes = layer_forward(probes, conv)
         quantize = True
@@ -208,5 +196,5 @@ def random_tiny_network(rng, max_side=4, channels=1, num_classes=3, pixel_max=8)
     layers.append(Flatten())
     flat = int(np.prod(probes.shape[1:]))
     w_out = rng.choice([-1.0, 1.0], size=(flat, num_classes))
-    layers.append(QDense(num_classes, w_out, quantize_input=quantize))
-    return Network(input_shape=shape, layers=tuple(layers), num_classes=num_classes)
+    layers.append(QDense(w_out, quantize_input=quantize))
+    return Network(input_shape=shape, layers=tuple(layers))

@@ -121,7 +121,7 @@ def _select_images(net, pool, rng, count):
 
 def generate_benchmark(models, images, epsilons=DEFAULT_EPSILONS, out_dir=".",
                        images_per_model=IMAGES_PER_MODEL,
-                       timeout=DEFAULT_TIMEOUT, seed=0, clip=False) -> list:
+                       timeout=DEFAULT_TIMEOUT, seed=0) -> list:
     """Write model files, property files, and instances.csv under out_dir.
 
     models: (name, network) pairs; images: (tensor, index, label) pool.
@@ -155,7 +155,7 @@ def generate_benchmark(models, images, epsilons=DEFAULT_EPSILONS, out_dir=".",
                     raise ValueError(f"duplicate instance {model_file},{prop_file}")
                 seen_pairs.add((model_file, prop_file))
                 text = generate_property(
-                    image, eps, label, clip=clip,
+                    image, eps, label,
                     num_outputs=net.num_classes, source=(index, eps),
                 )
                 with open(os.path.join(out_dir, prop_file), "w",

@@ -31,7 +31,7 @@ from .bench import (
 from .bench.generate import CSV_TEXT
 from .errors import BnnVerifyError
 from .falsify import AttackConfig
-from .layers import BatchNorm, Flatten, MaxPool, QConv, QDense
+from .layers import BatchNorm, Flatten, MaxPool, QConv
 from .network import count_params, predict
 from .verify import Deadline
 from .vnnlib import (
@@ -86,10 +86,8 @@ def _describe(layer):
         return f"BatchNorm {layer.gamma.size} channels"
     if isinstance(layer, Flatten):
         return "Flatten"
-    if isinstance(layer, QDense):
-        return (f"QDense -> {layer.out_features} "
-                f"quantize_input={layer.quantize_input}")
-    return type(layer).__name__
+    return (f"QDense -> {layer.out_features} "
+            f"quantize_input={layer.quantize_input}")
 
 
 def cmd_inspect(args):

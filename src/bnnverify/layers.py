@@ -10,7 +10,10 @@ shape.
 
 :func:`layer_forward` is the one forward for every layer type, and
 :func:`output_shape` the one statement of each layer's input contract:
-the forward checks its input only by calling it.
+the forward checks its input only by calling it.  Each layer's
+constructor is the one check of its parameters, for a network built in
+code and one read from a file alike: a layer's shapes are read off its
+weights, and a batch norm without a finite slope is refused.
 
 Conventions baked into the semantics:
 
@@ -109,37 +112,40 @@ class QConv:
     """Binarized convolution.
 
     ``weights`` has shape ``(kh, kw, in_channels, out_channels)`` with
-    entries in {-1, +1}, stored as read-only float32.  When
-    ``quantize_input`` is set the input is sign-quantized before the
-    cross-correlation, and the fan-in ``kh * kw * in_channels`` may not
-    exceed ``2**24``.
+    entries in {-1, +1}, stored as read-only float32; the kernel and
+    channel counts are read off it.  When ``quantize_input`` is set the
+    input is sign-quantized before the cross-correlation, and the fan-in
+    ``kh * kw * in_channels`` may not exceed ``2**24``.
     """
 
-    out_channels: int
-    kernel_h: int
-    kernel_w: int
     weights: np.ndarray
     quantize_input: bool
 
     def __post_init__(self):
         w = np.asarray(self.weights)
-        if w.ndim != 4 or w.shape[:2] != (self.kernel_h, self.kernel_w):
+        if w.ndim != 4:
             raise InvalidModelError(
-                f"QConv weights shape {w.shape} does not match kernel "
-                f"{self.kernel_h}x{self.kernel_w}"
-            )
-        if w.shape[3] != self.out_channels:
-            raise InvalidModelError(
-                f"QConv weights have {w.shape[3]} output channels, "
-                f"declared {self.out_channels}"
+                f"QConv weights shape {w.shape} is not (kh, kw, in, out)"
             )
         fan_in = w.shape[0] * w.shape[1] * w.shape[2]
         w = _binary_weights(w, "QConv", fan_in, self.quantize_input)
         object.__setattr__(self, "weights", w)
 
     @property
+    def kernel_h(self):
+        return self.weights.shape[0]
+
+    @property
+    def kernel_w(self):
+        return self.weights.shape[1]
+
+    @property
     def in_channels(self):
         return self.weights.shape[2]
+
+    @property
+    def out_channels(self):
+        return self.weights.shape[3]
 
     __eq__ = _fields_equal
 
@@ -151,7 +157,14 @@ class MaxPool:
 
 @dataclass(frozen=True)
 class BatchNorm:
-    """Per-channel affine normalization using moving statistics."""
+    """Per-channel affine normalization using moving statistics.
+
+    Every entry, ``eps`` and each channel's ``slope``, ``gamma /
+    sqrt(moving_variance + eps)``, must be finite.  An infinite slope
+    computes ``0 * inf = NaN`` at the mean, and a sign reads NaN as a
+    phase that interval bounds call stable.  The slope is computed once,
+    here, and the forward reads it.
+    """
 
     gamma: np.ndarray
     beta: np.ndarray
@@ -173,7 +186,18 @@ class BatchNorm:
             )
         if np.any(vectors["moving_variance"] < 0):
             raise InvalidModelError("BatchNorm moving_variance has negative entries")
-        for name, v in vectors.items():
+        if not np.isfinite(self.eps):
+            raise InvalidModelError(f"epsilon {self.eps!r} is not finite")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope = vectors["gamma"] / np.sqrt(vectors["moving_variance"] + self.eps)
+        bad = ~np.isfinite([*vectors.values(), slope]).all(axis=0)
+        if bad.any():
+            raise InvalidModelError(
+                f"channel {np.argmax(bad)} is not finite or has no finite "
+                "slope gamma / sqrt(variance + epsilon)"
+            )
+        slope.flags.writeable = False
+        for name, v in {**vectors, "slope": slope}.items():
             object.__setattr__(self, name, v)
 
     @property
@@ -194,23 +218,23 @@ class QDense:
     in {-1, +1} stored as read-only float32; no bias.  A quantized-input
     layer may have at most ``2**24`` inputs."""
 
-    out_features: int
     weights: np.ndarray
     quantize_input: bool = field(default=True)
 
     def __post_init__(self):
         w = np.asarray(self.weights)
-        if w.ndim != 2 or w.shape[1] != self.out_features:
-            raise InvalidModelError(
-                f"QDense weights shape {w.shape} does not match "
-                f"out_features={self.out_features}"
-            )
+        if w.ndim != 2:
+            raise InvalidModelError(f"QDense weights shape {w.shape} is not (in, out)")
         w = _binary_weights(w, "QDense", w.shape[0], self.quantize_input)
         object.__setattr__(self, "weights", w)
 
     @property
     def in_features(self):
         return self.weights.shape[0]
+
+    @property
+    def out_features(self):
+        return self.weights.shape[1]
 
     __eq__ = _fields_equal
 
@@ -304,8 +328,7 @@ def layer_forward(t, layer, layer_index=None):
         return np.maximum(np.maximum(a, b), np.maximum(c, d))
     if isinstance(layer, BatchNorm):
         # gamma * (x - mean) / sqrt(var + eps) + beta, per trailing channel
-        scale = layer.gamma / np.sqrt(layer.moving_variance + layer.eps)
-        return scale * (t - layer.moving_mean) + layer.beta
+        return layer.slope * (t - layer.moving_mean) + layer.beta
     # Flatten; the explicit size keeps an empty batch reshapable
     h, w, c = t.shape[-3:]
     return t.reshape(t.shape[:-3] + (h * w * c,))

@@ -36,12 +36,12 @@ class Network:
     """An ordered layer chain from an (H, W, 3) image to class logits.
 
     Immutable after construction; shapes are validated eagerly so that a
-    constructed network is always runnable.
+    constructed network is always runnable.  The class count is the
+    length of the final ``QDense`` output.
     """
 
     input_shape: tuple
     layers: tuple
-    num_classes: int
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
@@ -58,15 +58,15 @@ class Network:
             raise InvalidModelError(
                 f"final layer must be QDense, got {type(final).__name__}"
             )
-        if shapes[-1] != (self.num_classes,):
-            raise InvalidModelError(
-                f"network ends in shape {shapes[-1]}, expected ({self.num_classes},)"
-            )
         object.__setattr__(self, "_shapes", tuple(shapes))
 
     def layer_shapes(self):
         """Activation shape before each layer plus the final output shape."""
         return self._shapes
+
+    @property
+    def num_classes(self):
+        return self._shapes[-1][0]
 
     @property
     def num_inputs(self):

@@ -8,12 +8,13 @@ convolution weights are transposed and the weight rows of the first
 dense layer after a flatten are permuted at this boundary.
 
 Float tensors stay 32-bit; a ``raw_data`` payload is a read-only ``<f4``
-view of the model bytes.  Each layer constructor is the one +-1 check and
-takes the one private copy (float32 for +-1 weights, float64 for
-batch-norm vectors), and ``layers.output_shape`` tracks and
-checks the activation shape.  The codec checks a shape itself only where
-its own indexing needs it: batch-norm vector lengths, and the dense input
-length before the flatten row permutation.
+view of the model bytes.  Each layer constructor is the one check of its
+parameters (+-1 weights, a finite batch-norm slope), re-raised here
+naming the tensor or node, and takes the one private copy (float32 for
++-1 weights, float64 for batch-norm vectors); ``layers.output_shape``
+tracks and checks the activation shape.  The codec checks a shape itself
+only where its own indexing needs it: batch-norm vector lengths, and the
+dense input length before the flatten row permutation.
 
 ``OPERATORS`` states the accepted operators, with their input counts and
 attributes, and every node is checked against it.  ``FIELDS`` states
@@ -436,14 +437,13 @@ def _nonzero_bias(graph, node):
     return bias.kind != "float" or bool(np.any(bias.data != 0.0))
 
 
-def _binary_layer(cls, weight, **fields):
-    """``cls(**fields)``.  Its shape fields come from the tensor's own
-    dims, so the constructor can only fail its +-1 check or its fan-in
-    limit; the error is re-raised naming the tensor."""
+def _built(what, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, its constructor's ``InvalidModelError``
+    re-raised after ``what``, which names the tensor or node."""
     try:
-        return cls(**fields)
+        return cls(*args, **kwargs)
     except InvalidModelError as exc:
-        raise InvalidModelError(f"weight tensor '{weight.name}': {exc}") from None
+        raise InvalidModelError(f"{what} {exc}") from None
 
 
 def _bn_vector(graph, node, tensor_name, channels, role):
@@ -551,7 +551,7 @@ def network_from_records(model: ModelRecord) -> Network:
 
         elif op == "Conv":
             weight = _weight(graph, node, 4)
-            out_ch, _, kh, kw = weight.dims
+            kh, kw = weight.dims[2:]
             ks = attrs["kernel_shape"]
             if ks not in ([], [kh, kw]):
                 raise InvalidModelError(
@@ -560,10 +560,9 @@ def network_from_records(model: ModelRecord) -> Network:
                 )
             if _nonzero_bias(graph, node):
                 raise UnsupportedOpError("Conv with non-zero bias")
-            layer = _binary_layer(
-                QConv, weight, out_channels=out_ch, kernel_h=kh, kernel_w=kw,
-                weights=weight.data.transpose(2, 3, 1, 0),  # (kh, kw, in, out)
-                quantize_input=pending_sign)
+            layer = _built(f"weight tensor '{weight.name}':", QConv,
+                           weight.data.transpose(2, 3, 1, 0),  # (kh, kw, in, out)
+                           pending_sign)
             pending_sign = False
 
         elif op == "MaxPool":
@@ -589,19 +588,11 @@ def network_from_records(model: ModelRecord) -> Network:
             beta = _bn_vector(graph, node, node.inputs[2], channels, "shift")
             mean = _bn_vector(graph, node, node.inputs[3], channels, "mean")
             var = _bn_vector(graph, node, node.inputs[4], channels, "variance")
-            # an infinite slope computes 0 * inf = NaN at the mean, and a
-            # sign reads NaN as a phase that interval bounds call stable
-            eps = attrs["epsilon"]
-            bad = ~(np.isfinite([gamma, beta, mean, var]).all(axis=0) & (var + eps > 0))
-            if not np.isfinite(eps) or bad.any():
-                where = "epsilon" if not np.isfinite(eps) else f"channel {np.argmax(bad)}"
-                raise InvalidModelError(f"batch norm '{node.name}' {where} is not finite "
-                                        "or has variance + epsilon <= 0")
             if perm is not None:
                 gamma, beta = gamma[perm], beta[perm]
                 mean, var = mean[perm], var[perm]
-            layer = BatchNorm(gamma=gamma, beta=beta, moving_mean=mean,
-                              moving_variance=var, eps=attrs["epsilon"])
+            layer = _built(f"batch norm '{node.name}'", BatchNorm,
+                           gamma, beta, mean, var, eps=attrs["epsilon"])
 
         elif op in ("Flatten", "Reshape"):
             if len(shape) != 3:
@@ -632,7 +623,7 @@ def network_from_records(model: ModelRecord) -> Network:
                 raise UnsupportedOpError("Gemm with non-zero bias")
             weight = _weight(graph, node, 2)
             matrix = weight.data.T if attrs.get("transB") else weight.data
-            k, m = matrix.shape
+            k = matrix.shape[0]
             if shape != (k,):
                 raise InvalidModelError(
                     f"{op} weight '{weight.name}' expects {k} inputs, "
@@ -641,8 +632,8 @@ def network_from_records(model: ModelRecord) -> Network:
             if perm is not None:
                 matrix = matrix[perm, :]
                 perm = None
-            layer = _binary_layer(QDense, weight, out_features=m,
-                                  weights=matrix, quantize_input=pending_sign)
+            layer = _built(f"weight tensor '{weight.name}':", QDense,
+                           matrix, pending_sign)
             pending_sign = False
 
         if layer is not None:
@@ -656,8 +647,7 @@ def network_from_records(model: ModelRecord) -> Network:
         )
     if pending_sign:
         raise UnsupportedOpError("trailing Sign after the last layer")
-    net = Network(input_shape=(height, width, chan), layers=tuple(layers),
-                  num_classes=shape[-1])
+    net = Network(input_shape=(height, width, chan), layers=tuple(layers))
 
     declared = graph.outputs[0].dims
     if declared is not None and (len(declared) != 2
@@ -759,7 +749,10 @@ def serialize_model(net: Network, *, graph_name: str = "bnn") -> bytes:
 
     Weights and normalization statistics are written as 32-bit floats,
     the layout convention of the interchange format; values that are not
-    representable at that precision are rounded.
+    representable at that precision are rounded to the nearest one.  A
+    batch norm whose rounded values have no finite slope, a file that
+    :func:`parse_model` would refuse, raises ``InvalidModelError`` naming
+    its node instead.
     """
     h, w, c = net.input_shape
     shapes = net.layer_shapes()
@@ -813,9 +806,13 @@ def serialize_model(net: Network, *, graph_name: str = "bnn") -> bytes:
 
         elif isinstance(layer, BatchNorm):
             names = [f"bn{i}_scale", f"bn{i}_shift", f"bn{i}_mean", f"bn{i}_var"]
-            for tensor_name, vec in zip(names, (layer.gamma, layer.beta,
-                                                layer.moving_mean,
-                                                layer.moving_variance)):
+            with np.errstate(over="ignore"):  # a value past float32 reads as inf
+                stored = [v.astype(np.float32) for v in (
+                    layer.gamma, layer.beta, layer.moving_mean, layer.moving_variance)]
+                eps = np.float32(layer.eps)
+            # the layer parse_model will build from these bytes
+            _built(f"batch norm 'bn_{i}'", BatchNorm, *stored, eps=float(eps))
+            for tensor_name, vec in zip(names, stored):
                 inits.append(_float_tensor_bytes(tensor_name, vec))
             out = fresh()
             nodes.append(_node_bytes(
@@ -833,7 +830,7 @@ def serialize_model(net: Network, *, graph_name: str = "bnn") -> bytes:
             current = out
             flat_src = shapes[i]  # (h, w, c) feeding this flatten
 
-        elif isinstance(layer, QDense):
+        else:  # QDense
             weight_name = f"dense{i}_w"
             matrix = layer.weights
             if flat_src is not None:
@@ -846,11 +843,6 @@ def serialize_model(net: Network, *, graph_name: str = "bnn") -> bytes:
                 "MatMul", f"dense_{i}", [current, weight_name], [out],
             ))
             current = out
-
-        else:
-            raise InvalidModelError(
-                f"cannot serialize layer of type {type(layer).__name__}"
-            )
 
     graph = _encode("GraphProto", node=nodes, name=graph_name,
                     initializer=inits,

@@ -291,9 +291,9 @@ def _sign_rule(bn, m):
     if bn is None:
         return np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     sums = np.arange(-m, m + 1)
-    # the range holds sums the block may never produce; a NaN or an
-    # infinity that the forward makes of one needs no warning
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # the range holds sums the block may never produce; an infinity that
+    # a large finite slope makes of one needs no warning
+    with np.errstate(over="ignore"):
         out = layer_forward(np.repeat(sums[:, None], bn.channels, axis=1), bn)
     passes = sign_quantize(out) > 0  # row i is the sum i - m
     any_pass = passes.any(axis=0)

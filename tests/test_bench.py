@@ -333,9 +333,8 @@ class TestRunner:
         net = Network(
             input_shape=(4, 4, 1),
             layers=(Flatten(),
-                    QDense(3, rng.choice([-1.0, 1.0], size=(16, 3)),
+                    QDense(rng.choice([-1.0, 1.0], size=(16, 3)),
                            quantize_input=False)),
-            num_classes=3,
         )
         img = rng.integers(0, 9, size=(4, 4, 1)).astype(float)
         pool = [(img, 0, predict(net, img))]
@@ -350,9 +349,8 @@ class TestRunner:
         # X_0 in [0.2, 0.8] holds no integer, so the grid engines decline
         net = Network(
             input_shape=(1, 2, 1),
-            layers=(Flatten(), QDense(2, np.array([[1.0, -1.0], [-1.0, 1.0]]),
+            layers=(Flatten(), QDense(np.array([[1.0, -1.0], [-1.0, 1.0]]),
                                       quantize_input=False)),
-            num_classes=2,
         )
         (tmp_path / "net.onnx").write_bytes(serialize_model(net))
         (tmp_path / "box.vnnlib").write_text(render_property(

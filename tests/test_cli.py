@@ -3,6 +3,7 @@
 import io
 import logging
 import os
+import struct
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -42,8 +43,7 @@ def run_cli(*argv):
 def write_toy(tmp_path, epsilon=1):
     net = Network(
         input_shape=(1, 4, 1),
-        layers=(Flatten(), QDense(3, np.array(BRITTLE_W), quantize_input=False)),
-        num_classes=3,
+        layers=(Flatten(), QDense(np.array(BRITTLE_W), quantize_input=False)),
     )
     model = tmp_path / "toy.onnx"
     model.write_bytes(serialize_model(net))
@@ -205,9 +205,8 @@ class TestFalsifyPipeline:
         # (0, 0, -2), which beat label 2: only the box test rejects NaN
         net = Network(
             input_shape=(1, 4, 1),
-            layers=(Flatten(), QDense(3, np.array(BRITTLE_W),
+            layers=(Flatten(), QDense(np.array(BRITTLE_W),
                                       quantize_input=True)),
-            num_classes=3,
         )
         model = tmp_path / "quantized.onnx"
         model.write_bytes(serialize_model(net))
@@ -314,7 +313,7 @@ class TestGenerateCommand:
         assert np.all(hi == 5.0)
 
     def test_one_class_model_exits_65(self, tmp_path, capsys):
-        net = Network((1, 2, 3), (Flatten(), QDense(1, np.ones((6, 1)))), 1)
+        net = Network((1, 2, 3), (Flatten(), QDense(np.ones((6, 1)))))
         model = tmp_path / "one.onnx"
         model.write_bytes(serialize_model(net))
         ppm = tmp_path / "img.ppm"
@@ -503,7 +502,7 @@ class TestBadOptionValues:
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1", "1e400"])
     def test_generate_bad_epsilon_is_usage_error(self, tmp_path, epsilon):
-        net = Network((1, 2, 3), (Flatten(), QDense(2, np.ones((6, 2)))), 2)
+        net = Network((1, 2, 3), (Flatten(), QDense(np.ones((6, 2)))))
         model = tmp_path / "net.onnx"
         model.write_bytes(serialize_model(net))
         ppm = tmp_path / "img.ppm"
@@ -558,13 +557,12 @@ def write_window_model(tmp_path):
     net = Network(
         input_shape=(1, 1, 1),
         layers=(
-            QConv(3, 1, 1, np.ones((1, 1, 1, 3)), quantize_input=False),
+            QConv(np.ones((1, 1, 1, 3)), quantize_input=False),
             BatchNorm(gamma=[1.0, -1.0, 0.0], beta=[0.0, 0.0, 1.0],
                       moving_mean=[0.25, 0.75, 0.0], moving_variance=[1.0, 1.0, 1.0]),
             Flatten(),
-            QDense(2, np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])),
+            QDense(np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])),
         ),
-        num_classes=2,
     )
     model = tmp_path / "window.onnx"
     model.write_bytes(serialize_model(net))
@@ -579,9 +577,8 @@ def write_gridless_model(tmp_path):
     search."""
     net = Network(
         input_shape=(1, 2, 1),
-        layers=(Flatten(), QDense(2, np.array([[1.0, -1.0], [-1.0, 1.0]]),
+        layers=(Flatten(), QDense(np.array([[1.0, -1.0], [-1.0, 1.0]]),
                                   quantize_input=False)),
-        num_classes=2,
     )
     model = tmp_path / "gridless.onnx"
     model.write_bytes(serialize_model(net))
@@ -595,20 +592,24 @@ def write_infinite_slope_model(tmp_path):
     """Two pixels in [1, 2], each copied by a raw 1x1 conv into a batch norm
     with mean 1 and variance + eps == 0, an infinite slope: at X = 1 the
     norm computes 0 * inf = NaN, whose sign is -1.  Class 1 wins at
-    X = (2, 2), so the box is falsifiable."""
+    X = (2, 2), so the box is falsifiable.  No such layer can be built, so
+    the file is written with variance 1.375 and a 0 patched into its
+    bytes."""
     net = Network(
         input_shape=(1, 2, 1),
         layers=(
-            QConv(1, 1, 1, np.ones((1, 1, 1, 1)), quantize_input=False),
+            QConv(np.ones((1, 1, 1, 1)), quantize_input=False),
             BatchNorm(gamma=[1.0], beta=[0.0], moving_mean=[1.0],
-                      moving_variance=[0.0], eps=0.0),
+                      moving_variance=[1.375], eps=0.0),
             Flatten(),
-            QDense(2, np.array([[1.0, -1.0], [1.0, -1.0]])),
+            QDense(np.array([[1.0, -1.0], [1.0, -1.0]])),
         ),
-        num_classes=2,
     )
+    data = serialize_model(net)
+    variance = struct.pack("<f", 1.375)
+    assert data.count(variance) == 1
     model = tmp_path / "slope.onnx"
-    model.write_bytes(serialize_model(net))
+    model.write_bytes(data.replace(variance, struct.pack("<f", 0.0)))
     prop = tmp_path / "slope.vnnlib"
     prop.write_text(render_property(RobustnessProperty(2, 2, ((1.0, 2.0), (1.0, 2.0)), 1)))
     return str(model), str(prop)

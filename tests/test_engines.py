@@ -35,8 +35,7 @@ def toy(weights):
     w = np.asarray(weights, dtype=float)
     return Network(
         input_shape=(2, 2, 1),
-        layers=(Flatten(), QDense(w.shape[1], w, quantize_input=False)),
-        num_classes=w.shape[1],
+        layers=(Flatten(), QDense(w, quantize_input=False)),
     )
 
 
@@ -110,8 +109,7 @@ class TestBruteForce:
         # a tied pair of columns falsifies even at epsilon 0
         tie = Network(
             input_shape=(2, 2, 1),
-            layers=(Flatten(), QDense(2, np.ones((4, 2)), quantize_input=False)),
-            num_classes=2,
+            layers=(Flatten(), QDense(np.ones((4, 2)), quantize_input=False)),
         )
         v = brute_force_verify(tie, toy_prop(SAFE_IMG, 0, 0, num_outputs=2))
         assert v.status == "falsified"
@@ -281,7 +279,7 @@ class TestBranchAndBound:
         # box open, and no float lies strictly between X_1's ends to split
         # it at: an open box that cannot shrink is unknown, not verified
         net = Network((1, 2, 1), (Flatten(), QDense(
-            2, np.array([[-1.0, 1.0], [1.0, -1.0]]), quantize_input=False)), 2)
+            np.array([[-1.0, 1.0], [1.0, -1.0]]), quantize_input=False)))
         above = float(np.nextafter(1.0, 2.0))
         x1 = (above, float(np.nextafter(above, 2.0)))
         prop = RobustnessProperty(2, 2, ((1.0, 1.0), x1), 0)

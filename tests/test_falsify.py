@@ -38,8 +38,7 @@ def toy(weights):
     w = np.asarray(weights, dtype=np.float64)
     return Network(
         input_shape=(1, w.shape[0], 1),
-        layers=(Flatten(), QDense(w.shape[1], w, quantize_input=False)),
-        num_classes=w.shape[1],
+        layers=(Flatten(), QDense(w, quantize_input=False)),
     )
 
 

@@ -152,15 +152,14 @@ class TestIntegerBoxes:
         net = Network(
             input_shape=(6, 9, 2),
             layers=(
-                QConv(3, 2, 3, rng.choice([-1.0, 1.0], size=(2, 3, 2, 3)), False),
+                QConv(rng.choice([-1.0, 1.0], size=(2, 3, 2, 3)), False),
                 MaxPool(),
                 BatchNorm(gamma=[-1.0, -0.5, -2.0], beta=[0.5, -1.0, 0.0],
                           moving_mean=[2.0, -3.0, 1.0], moving_variance=[4.0, 1.0, 9.0]),
-                QConv(2, 1, 1, rng.choice([-1.0, 1.0], size=(1, 1, 3, 2)), True),
+                QConv(rng.choice([-1.0, 1.0], size=(1, 1, 3, 2)), True),
                 Flatten(),
-                QDense(3, rng.choice([-1.0, 1.0], size=(12, 3)), True),
+                QDense(rng.choice([-1.0, 1.0], size=(12, 3)), True),
             ),
-            num_classes=3,
         )
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -649,9 +648,8 @@ class TestRankKDense:
         # whose quantized input does not change
         net = Network(
             input_shape=(2, 3, 1),
-            layers=(QConv(1, 1, 1, np.ones((1, 1, 1, 1)), False), Flatten(),
-                    QDense(2, np.array([[1.0, -1.0]] * 6), True)),
-            num_classes=2,
+            layers=(QConv(np.ones((1, 1, 1, 1)), False), Flatten(),
+                    QDense(np.array([[1.0, -1.0]] * 6), True)),
         )
         x = np.arange(6.0).reshape(2, 3, 1) + 1.0
         base = ibp_trace(net, IntervalTensor.point(x))
@@ -668,8 +666,7 @@ class TestRankKDense:
         rng = np.random.default_rng(9)
         net = Network(
             input_shape=(3, 4, 2),
-            layers=(Flatten(), QDense(3, rng.choice([-1.0, 1.0], size=(24, 3)), False)),
-            num_classes=3,
+            layers=(Flatten(), QDense(rng.choice([-1.0, 1.0], size=(24, 3)), False)),
         )
         for seed in range(20):
             rng = np.random.default_rng(seed)

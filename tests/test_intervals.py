@@ -35,8 +35,7 @@ def dense_net(weights, quantize=False):
         shape = (1, w.shape[0], 1)
     return Network(
         input_shape=shape,
-        layers=(Flatten(), QDense(w.shape[1], w, quantize_input=quantize)),
-        num_classes=w.shape[1],
+        layers=(Flatten(), QDense(w, quantize_input=quantize)),
     )
 
 
@@ -123,12 +122,11 @@ class TestIbpPropagate:
         net = Network(
             input_shape=(1, 1, 1),
             layers=(
-                QConv(1, 1, 1, np.ones((1, 1, 1, 1)), quantize_input=False),
+                QConv(np.ones((1, 1, 1, 1)), quantize_input=False),
                 bn,
                 Flatten(),
-                QDense(1, np.array([[1.0]]), quantize_input=False),
+                QDense(np.array([[1.0]]), quantize_input=False),
             ),
-            num_classes=1,
         )
         box = IntervalTensor(np.zeros((1, 1, 1)), np.ones((1, 1, 1)))
         out = ibp_propagate(net, box)
@@ -182,12 +180,11 @@ class TestIbpPropagate:
         net = Network(
             input_shape=(2, 2, 1),
             layers=(
-                QConv(1, 1, 1, np.ones((1, 1, 1, 1)), quantize_input=False),
+                QConv(np.ones((1, 1, 1, 1)), quantize_input=False),
                 MaxPool(),
                 Flatten(),
-                QDense(1, np.array([[1.0]]), quantize_input=False),
+                QDense(np.array([[1.0]]), quantize_input=False),
             ),
-            num_classes=1,
         )
         lo = np.array([[[0.0], [2.0]], [[1.0], [-1.0]]])
         hi = np.array([[[5.0], [2.5]], [[1.5], [0.0]]])

@@ -71,12 +71,12 @@ class TestSignQuantize:
 
 class TestQConv:
     def test_all_ones_sum(self):
-        layer = QConv(1, 2, 2, np.ones((2, 2, 1, 1)), quantize_input=False)
+        layer = QConv(np.ones((2, 2, 1, 1)), quantize_input=False)
         out = layer_forward(np.ones((2, 2, 1)), layer)
         np.testing.assert_array_equal(out, [[[4.0]]])
 
     def test_sign_flip(self):
-        layer = QConv(1, 2, 2, -np.ones((2, 2, 1, 1)), quantize_input=False)
+        layer = QConv(-np.ones((2, 2, 1, 1)), quantize_input=False)
         out = layer_forward(np.ones((2, 2, 1)), layer)
         np.testing.assert_array_equal(out, [[[-4.0]]])
 
@@ -86,7 +86,7 @@ class TestQConv:
         rng = np.random.default_rng(seed)
         image = rng.normal(size=(5, 5, 2)) * 3
         weights = rng.choice([-1.0, 1.0], size=(3, 2, 2, 4))
-        layer = QConv(4, 3, 2, weights, quantize_input=quantize)
+        layer = QConv(weights, quantize_input=quantize)
         got = layer_forward(image, layer)
         want = reference_conv(image, weights, quantize)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -95,24 +95,24 @@ class TestQConv:
         rng = np.random.default_rng(3)
         images = rng.integers(0, 256, size=(6, 4, 4, 3)).astype(float)
         weights = rng.choice([-1.0, 1.0], size=(2, 2, 3, 5))
-        layer = QConv(5, 2, 2, weights, quantize_input=False)
+        layer = QConv(weights, quantize_input=False)
         batched = layer_forward(images, layer)
         for k in range(6):
             np.testing.assert_array_equal(batched[k], layer_forward(images[k], layer))
 
     def test_channel_mismatch_names_layer(self):
-        layer = QConv(1, 2, 2, np.ones((2, 2, 3, 1)), quantize_input=False)
+        layer = QConv(np.ones((2, 2, 3, 1)), quantize_input=False)
         with pytest.raises(ShapeMismatchError, match="layer 4"):
             layer_forward(np.ones((4, 4, 2)), layer, layer_index=4)
 
     def test_rejects_non_binary_weights(self):
         with pytest.raises(InvalidModelError, match=r"\+1/-1"):
-            QConv(1, 2, 2, np.full((2, 2, 1, 1), 0.5), quantize_input=False)
+            QConv(np.full((2, 2, 1, 1), 0.5), quantize_input=False)
 
     def test_integer_sums_bounded_by_fan_in(self):
         rng = np.random.default_rng(11)
         weights = rng.choice([-1.0, 1.0], size=(2, 2, 2, 3))
-        layer = QConv(3, 2, 2, weights, quantize_input=True)
+        layer = QConv(weights, quantize_input=True)
         out = layer_forward(rng.normal(size=(5, 5, 2)), layer)
         fan_in = 2 * 2 * 2
         assert np.all(np.abs(out) <= fan_in)
@@ -150,21 +150,21 @@ class TestBinaryWeights:
         assert np.float32(self.NEAR_ONE) == 1.0
         w = np.full((2, 2, 1, 1), self.NEAR_ONE)
         with pytest.raises(InvalidModelError, match=r"\+1/-1"):
-            QConv(1, 2, 2, w, quantize_input=False)
+            QConv(w, quantize_input=False)
         with pytest.raises(InvalidModelError, match=r"\+1/-1"):
-            QDense(1, w.reshape(4, 1))
+            QDense(w.reshape(4, 1))
 
     def test_quantized_fan_in_beyond_exact_float32_sums_rejected(self):
         # broadcast views: the shape check must reject them before any copy
         with pytest.raises(InvalidModelError, match="fan-in"):
-            QDense(1, np.broadcast_to(1.0, (2**24 + 1, 1)), quantize_input=True)
+            QDense(np.broadcast_to(1.0, (2**24 + 1, 1)), quantize_input=True)
         with pytest.raises(InvalidModelError, match="fan-in"):
-            QConv(1, 1, 1, np.broadcast_to(1.0, (1, 1, 2**24 + 1, 1)),
+            QConv(np.broadcast_to(1.0, (1, 1, 2**24 + 1, 1)),
                   quantize_input=True)
 
     def test_stored_once_as_private_read_only_float32(self):
         src = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
-        layer = QDense(2, src)
+        layer = QDense(src)
         w = layer.weights
         assert w.dtype == np.float32 and w.flags.c_contiguous
         assert not w.flags.writeable and src.flags.writeable
@@ -228,20 +228,56 @@ class TestBatchNorm:
         with pytest.raises(InvalidModelError, match="variance"):
             BatchNorm([1.0], [0.0], [0.0], [-0.5])
 
+    # -inf variance is negative, refused by the test above
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name in ("gamma", "beta", "moving_mean", "moving_variance")
+        for value in (np.nan, np.inf, -np.inf)
+        if (name, value) != ("moving_variance", -np.inf)])
+    def test_non_finite_entry_rejected(self, name, value):
+        params = dict(gamma=[1.0, 1.0], beta=[0.0, 0.0], moving_mean=[0.0, 0.0],
+                      moving_variance=[1.0, 1.0])
+        params[name] = [1.0, value]
+        with pytest.raises(InvalidModelError, match="^channel 1 "):
+            BatchNorm(**params)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(InvalidModelError, match="^epsilon "):
+            BatchNorm([1.0], [0.0], [0.0], [1.0], eps=eps)
+
+    @pytest.mark.parametrize("gamma, variance, eps", [
+        (0.0, 0.0, 0.0),  # 0 / 0
+        (2.0, 0.0, 0.0),  # 2 / 0
+        (-1.0, 0.5, -0.5),  # variance + eps == 0 with a negative eps
+        (1e200, 1e-300, 0.0),  # finite entries, 1e350 overflows
+    ])
+    def test_no_finite_slope_rejected(self, gamma, variance, eps):
+        # an infinite slope computes 0 * inf = NaN at the mean, and a sign
+        # reads NaN as a phase that interval bounds call stable
+        with pytest.raises(InvalidModelError, match="^channel 1 "):
+            BatchNorm([1.0, gamma], [0.0, 0.0], [0.0, 0.0], [1.0, variance], eps=eps)
+
+    def test_forward_reads_the_stored_slope(self):
+        layer = BatchNorm([1.5, -2.0], [0.25, 0.0], [0.5, 1.0], [0.7, 3.0], eps=1e-3)
+        assert not layer.slope.flags.writeable
+        t = np.array([[2.0, -3.0]])
+        np.testing.assert_array_equal(
+            layer_forward(t, layer), layer.slope * (t - layer.moving_mean) + layer.beta)
+
 
 class TestQDense:
     def test_all_ones_dot(self):
-        layer = QDense(4, np.ones((6, 4)), quantize_input=False)
+        layer = QDense(np.ones((6, 4)), quantize_input=False)
         out = layer_forward(np.ones(6), layer)
         np.testing.assert_array_equal(out, np.full(4, 6.0))
 
     def test_quantizes_input_first(self):
-        layer = QDense(1, np.ones((3, 1)), quantize_input=True)
+        layer = QDense(np.ones((3, 1)), quantize_input=True)
         out = layer_forward(np.array([-5.0, 0.0, 9.0]), layer)
         np.testing.assert_array_equal(out, [1.0])  # signs are -1, +1, +1
 
     def test_length_mismatch(self):
-        layer = QDense(2, np.ones((3, 2)))
+        layer = QDense(np.ones((3, 2)))
         with pytest.raises(ShapeMismatchError):
             layer_forward(np.ones(4), layer)
 
@@ -308,18 +344,18 @@ def equality_cases():
     w4 = np.ones((2, 2, 1, 3))
     w4b = w4.copy()
     w4b[0, 0, 0, 0] = -1.0
-    conv = dict(out_channels=3, kernel_h=2, kernel_w=2, weights=w4, quantize_input=True)
+    conv = dict(weights=w4, quantize_input=True)
     w2 = np.ones((4, 2))
     w2b = -w2
-    dense = dict(out_features=2, weights=w2, quantize_input=True)
+    dense = dict(weights=w2, quantize_input=True)
     v = np.array([1.0, 2.0])
     norm = dict(gamma=v, beta=v, moving_mean=v, moving_variance=v, eps=1e-3)
     return [
         (QConv, conv, [dict(weights=w4b), dict(quantize_input=False),
-                       dict(out_channels=2, weights=w4[..., :2]),
-                       dict(kernel_h=1, weights=w4[:1]), dict(kernel_w=1, weights=w4[:, :1])]),
+                       dict(weights=w4[..., :2]), dict(weights=w4[:1]),
+                       dict(weights=w4[:, :1])]),
         (QDense, dense, [dict(weights=w2b), dict(quantize_input=False),
-                         dict(out_features=1, weights=w2[:, :1])]),
+                         dict(weights=w2[:, :1])]),
         (BatchNorm, norm, [dict(gamma=v + 1), dict(beta=v + 1), dict(moving_mean=v + 1),
                            dict(moving_variance=v + 1), dict(eps=1e-5)]),
     ]

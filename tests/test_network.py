@@ -11,7 +11,7 @@ from bnnverify.arch import (
     with_random_weights,
 )
 from bnnverify.errors import InvalidModelError, ShapeMismatchError
-from bnnverify.layers import BatchNorm, Flatten, QDense, layer_forward
+from bnnverify.layers import BatchNorm, Flatten, QConv, QDense, layer_forward
 from bnnverify.network import (
     BATCH_BYTES,
     Network,
@@ -26,8 +26,8 @@ from bnnverify.network import (
 
 
 def single_dense_net(n=6, classes=4):
-    layers = (Flatten(), QDense(classes, np.ones((n, classes)), quantize_input=False))
-    return Network(input_shape=(1, n // 2, 2), layers=layers, num_classes=classes)
+    layers = (Flatten(), QDense(np.ones((n, classes)), quantize_input=False))
+    return Network(input_shape=(1, n // 2, 2), layers=layers)
 
 
 def test_one_layer_all_ones():
@@ -73,8 +73,7 @@ def test_permuting_output_rows_permutes_logits():
     w[:, [0, 2]] = w[:, [2, 0]]
     swapped = Network(
         net.input_shape,
-        net.layers[:-1] + (QDense(dense.out_features, w, dense.quantize_input),),
-        net.num_classes,
+        net.layers[:-1] + (QDense(w, dense.quantize_input),),
     )
     image = rng.integers(0, 9, size=net.input_shape).astype(float)
     base = network_forward(net, image)
@@ -88,7 +87,7 @@ def test_predict_tie_breaks_to_lowest_index():
     w = np.ones((5, 4))
     w[:, 0] = [-1, -1, -1, -1, 1]
     image = np.ones((1, 5, 1))
-    net = Network((1, 5, 1), (Flatten(), QDense(4, w, quantize_input=False)), 4)
+    net = Network((1, 5, 1), (Flatten(), QDense(w, quantize_input=False)))
     logits = network_forward(net, image)
     assert logits[1] == logits[2] == logits[3] > logits[0]
     assert predict(net, image) == 1
@@ -118,13 +117,29 @@ def test_shape_mismatch_rejected():
 
 def test_final_layer_must_be_dense():
     with pytest.raises(InvalidModelError, match="final layer"):
-        Network((2, 2, 1), (Flatten(),), num_classes=4)
+        Network((2, 2, 1), (Flatten(),))
 
 
-def test_class_count_must_match():
-    layers = (Flatten(), QDense(3, np.ones((4, 3)), quantize_input=False))
-    with pytest.raises(InvalidModelError, match="expected"):
-        Network((2, 2, 1), layers, num_classes=5)
+def test_shapes_are_read_off_the_weights():
+    conv = QConv(np.ones((3, 2, 1, 4)), quantize_input=False)
+    assert (conv.kernel_h, conv.kernel_w, conv.in_channels, conv.out_channels) == (3, 2, 1, 4)
+    dense = QDense(np.ones((16, 5)))
+    assert (dense.in_features, dense.out_features) == (16, 5)
+    net = Network((4, 3, 1), (conv, Flatten(), dense))
+    assert net.num_classes == 5 and net.layer_shapes()[-1] == (5,)
+
+
+@pytest.mark.parametrize("gamma, variance", [(1.0, 0.0), (1e200, 1e-300)],
+                         ids=["zero-variance", "overflowing-slope"])
+def test_net_whose_bounds_prove_a_falsifiable_box_is_refused(gamma, variance):
+    """X_0 in [1, 2] goes through a raw 1x1 conv into a batch norm with
+    mean 1, eps 0 and an infinite slope.  At X_0 = 1 the norm computes
+    0 * inf = NaN, whose sign is -1 on both interval corners, so ibp and
+    bab would prove label 1; at X_0 = 2 the sign is +1 and label 0 wins."""
+    with pytest.raises(InvalidModelError, match="channel 0"):
+        Network((1, 1, 1), (QConv(np.ones((1, 1, 1, 1)), quantize_input=False),
+                            BatchNorm([gamma], [0.0], [1.0], [variance], eps=0.0),
+                            Flatten(), QDense(np.array([[1.0, -1.0]]))))
 
 
 def test_count_params_total():

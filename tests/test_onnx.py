@@ -38,13 +38,12 @@ def multi_channel_net(seed=0):
     skeleton = Network(
         input_shape=(6, 6, 3),
         layers=(
-            QConv(4, 3, 3, np.ones((3, 3, 3, 4)), quantize_input=False),
+            QConv(np.ones((3, 3, 3, 4)), quantize_input=False),
             BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4)),
-            QConv(5, 2, 2, np.ones((2, 2, 4, 5)), quantize_input=True),
+            QConv(np.ones((2, 2, 4, 5)), quantize_input=True),
             Flatten(),
-            QDense(4, np.ones((3 * 3 * 5, 4)), quantize_input=True),
+            QDense(np.ones((3 * 3 * 5, 4)), quantize_input=True),
         ),
-        num_classes=4,
     )
     return with_random_weights(skeleton, rng, pixel_max=16)
 
@@ -54,13 +53,12 @@ def pooled_net(seed=0):
     skeleton = Network(
         input_shape=(7, 7, 2),
         layers=(
-            QConv(3, 2, 2, np.ones((2, 2, 2, 3)), quantize_input=False),
+            QConv(np.ones((2, 2, 2, 3)), quantize_input=False),
             MaxPool(),
             BatchNorm(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3)),
             Flatten(),
-            QDense(3, np.ones((3 * 3 * 3, 3)), quantize_input=True),
+            QDense(np.ones((3 * 3 * 3, 3)), quantize_input=True),
         ),
-        num_classes=3,
     )
     return with_random_weights(skeleton, rng, pixel_max=16)
 
@@ -179,13 +177,12 @@ class TestRoundTrip:
         net = Network(
             input_shape=(2, 2, 1),
             layers=(
-                QConv(2, 2, 2, np.ones((2, 2, 1, 2)), quantize_input=False),
+                QConv(np.ones((2, 2, 1, 2)), quantize_input=False),
                 BatchNorm(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2),
                           eps=0.25),
                 Flatten(),
-                QDense(2, np.ones((2, 2)), quantize_input=True),
+                QDense(np.ones((2, 2)), quantize_input=True),
             ),
-            num_classes=2,
         )
         back = parse_model(serialize_model(net))
         bn = [l for l in back.layers if isinstance(l, BatchNorm)][0]
@@ -498,8 +495,7 @@ class TestRejections:
         w = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
         net = Network(
             input_shape=(2, 2, 1),
-            layers=(Flatten(), QDense(2, w, quantize_input=False)),
-            num_classes=2,
+            layers=(Flatten(), QDense(w, quantize_input=False)),
         )
         data = serialize_model(net)
         one = struct.pack("<f", 1.0)
@@ -520,26 +516,49 @@ class TestRejections:
     ])
     def test_batch_norm_without_a_finite_slope_rejected(self, field, value, channel):
         # interval bounds spread the NaN of 0 * inf, and a sign reads NaN
-        # as a definite phase, so such a channel would give wrong proofs
+        # as a definite phase, so such a channel would give wrong proofs.
+        # No such layer can be built, so the file is written with marker
+        # values in ``field`` and the bad value patched into its bytes.
         params = dict(gamma=[1.0, 1.0], beta=[0.0, 0.0], moving_mean=[0.0, 0.0],
                       moving_variance=[1.0, 1.0], eps=0.0)
-        params[field] = value
+        params[field] = marker = 0.375 if field == "eps" else [1.375, 1.625]
         net = Network(
             input_shape=(1, 1, 1),
-            layers=(QConv(2, 1, 1, np.ones((1, 1, 1, 2)), quantize_input=False),
-                    BatchNorm(**params), Flatten(), QDense(2, np.ones((2, 2)))),
-            num_classes=2,
+            layers=(QConv(np.ones((1, 1, 1, 2)), quantize_input=False),
+                    BatchNorm(**params), Flatten(), QDense(np.ones((2, 2)))),
         )
+        data = serialize_model(net)
+        for old, new in zip(np.ravel(marker), np.ravel(value)):
+            old, new = struct.pack("<f", old), struct.pack("<f", new)
+            assert data.count(old) == 1
+            data = data.replace(old, new)
         with pytest.raises(InvalidModelError, match=f"'bn_1' {channel}"):
-            parse_model(serialize_model(net))
+            parse_model(data)
+
+    @pytest.mark.parametrize("params, where", [
+        (([1.0], [0.0], [0.0], [1e-46], 0.0), "channel 0"),  # variance rounds to 0
+        (([1e300], [0.0], [0.0], [1.0], 0.0), "channel 0"),  # gamma rounds to inf
+        (([1.0], [0.0], [0.0], [1.0], 1e300), "epsilon"),  # eps rounds to inf
+    ])
+    def test_batch_norm_without_a_finite_slope_at_float32_not_written(self, params,
+                                                                      where):
+        # finite slopes in memory, which the file's 32-bit floats lose
+        *vectors, eps = params
+        net = Network(
+            input_shape=(1, 1, 1),
+            layers=(QConv(np.ones((1, 1, 1, 1)), quantize_input=False),
+                    BatchNorm(*vectors, eps=eps), Flatten(),
+                    QDense(np.array([[1.0, -1.0]]))),
+        )
+        with pytest.raises(InvalidModelError, match=f"'bn_1' {where}"):
+            serialize_model(net)
 
     def test_batch_norm_with_zero_variance_and_positive_eps_accepted(self):
         net = Network(
             input_shape=(1, 1, 1),
-            layers=(QConv(2, 1, 1, np.ones((1, 1, 1, 2)), quantize_input=False),
+            layers=(QConv(np.ones((1, 1, 1, 2)), quantize_input=False),
                     BatchNorm([1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0], eps=0.5),
-                    Flatten(), QDense(2, np.ones((2, 2)))),
-            num_classes=2,
+                    Flatten(), QDense(np.ones((2, 2)))),
         )
         assert parse_model(serialize_model(net)) == net
 

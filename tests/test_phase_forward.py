@@ -169,14 +169,14 @@ def raw_dense_network(rng):
     """A raw first QConv feeds a quantized QConv through a BatchNorm, and
     the QDense reads the quantized QConv's float64 output unquantized."""
     layers = (
-        QConv(2, 2, 2, rng.choice([-1.0, 1.0], size=(2, 2, 1, 2)), False),
+        QConv(rng.choice([-1.0, 1.0], size=(2, 2, 1, 2)), False),
         BatchNorm(gamma=np.array([1.0, -0.5]), beta=np.array([0.25, 0.0]),
                   moving_mean=np.array([6.0, -2.0]), moving_variance=np.array([4.0, 1.0])),
-        QConv(3, 2, 2, rng.choice([-1.0, 1.0], size=(2, 2, 2, 3)), True),
+        QConv(rng.choice([-1.0, 1.0], size=(2, 2, 2, 3)), True),
         Flatten(),
-        QDense(3, rng.choice([-1.0, 1.0], size=(27, 3)), quantize_input=False),
+        QDense(rng.choice([-1.0, 1.0], size=(27, 3)), quantize_input=False),
     )
-    return Network(input_shape=(5, 5, 1), layers=layers, num_classes=3)
+    return Network(input_shape=(5, 5, 1), layers=layers)
 
 
 @pytest.mark.parametrize("kind", ["grid", "uniform"])
@@ -204,13 +204,13 @@ def dense_boundary_network(rng):
     gamma = rng.choice([-1.0, 1.0], size=hidden) * rng.uniform(0.5, 2.0, size=hidden)
     layers = (
         Flatten(),
-        QDense(hidden, rng.choice([-1.0, 1.0], size=(9, hidden)), quantize_input=False),
+        QDense(rng.choice([-1.0, 1.0], size=(9, hidden)), quantize_input=False),
         BatchNorm(gamma=gamma, beta=rng.uniform(-1.0, 1.0, size=hidden),
                   moving_mean=rng.integers(-8, 9, size=hidden).astype(np.float64),
                   moving_variance=rng.uniform(0.5, 4.0, size=hidden)),
-        QDense(3, rng.choice([-1.0, 1.0], size=(hidden, 3)), quantize_input=True),
+        QDense(rng.choice([-1.0, 1.0], size=(hidden, 3)), quantize_input=True),
     )
-    return Network(input_shape=(3, 3, 1), layers=layers, num_classes=3)
+    return Network(input_shape=(3, 3, 1), layers=layers)
 
 
 @pytest.mark.parametrize("kind", ["grid", "uniform"])
@@ -229,7 +229,7 @@ def test_network_whose_raw_qdense_reaches_a_boundary(kind):
 
 def test_a_network_without_a_boundary_has_nothing_to_skip():
     w = np.random.default_rng(0).choice([-1.0, 1.0], size=(4, 3))
-    net = Network((2, 2, 1), (Flatten(), QDense(3, w, quantize_input=False)), 3)
+    net = Network((2, 2, 1), (Flatten(), QDense(w, quantize_input=False)))
     prop = make_property(np.ones((2, 2, 1)), epsilon=1, label=0, num_outputs=3)
     box = sampling_box(net, *integer_grid_bounds(prop))
     assert phase_forward(net, ibp_trace(net, box)) is None

@@ -48,8 +48,8 @@ def write_instance(tmp_path, net, image, epsilon, label):
 
 
 def brittle_net():
-    return Network((1, 4, 1), (Flatten(), QDense(3, np.array(BRITTLE_W),
-                                                 quantize_input=False)), 3)
+    return Network((1, 4, 1), (Flatten(), QDense(np.array(BRITTLE_W),
+                                                 quantize_input=False)))
 
 
 def engine_choices(parser, command):
@@ -79,7 +79,7 @@ class TestMargin:
 
 
 class TestOneClassNetwork:
-    net = Network((1, 2, 1), (Flatten(), QDense(1, np.ones((2, 1)))), 1)
+    net = Network((1, 2, 1), (Flatten(), QDense(np.ones((2, 1)))))
     prop = make_property(np.array([1.0, 2.0]).reshape(1, 2, 1), 1, 0,
                          num_outputs=1)
 
@@ -138,7 +138,7 @@ class TestCliNoAnswer:
         # 4x4 grid at eps 2 is 5^16 points, far past the refusal budget
         rng = np.random.default_rng(0)
         net = Network((4, 4, 1), (Flatten(), QDense(
-            3, rng.choice([-1.0, 1.0], size=(16, 3)), quantize_input=False)), 3)
+            rng.choice([-1.0, 1.0], size=(16, 3)), quantize_input=False)))
         img = rng.integers(0, 9, size=(4, 4, 1)).astype(float)
         model, prop = write_instance(tmp_path, net, img, 2, predict(net, img))
         code, out, err = run_cli("verify", model, prop, "--engine", "brute")
@@ -302,7 +302,7 @@ def two_model_suite(tmp_path):
     models, pool = [], []
     for name in ("m0", "m1"):
         net = Network((2, 2, 1), (Flatten(), QDense(
-            3, rng.choice([-1.0, 1.0], size=(4, 3)), quantize_input=False)), 3)
+            rng.choice([-1.0, 1.0], size=(4, 3)), quantize_input=False)))
         models.append((name, net))
         for _ in range(2):
             img = rng.integers(0, 9, size=(2, 2, 1)).astype(float)

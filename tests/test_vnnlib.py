@@ -43,9 +43,8 @@ def small_dense_net(num_inputs, columns):
         input_shape=(side, side, 1),
         layers=(
             Flatten(),
-            QDense(out_features=w.shape[1], weights=w, quantize_input=False),
+            QDense(weights=w, quantize_input=False),
         ),
-        num_classes=w.shape[1],
     )
 
 
