@@ -21,7 +21,7 @@ from .runner import (
     summarize_records,
     write_witness,
 )
-from .scoring import ScoreRow, format_score_table, render_score_csv, score_results
+from .scoring import ScoreRow, format_score_table, score_results
 
 __all__ = [
     "DEFAULT_EPSILONS",
@@ -39,7 +39,6 @@ __all__ = [
     "read_instances",
     "render_instances_csv",
     "render_results_csv",
-    "render_score_csv",
     "run_instances",
     "save_ppm",
     "score_results",

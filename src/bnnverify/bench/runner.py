@@ -15,6 +15,7 @@ import functools
 import io
 import logging
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -66,10 +67,13 @@ def load_property(path):
         return parse_property(fh.read())
 
 
-def write_witness(out_dir, instance, text) -> str:
-    """Write ``text`` as <instance-stem>.witness.txt under ``out_dir``;
-    return its path."""
-    stem = os.path.splitext(os.path.basename(instance))[0]
+def _stem(path):
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def write_witness(out_dir, stem, text) -> str:
+    """Write ``text`` as <stem>.witness.txt under ``out_dir``; return its
+    path."""
     path = os.path.join(out_dir, f"{stem}.witness.txt")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -103,8 +107,20 @@ def answer(net, prop, engine, deadline, attack) -> VerdictRecord:
     return VerdictRecord("", "sat", seconds, detail=format_witness(verdict.witness))
 
 
-def _run_one(inst, engine, attack, load):
-    """Load one instance and answer it; never raises."""
+def _witness_stems(instances):
+    """Each instance's witness file stem: its property's stem, or, where
+    that stem repeats in the run, ``<model-stem>.<property-stem>``, since
+    two models can share one property file."""
+    props = [_stem(inst.property_path) for inst in instances]
+    repeats = Counter(props)
+    return [f"{_stem(inst.model_path)}.{p}" if repeats[p] > 1 else p
+            for inst, p in zip(instances, props)]
+
+
+def _run_one(inst, engine, attack, load, out_dir, stem):
+    """Load one instance and answer it, writing a sat row's witness as
+    ``<stem>.witness.txt`` under ``out_dir`` when that is set; raises
+    only if that write fails."""
     name = inst.property_path
     deadline = Deadline(inst.timeout_seconds)  # the load counts against it
     try:
@@ -126,6 +142,9 @@ def _run_one(inst, engine, attack, load):
     if record.verdict == "error":
         log.log(logging.ERROR if record.penalty else logging.WARNING,
                 "error on %s: %s", name, record.detail)
+    if record.verdict == "sat" and out_dir is not None:
+        record = replace(record, detail="",
+                         witness_path=write_witness(out_dir, stem, record.detail))
     return replace(record, instance=name)
 
 
@@ -137,8 +156,10 @@ def run_instances(csv_path, engine="falsify", parallelism=1, seed=0,
     so its instances share it); a file that fails to load gives an error
     row for every instance that names it.  ``attack`` overrides the
     falsify engine's sample/pass budget (default ``AttackConfig(seed=seed)``).
-    With out_dir set, each valid witness is written there as
-    <instance-stem>.witness.txt and referenced from its record.
+    With out_dir set, each valid witness is written there when its row is
+    answered, as <property-stem>.witness.txt, or as
+    <model-stem>.<property-stem>.witness.txt where property stems repeat
+    in the CSV, and is referenced from its record.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -148,22 +169,20 @@ def run_instances(csv_path, engine="falsify", parallelism=1, seed=0,
     if attack is None:
         attack = AttackConfig(seed=seed)
     instances = read_instances(csv_path)
+    stems = [None] * len(instances)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        stems = _witness_stems(instances)
     # lru_cache keeps no exception, so a failed load is retried per instance
     cached_load = functools.lru_cache(maxsize=None)(load_model)
     if parallelism == 1:
-        records = [_run_one(inst, engine, attack, cached_load)
-                   for inst in instances]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(_run_one, inst, engine, attack, cached_load)
-                       for inst in instances]
-            records = [f.result() for f in futures]
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        records = [replace(r, witness_path=write_witness(out_dir, r.instance,
-                                                         r.detail), detail="")
-                   if r.verdict == "sat" else r for r in records]
-    return records
+        return [_run_one(inst, engine, attack, cached_load, out_dir, stem)
+                for inst, stem in zip(instances, stems)]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        futures = [pool.submit(_run_one, inst, engine, attack, cached_load,
+                               out_dir, stem)
+                   for inst, stem in zip(instances, stems)]
+        return [f.result() for f in futures]
 
 
 def render_results_csv(records) -> str:

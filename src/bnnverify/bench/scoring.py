@@ -1,7 +1,5 @@
 """Competition scoring: 10 points per correct answer, -150 per penalty."""
 
-import csv
-import io
 from dataclasses import dataclass
 
 CORRECT_POINTS = 10
@@ -15,17 +13,16 @@ class ScoreRow:
     falsified: int
     fastest: int  # tracked for the table, not weighted in the score
     penalty: int
-    score: int
     percent: float
 
-    def __post_init__(self):
-        expect = CORRECT_POINTS * (self.verified + self.falsified) \
-            - PENALTY_POINTS * self.penalty
-        if self.score != expect:
-            raise ValueError(
-                f"{self.tool_name}: score {self.score} != {expect} implied "
-                "by the counts"
-            )
+    @property
+    def score(self) -> int:
+        """Read off the counts, so it cannot disagree with them."""
+        return _score(self.verified, self.falsified, self.penalty)
+
+
+def _score(verified, falsified, penalty):
+    return CORRECT_POINTS * (verified + falsified) - PENALTY_POINTS * penalty
 
 
 def score_results(counts) -> list:
@@ -37,18 +34,14 @@ def score_results(counts) -> list:
     counts = list(counts)
     if not counts:
         raise ValueError("no tool counts to score")
-    scored = []
+    scores = []
     for name, verified, falsified, fastest, penalty in counts:
         if min(verified, falsified, fastest, penalty) < 0:
             raise ValueError(f"{name}: counts must be non-negative")
-        score = CORRECT_POINTS * (verified + falsified) - PENALTY_POINTS * penalty
-        scored.append((name, verified, falsified, fastest, penalty, score))
-    best = max(s[-1] for s in scored)
-    rows = []
-    for name, verified, falsified, fastest, penalty, score in scored:
-        percent = 100.0 * max(0, score) / best if best > 0 else 0.0
-        rows.append(ScoreRow(name, verified, falsified, fastest, penalty,
-                             score, percent))
+        scores.append(_score(verified, falsified, penalty))
+    best = max(scores)
+    rows = [ScoreRow(*c, 100.0 * max(0, score) / best if best > 0 else 0.0)
+            for c, score in zip(counts, scores)]
     rows.sort(key=lambda r: (-r.score, r.tool_name))
     return rows
 
@@ -70,12 +63,3 @@ def format_score_table(rows) -> str:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines) + "\n"
 
-
-def render_score_csv(rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_COLUMNS)
-    for rank, r in enumerate(rows, start=1):
-        writer.writerow([rank, r.tool_name, r.verified, r.falsified,
-                         r.fastest, r.penalty, r.score, f"{r.percent:.0f}"])
-    return out.getvalue()

@@ -173,7 +173,8 @@ def cmd_verify(args):
     print(verdict)
     if verdict == "sat":
         os.makedirs(args.out, exist_ok=True)
-        print(f"witness {write_witness(args.out, args.property, record.detail)}")
+        stem = os.path.splitext(os.path.basename(args.property))[0]
+        print(f"witness {write_witness(args.out, stem, record.detail)}")
     return _VERDICT_EXIT[verdict]
 
 
@@ -210,10 +211,10 @@ def _counts_spec(text):
             f"{text!r}: expected NAME:VERIFIED:FALSIFIED:FASTEST:PENALTY"
         )
     try:
-        return (parts[0],) + tuple(int(p) for p in parts[1:])
-    except ValueError:
+        return (parts[0],) + tuple(_non_negative_int(p) for p in parts[1:])
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
-            f"{text!r}: counts must be integers"
+            f"{text!r}: counts must be non-negative integers"
         ) from None
 
 
@@ -239,7 +240,7 @@ _positive_int = _number(int, lambda v: v > 0, "a positive int")
 # bench's --timeout, written into the instance CSV as a number of seconds
 _positive_float = _number(float, lambda v: v > 0 and math.isfinite(v),
                           "a finite positive float")
-_seed = _number(int, lambda v: v >= 0, "a non-negative int")
+_non_negative_int = _number(int, lambda v: v >= 0, "a non-negative int")
 _epsilon = _number(float, _finite_non_negative, "a finite non-negative number")
 # a float reads "1e3" as 1000, and a number past float as inf
 _epsilon_list = _number(
@@ -273,9 +274,9 @@ def build_parser():
     p.add_argument("model")
     p.add_argument("image", help="PPM (P6) image file")
     p.add_argument("--epsilon", type=_epsilon, required=True)
-    p.add_argument("--label", type=int, default=None,
+    p.add_argument("--label", type=_non_negative_int, default=None,
                    help="target label (default: the model's prediction)")
-    p.add_argument("--index", type=int, default=0,
+    p.add_argument("--index", type=_non_negative_int, default=0,
                    help="image index used in the property filename")
     p.add_argument("--clip", action="store_true",
                    help="clip bounds to the [0, 255] pixel range")
@@ -287,7 +288,7 @@ def build_parser():
     p.add_argument("--models", default=None, help="directory of .onnx models")
     p.add_argument("--images", default=None,
                    help="directory of <label>_*.ppm images")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--epsilons", type=_epsilon_list, default="1,3,5,10,15")
     p.add_argument("--timeout", type=_positive_float, default=480.0)
     p.add_argument("--out", default="benchmark")
@@ -298,7 +299,7 @@ def build_parser():
     p.add_argument("property")
     p.add_argument("--engine", choices=tuple(ENGINES), default="bab")
     p.add_argument("--timeout", type=_timeout, default=None)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default=".",
                    help="directory for the witness file on sat")
     p.set_defaults(func=cmd_verify)
@@ -306,7 +307,7 @@ def build_parser():
     p = sub.add_parser("falsify", help="search for a counterexample")
     p.add_argument("model")
     p.add_argument("property")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--timeout", type=_timeout, default=None)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_verify, engine="falsify")
@@ -321,7 +322,7 @@ def build_parser():
     p.add_argument("csv")
     p.add_argument("--engine", choices=tuple(ENGINES), default="falsify")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default="results")
     p.set_defaults(func=cmd_run)
 

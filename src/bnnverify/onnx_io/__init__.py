@@ -7,7 +7,6 @@ from .codec import (
     parse_model,
     serialize_model,
 )
-from .wire import decode_varint, encode_varint
 
 __all__ = [
     "ONNX_OPSET",
@@ -15,6 +14,4 @@ __all__ = [
     "network_from_records",
     "parse_model",
     "serialize_model",
-    "decode_varint",
-    "encode_varint",
 ]

@@ -4,8 +4,10 @@ Supported graph shape: a single chain of
 Conv / Sign / MaxPool / BatchNormalization / Flatten (or an equivalent
 Reshape) / MatMul (or a plain Gemm), starting at one rank-4 input laid
 out channel-first.  The internal representation is channel-last, so
-convolution weights are transposed and the weight rows of the first
-dense layer after a flatten are permuted at this boundary.
+convolution weights are transposed, and past a flatten the flat axis is
+reordered by one permutation (``_flatten_permutation``), read in and
+its inverse written out: the vectors of every batch norm between the
+flatten and the next dense layer, and that dense layer's weight rows.
 
 Float tensors stay 32-bit; a ``raw_data`` payload is a read-only ``<f4``
 view of the model bytes.  Each layer constructor is the one check of its
@@ -461,12 +463,9 @@ def _bn_vector(graph, node, tensor_name, channels, role):
 
 
 def _flatten_permutation(h, w, c):
-    """Row map taking channel-first flat order to channel-last flat order."""
+    """Index map from channel-last flat order into channel-first flat
+    order: ``internal = file[perm]``, and ``file = internal[argsort(perm)]``."""
     return np.arange(c * h * w).reshape(c, h, w).transpose(1, 2, 0).ravel()
-
-
-def _inverse_flatten_permutation(h, w, c):
-    return np.arange(h * w * c).reshape(h, w, c).transpose(2, 0, 1).ravel()
 
 
 def network_from_records(model: ModelRecord) -> Network:
@@ -527,7 +526,7 @@ def network_from_records(model: ModelRecord) -> Network:
     layers = []
     shape = (height, width, chan)  # channel-last, as output_shape reports it
     pending_sign = False
-    perm = None  # pending row map for the first dense after a flatten
+    perm = None  # flat-axis map, from a flatten to the next dense layer
     current = entry.name
     visited = 0
 
@@ -588,11 +587,12 @@ def network_from_records(model: ModelRecord) -> Network:
             beta = _bn_vector(graph, node, node.inputs[2], channels, "shift")
             mean = _bn_vector(graph, node, node.inputs[3], channels, "mean")
             var = _bn_vector(graph, node, node.inputs[4], channels, "variance")
-            if perm is not None:
-                gamma, beta = gamma[perm], beta[perm]
-                mean, var = mean[perm], var[perm]
+            # checked in file order, so an error names the file's channel
             layer = _built(f"batch norm '{node.name}'", BatchNorm,
                            gamma, beta, mean, var, eps=attrs["epsilon"])
+            if perm is not None:
+                layer = BatchNorm(gamma[perm], beta[perm], mean[perm],
+                                  var[perm], eps=attrs["epsilon"])
 
         elif op in ("Flatten", "Reshape"):
             if len(shape) != 3:
@@ -760,7 +760,7 @@ def serialize_model(net: Network, *, graph_name: str = "bnn") -> bytes:
     inits = []
     current = "input"
     next_id = 0
-    flat_src = None  # channel-last shape feeding the pending permutation
+    order = None  # file order of the flat axis, from a flatten to a dense
 
     def fresh():
         nonlocal next_id
@@ -806,9 +806,12 @@ def serialize_model(net: Network, *, graph_name: str = "bnn") -> bytes:
 
         elif isinstance(layer, BatchNorm):
             names = [f"bn{i}_scale", f"bn{i}_shift", f"bn{i}_mean", f"bn{i}_var"]
+            vectors = (layer.gamma, layer.beta, layer.moving_mean,
+                       layer.moving_variance)
+            if order is not None:
+                vectors = [v[order] for v in vectors]
             with np.errstate(over="ignore"):  # a value past float32 reads as inf
-                stored = [v.astype(np.float32) for v in (
-                    layer.gamma, layer.beta, layer.moving_mean, layer.moving_variance)]
+                stored = [v.astype(np.float32) for v in vectors]
                 eps = np.float32(layer.eps)
             # the layer parse_model will build from these bytes
             _built(f"batch norm 'bn_{i}'", BatchNorm, *stored, eps=float(eps))
@@ -828,15 +831,14 @@ def serialize_model(net: Network, *, graph_name: str = "bnn") -> bytes:
                 attrs=[_attr_int_bytes("axis", 1)],
             ))
             current = out
-            flat_src = shapes[i]  # (h, w, c) feeding this flatten
+            order = np.argsort(_flatten_permutation(*shapes[i]))
 
         else:  # QDense
             weight_name = f"dense{i}_w"
             matrix = layer.weights
-            if flat_src is not None:
-                fh, fw, fc = flat_src
-                matrix = matrix[_inverse_flatten_permutation(fh, fw, fc), :]
-                flat_src = None
+            if order is not None:
+                matrix = matrix[order, :]
+                order = None
             inits.append(_float_tensor_bytes(weight_name, matrix))
             out = fresh()
             nodes.append(_node_bytes(

@@ -8,12 +8,11 @@ from .intervals import (
     property_box,
     verify_ibp,
 )
-from .brute import DEFAULT_ENUMERATION_BUDGET, brute_force_verify, integer_grid_bounds
+from .brute import brute_force_verify, integer_grid_bounds
 from .bab import bab_verify
 from .cnf import (
     CnfBuilder,
     CnfFormula,
-    binary_suffix_forward,
     dpll_satisfiable,
     export_cnf,
     format_varmap,
@@ -32,13 +31,11 @@ __all__ = [
     "ibp_trace",
     "property_box",
     "verify_ibp",
-    "DEFAULT_ENUMERATION_BUDGET",
     "brute_force_verify",
     "integer_grid_bounds",
     "bab_verify",
     "CnfBuilder",
     "CnfFormula",
-    "binary_suffix_forward",
     "dpll_satisfiable",
     "export_cnf",
     "format_varmap",

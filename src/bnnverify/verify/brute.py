@@ -34,12 +34,13 @@ def integer_grid_bounds(prop):
     return g_lo, g_hi
 
 
-def brute_force_verify(net, prop, deadline=None, max_points=DEFAULT_ENUMERATION_BUDGET):
+def brute_force_verify(net, prop, deadline=None):
     """Enumerate every integer point of the box in lexicographic order.
 
     Falsified with the first counterexample in that order, else Verified.
-    Boxes larger than ``max_points`` points raise EnumerationBudgetError: a
-    refusal, deliberately distinct from an Unknown verdict.  Points are
+    Boxes of more than ``DEFAULT_ENUMERATION_BUDGET`` points (read at call
+    time) raise EnumerationBudgetError: a refusal, deliberately distinct
+    from an Unknown verdict.  Points are
     forwarded ``images_per_batch(net)`` at a time.
     ``deadline`` (a ``Deadline``; None: a fresh one with no limit) is
     tested before each batch: once it has expired the answer is Timeout,
@@ -53,8 +54,8 @@ def brute_force_verify(net, prop, deadline=None, max_points=DEFAULT_ENUMERATION_
     total = 1
     for n in counts:
         total *= int(n)
-    if total > max_points:
-        raise EnumerationBudgetError(points=total, budget=max_points)
+    if total > DEFAULT_ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(points=total, budget=DEFAULT_ENUMERATION_BUDGET)
 
     # mixed-radix decode of point index -> coordinates; dimension 0 is the
     # most significant digit, matching lexicographic tuple order

@@ -40,7 +40,6 @@ __all__ = [
     "CnfFormula",
     "CnfBuilder",
     "counter_geq",
-    "require_geq",
     "export_cnf",
     "format_varmap",
     "dpll_satisfiable",
@@ -154,23 +153,6 @@ def counter_geq(builder, lits, k):
             builder.add([-a, s])
             builder.add([-x, -c, s])
     return regs[n - 1][k - 1]
-
-
-def require_geq(builder, lits, k):
-    """Assert at-least-k of ``lits`` directly (no indicator literal).
-
-    k == 1 is a plain disjunction clause; larger k goes through the
-    counter; impossible k yields the empty clause.
-    """
-    n = len(lits)
-    if k <= 0:
-        return
-    if k > n:
-        builder.add([])
-    elif k == 1:
-        builder.add(list(lits))
-    else:
-        builder.add([counter_geq(builder, lits, k)])
 
 
 def _or_literal(builder, lits):
@@ -372,7 +354,7 @@ def _encode_property(builder, sums, lin, prop):
             if lit > 0 and lit not in builder.names:
                 builder.names[lit] = f"rival Y{j}>=Y{t}"
         rival_lits.append(lit)
-    require_geq(builder, rival_lits, 1)
+    builder.add(rival_lits)
 
 
 def export_cnf(net, prop, fixed_first_layer_phases):
@@ -454,20 +436,14 @@ def _propagate(clauses, assign):
             return clauses, assign
 
 
-def dpll_satisfiable(formula, assumptions=()):
+def dpll_satisfiable(formula):
     """Toy DPLL: a full {var: bool} model on SAT, None on UNSAT.
 
     Intended for the exported formulas' scale (unit propagation resolves
     all counter registers once the phases are decided), not for general
-    SAT workloads.  ``assumptions`` are extra unit literals.
+    SAT workloads.
     """
-    base = [tuple(c) for c in formula.clauses]
-    for lit in assumptions:
-        lit = int(lit)
-        if lit == 0 or abs(lit) > formula.num_vars:
-            raise ValueError(f"bad assumption literal {lit}")
-        base.append((lit,))
-    stack = [(base, {})]
+    stack = [(list(formula.clauses), {})]
     while stack:
         clauses, assign = stack.pop()
         result = _propagate(clauses, assign)

@@ -144,17 +144,6 @@ class IntervalTensor:
     def shape(self):
         return self.lo.shape
 
-    def width(self):
-        return self.hi - self.lo
-
-    def contains(self, values):
-        v = np.asarray(values, dtype=np.float64)
-        return (
-            v.shape == self.shape
-            and bool(np.all(self.lo <= v))
-            and bool(np.all(v <= self.hi))
-        )
-
 
 def _fan_in_sum(t, layer):
     """``t @ |W|``, the sum of ``t`` over each output's receptive field."""
@@ -517,13 +506,11 @@ def _window_dots(layer, i, shape_in, free_out):
     """The unquantized ``QConv`` at ``i``, only at the flat output entries
     ``free_out``: one dot of its window with its weight column each."""
     kh, kw, c, out = layer.weights.shape
-    w = shape_in[1]
     unit, channel = np.divmod(free_out, out)
-    row, col = np.divmod(unit, w - kw + 1)
-    # flat input index of each window entry, in the (kh, kw, C) weight order
-    offsets = np.arange(kh)[:, None, None] * w + np.arange(kw)[:, None]
-    offsets = (offsets * c + np.arange(c)).reshape(-1)
-    reads = ((row * w + col) * c)[:, None] + offsets
+    row, col = np.divmod(unit, shape_in[1] - kw + 1)
+    # flat input index of each window entry, in the weights' window order
+    flat = np.arange(np.prod(shape_in)).reshape(shape_in)
+    reads = conv_windows(flat, kh, kw)[row, col].reshape(len(row), kh * kw * c)
     columns = layer.weights.reshape(-1, out)[:, channel].T.astype(np.float64)
 
     def dots(t):

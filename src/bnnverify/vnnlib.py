@@ -43,8 +43,8 @@ def _fill(template: str, *columns) -> str:
     return text.replace(" -0.00000000", " 0.00000000")
 
 
-def _check_bounds(lo, hi, error_cls):
-    """Raise ``error_cls`` naming the first X_i whose bounds are NaN,
+def _check_bounds(lo, hi):
+    """Raise ValueError naming the first X_i whose bounds are NaN,
     infinite or crossed.  An infinite bound is refused because interval
     arithmetic on it gives ``inf - inf = NaN``, which a sign then reads as
     a definite phase."""
@@ -52,10 +52,10 @@ def _check_bounds(lo, hi, error_cls):
     if bad.any():
         i = int(np.argmax(bad))
         if np.isnan(lo[i]) or np.isnan(hi[i]):
-            raise error_cls(f"NaN bound for X_{i}: [{lo[i]}, {hi[i]}]")
+            raise ValueError(f"NaN bound for X_{i}: [{lo[i]}, {hi[i]}]")
         if np.isinf(lo[i]) or np.isinf(hi[i]):
-            raise error_cls(f"infinite bound for X_{i}: [{lo[i]}, {hi[i]}]")
-        raise error_cls(f"crossed bounds for X_{i}: [{lo[i]}, {hi[i]}]")
+            raise ValueError(f"infinite bound for X_{i}: [{lo[i]}, {hi[i]}]")
+        raise ValueError(f"crossed bounds for X_{i}: [{lo[i]}, {hi[i]}]")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -87,7 +87,7 @@ class RobustnessProperty:
                 f"target label {target_label} outside [0, {num_outputs})")
         pairs = pairs.reshape(num_inputs, 2)
         lo, hi = pairs[:, 0].copy(), pairs[:, 1].copy()
-        _check_bounds(lo, hi, ValueError)
+        _check_bounds(lo, hi)
         lo.flags.writeable = hi.flags.writeable = False
         for name, value in dict(num_inputs=num_inputs, num_outputs=num_outputs,
                                 target_label=target_label, source=source,

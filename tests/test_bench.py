@@ -13,7 +13,6 @@ import pytest
 from bnnverify.arch import random_tiny_network
 from bnnverify.bench import (
     BenchmarkInstance,
-    ScoreRow,
     VerdictRecord,
     format_score_table,
     generate_benchmark,
@@ -21,7 +20,6 @@ from bnnverify.bench import (
     read_instances,
     render_instances_csv,
     render_results_csv,
-    render_score_csv,
     run_instances,
     save_ppm,
     score_results,
@@ -306,6 +304,35 @@ class TestRunner:
             if r.verdict != "sat":
                 assert r.witness_path == ""
 
+    def test_models_sharing_a_property_get_their_own_witness_files(self, tmp_path):
+        # X_2 is pinned at 2, so each model's only counterexample in the
+        # box is the other's robust point: a at (2, 0, 2), b at (0, 2, 2)
+        def toy(rows):
+            return Network(input_shape=(1, 3, 1),
+                           layers=(Flatten(), QDense(rows, quantize_input=False)))
+        nets = {"a.onnx": toy([[-1, 1], [1, -1], [1, -1]]),
+                "b.onnx": toy([[1, -1], [-1, 1], [1, -1]])}
+        for name, net in nets.items():
+            (tmp_path / name).write_bytes(serialize_model(net))
+        box = RobustnessProperty(3, 2, [(0, 2), (0, 2), (2, 2)], 0)
+        for name in ("shared.vnnlib", "own.vnnlib"):
+            (tmp_path / name).write_text(render_property(box))
+        (tmp_path / "instances.csv").write_text(
+            "a.onnx,shared.vnnlib,30\nb.onnx,shared.vnnlib,30\n"
+            "b.onnx,own.vnnlib,30\n")
+        out = tmp_path / "results"
+        records = run_instances(str(tmp_path / "instances.csv"), engine="brute",
+                                out_dir=str(out))
+        assert [r.verdict for r in records] == ["sat"] * 3
+        for r, model in zip(records, ("a.onnx", "b.onnx", "b.onnx")):
+            w = parse_witness(Path(r.witness_path).read_text())
+            assert check_witness(nets[model], box, w)
+            other = nets["b.onnx" if model == "a.onnx" else "a.onnx"]
+            assert not check_witness(other, box, w)
+        # a property stem unique in the run keeps the plain name
+        assert [os.path.basename(r.witness_path) for r in records] == [
+            "a.shared.witness.txt", "b.shared.witness.txt", "own.witness.txt"]
+
     def test_unreadable_instance_is_error_row_and_run_continues(self, tmp_path):
         csv_path = tiny_suite(tmp_path, epsilons=(0,))
         with open(csv_path) as fh:
@@ -501,8 +528,6 @@ class TestScoring:
     def test_score_formula_and_row_invariant(self):
         (row,) = score_results([("t", 2, 3, 1, 1)])
         assert row.score == 10 * 5 - 150
-        with pytest.raises(ValueError, match="implied"):
-            ScoreRow("t", 1, 1, 0, 0, 99, 100.0)
 
     def test_fastest_does_not_affect_score(self):
         a = score_results([("t", 0, 5, 0, 0)])[0]
@@ -529,5 +554,3 @@ class TestScoring:
         )
         assert lines[1].startswith("1")
         assert "Marabou" in lines[1] and "100%" in lines[1]
-        csv_text = render_score_csv(rows)
-        assert csv_text.splitlines()[1] == "1,Marabou,0,18,0,1,30,100"

@@ -500,18 +500,29 @@ class TestBadOptionValues:
         assert (code, out) == (64, "")
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1", "1e400"])
-    def test_generate_bad_epsilon_is_usage_error(self, tmp_path, epsilon):
+    @staticmethod
+    def generate(tmp_path, *options):
+        """``generate`` on a two-class model into ``tmp_path/props``."""
         net = Network((1, 2, 3), (Flatten(), QDense(np.ones((6, 2)))))
         model = tmp_path / "net.onnx"
         model.write_bytes(serialize_model(net))
         ppm = tmp_path / "img.ppm"
         ppm.write_bytes(save_ppm(np.zeros((1, 2, 3))))
-        out_dir = tmp_path / "props"
-        code, out = run_cli("generate", str(model), str(ppm), "--epsilon", epsilon,
-                            "--out", str(out_dir))
+        return run_cli("generate", str(model), str(ppm), *options,
+                       "--out", str(tmp_path / "props"))
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1", "1e400"])
+    def test_generate_bad_epsilon_is_usage_error(self, tmp_path, epsilon):
+        code, out = self.generate(tmp_path, "--epsilon", epsilon)
         assert (code, out) == (64, "")
-        assert not out_dir.exists()
+        assert not (tmp_path / "props").exists()
+
+    @pytest.mark.parametrize("option, value", [("--label", "-1"), ("--index", "-3")])
+    def test_generate_negative_label_or_index_is_usage_error(self, tmp_path,
+                                                             option, value):
+        code, out = self.generate(tmp_path, "--epsilon", "1", option, value)
+        assert (code, out) == (64, "")
+        assert not (tmp_path / "props").exists()
 
 
 class TestScoreCommand:
@@ -532,6 +543,9 @@ class TestScoreCommand:
     def test_malformed_spec_is_usage_error(self):
         code, _ = run_cli("score", "Marabou:1:2")
         assert code == 64
+
+    def test_negative_count_is_usage_error(self):
+        assert run_cli("score", "a:1:2:3:-4") == (64, "")
 
 
 class TestLogging:

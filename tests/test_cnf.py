@@ -32,7 +32,6 @@ from bnnverify.verify.cnf import (
     binary_suffix_forward,
     counter_geq,
     first_quantize_index,
-    require_geq,
 )
 from cnf_formula_set import digest, prefix_phases
 
@@ -71,13 +70,6 @@ def suffix_violations_exist(net, prop, phases):
 
 
 class TestCounterEncoding:
-    def test_at_least_one_is_a_plain_clause(self):
-        b = CnfBuilder()
-        x = b.new_var()
-        y = b.new_var()
-        require_geq(b, [x, y], 1)
-        assert b.clauses[-1] == (x, y)
-
     def test_counter_matches_counting_exhaustively(self):
         # every n <= 6, every k, every input assignment, both polarities
         for n in range(1, 7):
@@ -87,10 +79,14 @@ class TestCounterEncoding:
                 result = counter_geq(b, xs, k)
                 formula = b.build()
                 for bits in itertools.product([False, True], repeat=n):
-                    units = [x if bit else -x for x, bit in zip(xs, bits)]
+                    # the pinned literals are unit clauses of the formula
+                    units = formula.clauses + tuple(
+                        (x if bit else -x,) for x, bit in zip(xs, bits))
                     want = sum(bits) >= k
-                    sat_pos = dpll_satisfiable(formula, assumptions=units + [result])
-                    sat_neg = dpll_satisfiable(formula, assumptions=units + [-result])
+                    sat_pos = dpll_satisfiable(
+                        CnfFormula(formula.num_vars, units + ((result,),)))
+                    sat_neg = dpll_satisfiable(
+                        CnfFormula(formula.num_vars, units + ((-result,),)))
                     assert (sat_pos is not None) == want
                     assert (sat_neg is not None) == (not want)
 
@@ -197,16 +193,6 @@ class TestDpll:
             agreements[model is not None] += 1
         assert agreements[True] > 10
         assert agreements[False] > 10
-
-    def test_assumptions(self):
-        f = CnfFormula(2, ((1, 2),))
-        assert dpll_satisfiable(f, assumptions=[-1, -2]) is None
-        model = dpll_satisfiable(f, assumptions=[-1])
-        assert model is not None and model[2] is True
-        with pytest.raises(ValueError):
-            dpll_satisfiable(f, assumptions=[0])
-        with pytest.raises(ValueError):
-            dpll_satisfiable(f, assumptions=[9])
 
 
 class TestExportCnf:

@@ -115,14 +115,17 @@ class TestBruteForce:
         assert v.status == "falsified"
         assert v.witness.input_values == tuple(SAFE_IMG)
 
-    def test_budget_refusal_is_an_exception(self):
+    def test_budget_refusal_is_an_exception(self, monkeypatch):
         net = toy(SAFE_W)
+        budget = "bnnverify.verify.brute.DEFAULT_ENUMERATION_BUDGET"
+        monkeypatch.setattr(budget, 80)
         with pytest.raises(EnumerationBudgetError) as exc:
-            brute_force_verify(net, toy_prop(SAFE_IMG, SAFE_LABEL, 1), max_points=80)
+            brute_force_verify(net, toy_prop(SAFE_IMG, SAFE_LABEL, 1))
         assert exc.value.points == 81
         assert exc.value.budget == 80
         # exactly at the budget it runs
-        v = brute_force_verify(net, toy_prop(SAFE_IMG, SAFE_LABEL, 1), max_points=81)
+        monkeypatch.setattr(budget, 81)
+        v = brute_force_verify(net, toy_prop(SAFE_IMG, SAFE_LABEL, 1))
         assert v.status == "verified"
 
     def test_non_integer_box_rejected(self):

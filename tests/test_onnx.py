@@ -63,6 +63,21 @@ def pooled_net(seed=0):
     return with_random_weights(skeleton, rng, pixel_max=16)
 
 
+def flatten_bn_net(gamma=(1.0,) * 8):
+    """A batch norm between a ``Flatten`` and a ``QDense``: its channels are
+    flat positions, which the file orders channel-first.  On an all-ones
+    image the logits are [8, -8]; read in the wrong order they are [0, 0]."""
+    return Network(
+        input_shape=(2, 2, 1),
+        layers=(
+            QConv(np.ones((1, 1, 1, 2)), quantize_input=False),
+            Flatten(),
+            BatchNorm(gamma, np.zeros(8), [0, 0, 0, 0, 5, 5, 5, 5], np.ones(8)),
+            QDense([[1, -1]] * 4 + [[-1, 1]] * 4),
+        ),
+    )
+
+
 class TestVarint:
     def test_single_byte(self):
         assert decode_varint(b"\x01") == (1, 1)
@@ -122,6 +137,14 @@ class TestRoundTrip:
     def test_structural_pooled(self):
         net = pooled_net()
         assert parse_model(serialize_model(net)) == net
+
+    def test_batch_norm_after_flatten(self):
+        net = flatten_bn_net()
+        back = parse_model(serialize_model(net))
+        assert back == net
+        img = np.ones(net.input_shape)
+        assert np.array_equal(network_forward(net, img), [8.0, -8.0])
+        assert np.array_equal(network_forward(back, img), [8.0, -8.0])
 
     def test_behavioral_tiny(self):
         rng = np.random.default_rng(2)
@@ -419,8 +442,8 @@ class TestParserFeatures:
         assert np.array_equal(net.layers[-1].weights, w)
 
     def test_bn_between_flatten_and_dense_is_permuted(self):
-        # the serializer never writes this pattern; build it by hand with
-        # channel-first parameters and check end-to-end agreement
+        # build the file by hand with channel-first parameters, apart from
+        # the serializer, and check end-to-end agreement
         rng = np.random.default_rng(17)
         c, h, w = 2, 2, 2
         gamma = rng.uniform(0.5, 1.5, c * h * w).astype(np.float32).astype(float)
@@ -552,6 +575,20 @@ class TestRejections:
         )
         with pytest.raises(InvalidModelError, match=f"'bn_1' {where}"):
             serialize_model(net)
+
+    def test_batch_norm_error_after_flatten_names_the_file_channel(self):
+        # internal flat position 1 is (y, x, c) = (0, 0, 1); the file's
+        # channel-first order puts it at c*4 + y*2 + x = 4
+        gamma = np.ones(8)
+        gamma[1] = 1e300  # rounds to inf at float32
+        with pytest.raises(InvalidModelError, match="'bn_2' channel 4 "):
+            serialize_model(flatten_bn_net(gamma))
+        gamma[1] = 1.375
+        data = serialize_model(flatten_bn_net(gamma))
+        old = struct.pack("<f", 1.375)
+        assert data.count(old) == 1
+        with pytest.raises(InvalidModelError, match="'bn_2' channel 4 "):
+            parse_model(data.replace(old, struct.pack("<f", np.nan)))
 
     def test_batch_norm_with_zero_variance_and_positive_eps_accepted(self):
         net = Network(
